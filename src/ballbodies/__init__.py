@@ -32,7 +32,6 @@ from .geometry import (
     procrustes_fit,
     winding_number,
 )
-from .solver import backend_name
 from .support import (
     HausdorffResult,
     SupportEval,
@@ -57,7 +56,6 @@ __all__ = [
     "SphereNet",
     "SupportEval",
     "apply_motion",
-    "backend_name",
     "ball_body",
     "body_to_doc",
     "c_dual",

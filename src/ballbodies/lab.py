@@ -5,8 +5,16 @@ A metric isometry of the ball-body space is, in normal form, a rigid motion
 applied either directly or after c-duality.  The classifier recovers that
 form in three stages: (1) probe points and unit balls and see which family
 collapses to near-points under the map, (2) fit a rigid motion through the
-circumcenters of the collapsed images, and (3) certify the fit by measuring
+centers of the collapsed images, and (3) certify the fit by measuring
 residual distances on random test bodies.
+
+Stages 1 and 2 need no linear program.  Under a true isometry every probe
+image is a point or a unit ball, whose support h(u) = <z, u> + rho is affine
+in u, so one least-squares fit over all images recovers every center
+exactly.  The reported radius max_u (h(u) - <z, u>) is the circumball LP's
+objective at the fitted center, an upper bound on the LP optimum, so the
+collapse test is never looser than with the LP.  The circumball LP serves
+only the geodesic midpoint check.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .errors import AmbiguousClassificationError, NotIsometryError
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import circumball, default_mesh, hausdorff
+from .support import as_eval, circumball, default_mesh, hausdorff
 
 POINT_RADIUS_TOL = 1e-3
 
@@ -66,6 +74,23 @@ def _lattice(dim: int, spacing: float, radius: float) -> np.ndarray:
     return pts
 
 
+def _ball_fits(
+    bodies: list[BallBodyExpr], net: SphereNet, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares ball fits h(u) ~ <z, u> + rho of each body's support on the net.
+
+    Returns the centers z, shape (k, n), and the radii max_u (h(u) - <z, u>)
+    clamped at 0, shape (k,): each radius encloses its body to net
+    resolution, and it is exact for points and balls.
+    """
+    h = np.column_stack([as_eval(body, tol).on_net(net) for body in bodies])  # (N, k)
+    design = np.hstack([net.directions, np.ones((len(net), 1))])
+    coef, *_ = np.linalg.lstsq(design, h, rcond=None)
+    centers = coef[:-1].T
+    radii = np.max(h - net.directions @ centers.T, axis=0)
+    return centers, np.maximum(radii, 0.0)
+
+
 @dataclass
 class ClassifierConfig:
     dimension: int = 2
@@ -76,13 +101,15 @@ class ClassifierConfig:
     lattice_spacing: float = 1.0
     lattice_radius: float = 3.0
     stage1_spacing: float = 2.0
-    probe_mesh: float = 0.2  # circumcenters of near-points are exact on coarse nets
+    probe_mesh: float = 0.2  # ball fits of points and unit balls are exact on coarse nets
     n_test_bodies: int = 20
     seed: int = 0
+    probe_net: SphereNet = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.net is None:
             self.net = make_sphere_net(self.dimension, default_mesh(self.dimension))
+        self.probe_net = make_sphere_net(self.dimension, self.probe_mesh)
 
 
 @dataclass
@@ -143,15 +170,14 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
             f"tolerance {config.defect_tol} (worst-case endpoint {defect:.3f})"
         )
 
-    probe_net = make_sphere_net(dim, config.probe_mesh)
+    probe_net = config.probe_net
 
     # stage 1: which family (points / unit balls) maps to near-points?
     stage1 = _lattice(dim, config.stage1_spacing, config.lattice_radius)
-    point_r = 0.0
-    ball_r = 0.0
-    for x in stage1:
-        point_r = max(point_r, circumball(T(point_body(x)), probe_net, config.tol).radius)
-        ball_r = max(ball_r, circumball(T(ball_body(x)), probe_net, config.tol).radius)
+    _, point_radii = _ball_fits([T(point_body(x)) for x in stage1], probe_net, config.tol)
+    _, ball_radii = _ball_fits([T(ball_body(x)) for x in stage1], probe_net, config.tol)
+    point_r = float(np.max(point_radii))
+    ball_r = float(np.max(ball_radii))
     points_collapse = point_r <= config.r_tol
     balls_collapse = ball_r <= config.r_tol
     if points_collapse and balls_collapse:
@@ -165,12 +191,10 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
         )
     kind = "identity" if points_collapse else "cdual"
 
-    # stage 2: rigid motion through the circumcenters of the collapsed family
+    # stage 2: rigid motion through the centers of the collapsed family
     sources = _lattice(dim, config.lattice_spacing, config.lattice_radius)
     probe = point_body if kind == "identity" else ball_body
-    targets = np.array(
-        [circumball(T(probe(x)), probe_net, config.tol).center for x in sources]
-    )
+    targets, _ = _ball_fits([T(probe(x)) for x in sources], probe_net, config.tol)
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form

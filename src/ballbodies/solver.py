@@ -11,15 +11,11 @@ instances run a guided active-set loop (grow the working set by the most
 violated constraint, re-solve, repeat) with the same certificate.
 
 Certificates are exact up to a 1e-12 feasibility pad on the constraints.
-
-A compiled twin of the enumeration kernel is used when available; set
-``BALLBODIES_PURE=1`` to force the pure NumPy path.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +27,6 @@ FEAS_PAD = 1e-12
 LAMBDA_PAD = 1e-9
 ENUM_MAX_CENTERS = 8
 POINT_SLACK = 2.5e-14
-
-try:  # optional compiled kernel
-    from . import _fastsolve as _native
-except ImportError:
-    _native = None
-
-
-def backend_name() -> str:
-    if _native is not None and not os.environ.get("BALLBODIES_PURE"):
-        return "native"
-    return "python"
-
-
-def _use_native(n: int, m: int) -> bool:
-    return (
-        _native is not None
-        and not os.environ.get("BALLBODIES_PURE")
-        and n in (2, 3)
-        and 2 <= m <= 64
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +114,10 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
             raise ValueError("radii must match the number of centers")
         if np.any(r < 0):
             raise EmptyBodyError("negative constraint radius")
+
+    if m == 1:
+        # the enclosing ball of one center is the center itself
+        return LeafGeometry(X, r, X[0].copy(), float(r[0]), 0.0)
 
     if np.ptp(r) == 0.0:
         from .geometry import minimal_enclosing_ball
@@ -450,13 +430,7 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
 
     values = np.full(U.shape[0], np.nan)
     resolved = np.zeros(U.shape[0], dtype=bool)
-    if _use_native(n, m):
-        values, resolved = _native.support_enumerate(
-            X, r, U, leaf.interior, leaf.slack, tol
-        )
-        values = np.asarray(values)
-        resolved = np.asarray(resolved, dtype=bool)
-    elif n in (2, 3) and m <= ENUM_MAX_CENTERS:
+    if n in (2, 3) and m <= ENUM_MAX_CENTERS:
         values, resolved = _enumerate_support(leaf, U, tol)
 
     if not np.all(resolved):

@@ -75,7 +75,8 @@ class SupportEval:
             raise ValueError("tolerance must be positive")
         if self.norm_bound is None:
             self.norm_bound = _norm_bound(self.body)
-        self._net_cache: dict[int, np.ndarray] = {}
+        # holding each net keeps its id from being reused by another net
+        self._net_cache: dict[int, tuple[SphereNet, np.ndarray]] = {}
 
     @property
     def dim(self) -> int:
@@ -92,12 +93,11 @@ class SupportEval:
 
     def on_net(self, net: SphereNet) -> np.ndarray:
         """Support sweep over a net, memoized per net object (pure, transparent)."""
-        key = id(net)
-        cached = self._net_cache.get(key)
-        if cached is None:
-            cached = self.batch(net.directions)
-            self._net_cache[key] = cached
-        return cached
+        cached = self._net_cache.get(id(net))
+        if cached is None or cached[0] is not net:
+            cached = (net, self.batch(net.directions))
+            self._net_cache[id(net)] = cached
+        return cached[1]
 
 
 def support(eval_or_body, u, tol: float = DEFAULT_TOL) -> float:

@@ -1,14 +1,17 @@
 """Isometry screening, normal-form classification, geodesic midpoint checks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from ballbodies.bodies import Generators, ball_body, c_dual, combine, point_body
+from ballbodies.bodies import Generators, apply_motion, ball_body, c_dual, combine, point_body
 from ballbodies.corpus import random_body, random_motion
 from ballbodies.errors import NotIsometryError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.lab import (
     ClassifierConfig,
+    _ball_fits,
     classify_isometry,
     geodesic_midpoint_check,
     isometry_defect,
@@ -20,6 +23,7 @@ from ballbodies.maps import (
     motion_map,
     scale_centers_map,
 )
+from ballbodies.support import circumball
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +34,17 @@ def net2():
 @pytest.fixture(scope="module")
 def config2(net2):
     return ClassifierConfig(dimension=2, net=net2)
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Fail any linear program: classification must not need one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classifier solved a linear program")
+
+    # the package exports a function named `support`, which hides the module attribute
+    monkeypatch.setattr(importlib.import_module("ballbodies.support"), "linprog", refuse)
 
 
 def probe_pairs(dim=2):
@@ -58,7 +73,7 @@ def test_defect_of_constant_map_is_large(net2):
     assert d >= 1.5  # roughly the probe diameter
 
 
-def test_classify_planted_motion(config2):
+def test_classify_planted_motion(config2, no_lp):
     rng = np.random.default_rng(42)
     g = random_motion(rng, 2)
     result = classify_isometry(motion_map(g), config2)
@@ -68,7 +83,7 @@ def test_classify_planted_motion(config2):
     assert result.residual <= 5 * result.residual_bound
 
 
-def test_classify_planted_motion_after_duality(config2):
+def test_classify_planted_motion_after_duality(config2, no_lp):
     rng = np.random.default_rng(43)
     g = random_motion(rng, 2)
     T = compose_maps([cdual_map(2), motion_map(g)])
@@ -94,7 +109,7 @@ def test_classify_rejects_constant_and_scaling(config2):
         classify_isometry(scale_centers_map(2, 2.0), config2)
 
 
-def test_classify_planted_reflection_3d():
+def test_classify_planted_reflection_3d(no_lp):
     net3 = make_sphere_net(3, 0.08)
     config = ClassifierConfig(dimension=3, net=net3)
     rng = np.random.default_rng(7)
@@ -107,6 +122,33 @@ def test_classify_planted_reflection_3d():
     assert result.kind == "identity"
     assert np.max(np.abs(result.motion.rotation - q)) < 1e-4
     assert np.linalg.det(result.motion.rotation) < 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_fits_exact_for_points_and_unit_balls(dim):
+    rng = np.random.default_rng(20 + dim)
+    g = random_motion(rng, dim)
+    xs = rng.uniform(-3.0, 3.0, size=(6, dim))
+    net = make_sphere_net(dim, 0.2)
+    points = [point_body(x) for x in xs] + [c_dual(ball_body(x)) for x in xs]
+    balls = [ball_body(x) for x in xs] + [apply_motion(g, c_dual(point_body(x))) for x in xs]
+    centers, radii = _ball_fits(points, net, 1e-9)
+    assert np.max(np.abs(centers - np.vstack([xs, xs]))) <= 1e-12
+    assert np.max(radii) <= 1e-12
+    centers, radii = _ball_fits(balls, net, 1e-9)
+    assert np.max(np.abs(centers - np.vstack([xs, g.apply(xs)]))) <= 1e-12
+    np.testing.assert_allclose(radii, 1.0, atol=1e-12)
+
+
+def test_ball_fit_radius_bounds_circumball_lp():
+    # the fitted radius is the LP objective at a feasible center, never below the optimum
+    rng = np.random.default_rng(9)
+    for dim in (2, 3):
+        net = make_sphere_net(dim, 0.2)
+        bodies = [random_body(rng, dim) for _ in range(8)]
+        _, radii = _ball_fits(bodies, net, 1e-9)
+        for body, r in zip(bodies, radii):
+            assert r >= circumball(body, net, 1e-9).radius - 1e-7
 
 
 # ---------------------------------------------------------------------------

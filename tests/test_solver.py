@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from ballbodies.errors import EmptyBodyError
+from ballbodies.geometry import minimal_enclosing_ball
 from ballbodies.solver import DEFAULT_TOL, prepare_leaf, support_batch
 
 
@@ -139,6 +140,19 @@ def test_exactly_tangent_pair_is_a_point():
     dirs = unit_dirs(2, 16, 1)
     vals = support_batch(leaf, dirs)
     np.testing.assert_allclose(vals, dirs @ np.array([1.0, 0.0]), atol=1e-7)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_singleton_leaf_matches_enclosing_ball_path(dim):
+    rng = np.random.default_rng(dim)
+    for radius in (1.0, 0.0, *rng.uniform(0.1, 3.0, 4)):
+        center = rng.uniform(-3.0, 3.0, size=(1, dim))
+        leaf = prepare_leaf(center, radii=np.array([radius]))
+        meb = minimal_enclosing_ball(center)
+        np.testing.assert_array_equal(leaf.interior, meb.center)
+        assert leaf.slack == radius - meb.radius
+        assert leaf.meb_radius == meb.radius
+        assert leaf.point_like == (radius == 0.0)
 
 
 def test_empty_intersection_rejected():

@@ -369,3 +369,12 @@ def test_net_sweep_cache_is_transparent(net2):
     assert first is second  # memoized
     fresh = SupportEval(ev.body).on_net(net2)
     np.testing.assert_array_equal(first, fresh)
+
+
+def test_net_sweep_cache_never_serves_a_dropped_net():
+    # a dropped net's id may be reused by the next net built
+    for _ in range(10):
+        ev = SupportEval(ball_body(np.zeros(2)))
+        ev.on_net(make_sphere_net(2, 0.5))
+        finer = make_sphere_net(2, 0.1)
+        assert ev.on_net(finer).shape == (len(finer),)
