@@ -5,6 +5,8 @@ an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
 2 parse error, 3 invariant violation, 4 classification-premise failure,
 5 adaptive resolution exhausted.
+SciPy is loaded only by ``circ``, ``geodesic-check``, ``surjectivity``, ``selftest`` and
+``dist --oracle``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .geometry import make_sphere_net
 from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check
 from .maps import parse_map
 from .planar import PlanarProbeConfig, surjectivity_probe_planar
-from .selftest import run_selftest
 from .solver import DEFAULT_TOL
 from .support import (
     SupportEval,
@@ -366,6 +367,8 @@ def selftest(config: RunConfig, profile, criteria):
         chosen = [int(c) for c in criteria.split(",") if c.strip()]
 
     def run():
+        from .selftest import run_selftest
+
         return run_selftest(
             seed=config.seed,
             tol=config.support_tol,

@@ -234,7 +234,7 @@ def make_sphere_net(n: int, mesh: float, seed: int = 0) -> SphereNet:
 
 
 # ---------------------------------------------------------------------------
-# minimal enclosing ball (Welzl's randomized move-to-front recursion)
+# minimal enclosing ball (Welzl's randomized algorithm)
 # ---------------------------------------------------------------------------
 
 
@@ -257,39 +257,40 @@ def _circumball_of_boundary(boundary: list[np.ndarray]) -> Ball:
     return Ball(center, radius)
 
 
-def _welzl(points: list[np.ndarray], boundary: list[np.ndarray], dim: int) -> Ball:
-    if not points or len(boundary) == dim + 1:
-        if not boundary:
-            return Ball(np.zeros(dim), 0.0)
-        return _circumball_of_boundary(boundary)
-    p = points[-1]
-    rest = points[:-1]
-    ball = _welzl(rest, boundary, dim)
-    if ball.contains(p, slack=1e-12 * (1.0 + ball.radius)):
-        return ball
-    return _welzl(rest, boundary + [p], dim)
+def _welzl(points: list[np.ndarray], dim: int) -> Ball:
+    """Welzl's recursion welzl(P, R) run on an explicit stack.
+
+    welzl(P + [p], R) is welzl(P, R) when that ball holds p, else
+    welzl(P, R + [p]); P is always a prefix of `points`, so a pending call
+    is the pair (prefix length, boundary).
+    """
+    pending: list[tuple[int, list[np.ndarray]]] = []
+    k, boundary = len(points), []
+    while True:
+        while k and len(boundary) < dim + 1:
+            pending.append((k, boundary))
+            k -= 1
+        ball = _circumball_of_boundary(boundary) if boundary else Ball(np.zeros(dim), 0.0)
+        while pending:
+            k, boundary = pending.pop()
+            p = points[k - 1]
+            if not ball.contains(p, slack=1e-12 * (1.0 + ball.radius)):
+                break
+        else:
+            return ball
+        # the pending call's value is now welzl(points[:k - 1], boundary + [p])
+        k, boundary = k - 1, boundary + [p]
 
 
 def minimal_enclosing_ball(points, seed: int = 0) -> Ball:
     """Smallest ball containing all points (exact up to float rounding).
 
-    Deterministic: the Welzl recursion runs on a seed-shuffled copy.
+    Deterministic: Welzl's algorithm runs on a seed-shuffled copy.
     """
     pts = as_points(points)
     unique = np.unique(pts, axis=0)
     order = np.random.default_rng(seed).permutation(unique.shape[0])
-    shuffled = [unique[i] for i in order]
-    import sys
-
-    needed = 3 * len(shuffled) + 100
-    old_limit = sys.getrecursionlimit()
-    if old_limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        ball = _welzl(shuffled, [], pts.shape[1])
-    finally:
-        if old_limit < needed:
-            sys.setrecursionlimit(old_limit)
+    ball = _welzl([unique[i] for i in order], pts.shape[1])
     # tighten the radius to exactly cover the inputs
     radius = float(np.max(np.linalg.norm(pts - ball.center, axis=1)))
     return Ball(ball.center, radius)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ResolutionExhaustedError
 from .geometry import RigidMotion, procrustes_fit, winding_number
@@ -176,6 +175,8 @@ class SurjectivityReport:
 
 
 def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts, root_tol: float):
+    from scipy.optimize import least_squares
+
     best_x, best_res = None, np.inf
 
     def residual(x):

@@ -142,7 +142,9 @@ def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
     pts = grid.reshape(-1, body.dim)
     mask = _member_mask(body, pts, cell).reshape(grid.shape[:-1])
     if not mask.any():
-        raise EmptyRasterError(f"no cells inside at cell={cell}; refine the grid")
+        raise EmptyRasterError(
+            f"no cells inside at cell={cell} on a grid of shape {mask.shape}; refine the grid"
+        )
     return RasterBody(origin, cell, mask)
 
 
@@ -188,7 +190,10 @@ def raster_cdual(r: RasterBody) -> RasterBody:
         out[sl] = np.max(d, axis=1) <= 1.0 + 1e-12
     mask = out.reshape(grid.shape[:-1])
     if not mask.any():
-        raise EmptyRasterError("c-dual raster came out empty; refine the grid")
+        raise EmptyRasterError(
+            f"c-dual raster came out empty at cell={r.cell} on a grid of shape {mask.shape}; "
+            "refine the grid"
+        )
     return RasterBody(origin, r.cell, mask)
 
 

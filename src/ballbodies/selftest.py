@@ -10,6 +10,8 @@ small deterministic subset used for demos and byte-determinism checks).
 from __future__ import annotations
 
 import math
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -563,6 +565,20 @@ def run_criterion(cid: int, ctx: SelftestContext) -> CriterionResult:
     return _CRITERIA[cid](ctx)
 
 
+def _run_recorded(cid: int, ctx: SelftestContext) -> CriterionResult:
+    """Run one criterion; one that raises fails with its error instead of ending the run."""
+    try:
+        return run_criterion(cid, ctx)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        return CriterionResult(cid, CRITERIA_NAMES[cid], "fail", {"error": error})
+
+
 def run_selftest(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -583,7 +599,10 @@ def run_selftest(
         scale=scale,
     )
     chosen = sorted(criteria) if criteria else sorted(_CRITERIA)
-    results = [run_criterion(cid, ctx).to_doc() for cid in chosen]
+    unknown = [cid for cid in chosen if cid not in _CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(_CRITERIA)}")
+    results = [_run_recorded(cid, ctx).to_doc() for cid in chosen]
     return {
         "profile": profile,
         "criteria": results,

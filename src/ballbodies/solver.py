@@ -365,6 +365,7 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
     X, r = leaf.centers, leaf.radii
     single_ub = X @ u + r
     active = [int(np.argmin(single_ub))]
+    gap = np.inf  # stays infinite unless a feasible candidate gets certified bounds
     for _ in range(80):
         found = _active_set_optimum(X, r, u, active)
         if found is None:
@@ -393,7 +394,8 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
             lo = float(
                 _feasible_lower(X, r, u[None, :], y[None, :], leaf.interior, leaf.slack)[0]
             )
-            if ub - lo <= tol:
+            gap = ub - lo
+            if gap <= tol:
                 return 0.5 * (lo + ub)
             break
         if j in active:
@@ -404,7 +406,8 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
             keep = [i for i in active if i in subset or i == j]
             active = keep if keep else active[-(X.shape[1] + 3) :]
     raise NoConvergenceError(
-        f"support solve failed to certify tolerance {tol} for one direction"
+        f"support solve failed to certify tolerance {tol} in dimension n={X.shape[1]} "
+        f"with m={X.shape[0]} balls, direction {u.tolist()}: achieved gap ub - lo = {gap:.3g}"
     )
 
 

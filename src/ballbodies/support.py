@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bodies import BallBodyExpr, CDual, Combine, Generators, Motion
 from .errors import DimensionMismatchError, EmptyReconstructionError, EmptyBodyError
@@ -152,6 +151,13 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
 # ---------------------------------------------------------------------------
 # circumball (Chebyshev-center min-max as a linear program)
 # ---------------------------------------------------------------------------
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on first call to keep SciPy off the import path."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def circumball(K, net: SphereNet, tol: float = DEFAULT_TOL) -> Ball:

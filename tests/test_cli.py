@@ -1,0 +1,124 @@
+"""Command-line front end: reports against closed forms, exit codes, lazy SciPy."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import ballbodies
+from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, main
+
+
+def ball_doc(c) -> str:
+    return json.dumps({"type": "generators", "centers": [list(map(float, c))]})
+
+
+def point_doc(x) -> str:
+    # the c-dual of the unit ball around x is the point x
+    return json.dumps({"type": "cdual", "of": json.loads(ball_doc(x))})
+
+
+def run_cli(*args):
+    return CliRunner().invoke(main, list(args))
+
+
+def report(*args) -> dict:
+    result = run_cli(*args)
+    assert result.exit_code == 0, (result.output, result.stderr, result.exception)
+    doc = json.loads(result.output)
+    assert doc["tool"] == "ballbodies" and doc["command"] == args[0]
+    return doc["result"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dist_point_to_ball(dim):
+    rng = np.random.default_rng(dim)
+    x, y = rng.uniform(-0.5, 0.5, dim), rng.uniform(-0.5, 0.5, dim)
+    res = report("dist", point_doc(x), ball_doc(y))
+    assert abs(res["value"] - (1.0 + np.linalg.norm(x - y))) <= res["error_bound"]
+
+
+def test_support_of_ball():
+    c, u = np.array([0.3, -0.2, 0.5]), np.array([0.6, 0.0, 0.8])
+    res = report("support", ball_doc(c), "--direction", json.dumps(u.tolist()))
+    assert res["value"] == pytest.approx(float(c @ u) + 1.0, abs=res["tolerance"])
+
+
+def test_circ_of_ball():
+    c = np.array([0.4, -0.7])
+    res = report("circ", ball_doc(c))
+    np.testing.assert_allclose(res["center"], c, atol=1e-6)
+    assert res["radius"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cdual_check_passes():
+    body = {
+        "type": "combine",
+        "lambda": 0.4,
+        "a": {"type": "generators", "centers": [[0.0, 0.0], [0.5, 0.1]]},
+        "b": {"type": "cdual", "of": {"type": "generators", "centers": [[0.2, 0.3]]}},
+    }
+    res = report("cdual-check", json.dumps(body))
+    assert res["passed"] is True
+
+
+def test_surjectivity_of_planar_rigid_map():
+    t = 0.7
+    doc = {
+        "map": "planar_rigid",
+        "rotation": [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]],
+        "translation": [0.3, -0.1],
+    }
+    res = report("surjectivity", json.dumps(doc), "--target", "[0.5, 1.0]")
+    assert res["verdict"] == "surjective-evidence"
+
+
+def test_malformed_json_exits_parse():
+    result = run_cli("support", "{not json", "--direction", "[1, 0]")
+    assert result.exit_code == EXIT_PARSE == 2
+    assert json.loads(result.stderr)["error"]["type"] == "JSONDecodeError"
+
+
+def test_dimension_mismatch_exits_invariant():
+    result = run_cli("--dim", "3", "circ", ball_doc([0.0, 0.0]))
+    assert result.exit_code == EXIT_INVARIANT == 3
+    assert json.loads(result.stderr)["error"]["type"] == "DimensionMismatchError"
+
+
+GUARD = """
+import json, sys
+sys.path.insert(0, {src!r})
+import ballbodies
+import ballbodies.cli as cli
+
+def run(*argv):
+    try:
+        cli.main(list(argv), standalone_mode=False)
+    except SystemExit as exc:
+        assert not exc.code, (argv[0], exc.code)
+
+ball = json.dumps({{"type": "generators", "centers": [[0.1, 0.2]]}})
+point = json.dumps({{"type": "cdual", "of": json.loads(ball)}})
+run("dist", point, ball)
+run("support", ball, "--direction", "[0.6, 0.8]")
+run("cdual-check", ball)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+run("circ", ball)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_hausdorff_commands_never_import_scipy():
+    src = str(Path(ballbodies.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the geometric substrate: nets, enclosing balls, motion fits, winding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from ballbodies.errors import (
     InsufficientResolutionError,
 )
 from ballbodies.geometry import (
+    Ball,
     RigidMotion,
+    _circumball_of_boundary,
     SphereNet,
     make_sphere_net,
     minimal_enclosing_ball,
@@ -135,6 +138,41 @@ def test_meb_contains_all_and_is_tight(dim, seed):
 def test_meb_duplicated_points():
     ball = minimal_enclosing_ball([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     assert ball.radius == pytest.approx(0.0, abs=1e-12)
+
+
+def recursive_welzl(points, boundary, dim):
+    """The textbook recursion, as the reference for small inputs."""
+    if not points or len(boundary) == dim + 1:
+        return _circumball_of_boundary(boundary) if boundary else Ball(np.zeros(dim), 0.0)
+    p, rest = points[-1], points[:-1]
+    ball = recursive_welzl(rest, boundary, dim)
+    if ball.contains(p, slack=1e-12 * (1.0 + ball.radius)):
+        return ball
+    return recursive_welzl(rest, boundary + [p], dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_meb_matches_recursive_welzl(dim):
+    rng = np.random.default_rng(100 + dim)
+    for seed in range(20):
+        pts = rng.standard_normal((int(rng.integers(1, 200)), dim))
+        unique = np.unique(pts, axis=0)
+        order = np.random.default_rng(seed).permutation(len(unique))
+        center = recursive_welzl([unique[i] for i in order], [], dim).center
+        radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+        ball = minimal_enclosing_ball(pts, seed=seed)
+        np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12)
+        assert abs(ball.radius - radius) <= 1e-12
+
+
+def test_meb_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("minimal_enclosing_ball changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    pts = np.random.default_rng(5).standard_normal((3000, 2))
+    ball = minimal_enclosing_ball(pts)
+    assert np.max(np.linalg.norm(pts - ball.center, axis=1)) == ball.radius
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from ballbodies.bodies import (
     combine,
     point_body,
 )
-from ballbodies.errors import GridMismatchError
+from ballbodies.errors import EmptyRasterError, GridMismatchError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.raster import (
     RasterBody,
@@ -39,6 +39,19 @@ def test_point_body_raster_is_single_cell():
     r = rasterize(point_body([0.3, -0.2]), cell=0.01)
     assert r.count <= 4
     np.testing.assert_allclose(r.points().mean(axis=0), [0.3, -0.2], atol=0.012)
+
+
+def test_empty_raster_names_cell_and_grid():
+    with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(11, 11\)"):
+        rasterize(ball_body([0.0, 0.0]), cell=0.1, bounds=([5.0, 5.0], [6.0, 6.0]))
+
+
+def test_empty_cdual_raster_names_cell_and_grid():
+    # two occupied cells 3.9 apart: no point lies within 1 of both
+    mask = np.zeros((40, 3), dtype=bool)
+    mask[0, 1] = mask[-1, 1] = True
+    with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(26, 26\)"):
+        raster_cdual(RasterBody(np.zeros(2), 0.1, mask))
 
 
 def test_lens_area_matches_circular_segment_formula():

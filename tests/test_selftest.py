@@ -1,0 +1,46 @@
+"""Self-test runner: a criterion that raises is a failure, not the end of the run."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from ballbodies import selftest
+from ballbodies.cli import main
+from ballbodies.errors import EmptyRasterError
+from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, run_selftest
+
+
+@pytest.fixture
+def crashing_first(monkeypatch):
+    """Criterion 1 raises; criterion 2 passes at once."""
+
+    def crash(ctx):
+        raise EmptyRasterError("no cells inside at cell=0.01")
+
+    monkeypatch.setitem(selftest._CRITERIA, 1, crash)
+    monkeypatch.setitem(
+        selftest._CRITERIA, 2, lambda ctx: CriterionResult(2, CRITERIA_NAMES[2], "pass")
+    )
+
+
+def test_crashing_criterion_is_recorded_and_the_rest_run(crashing_first):
+    report = run_selftest(profile="quick", criteria=[1, 2])
+    first, second = report["criteria"]
+    assert first["status"] == "fail"
+    error = first["details"]["error"]
+    assert (error["type"], error["message"]) == ("EmptyRasterError", "no cells inside at cell=0.01")
+    assert error["where"].startswith("test_selftest.py:") and error["where"].endswith(" in crash")
+    assert second["status"] == "pass"
+    assert (report["passed"], report["failed"]) == (1, 1)
+
+
+def test_cli_writes_the_report_and_exits_one(crashing_first):
+    result = CliRunner().invoke(main, ["selftest", "--profile", "quick", "--criteria", "1,2"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["result"]["failed"] == 1
+
+
+def test_unknown_criterion_rejected():
+    with pytest.raises(ValueError, match="unknown criteria"):
+        run_selftest(profile="quick", criteria=[13])

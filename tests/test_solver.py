@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ballbodies.errors import EmptyBodyError
+from ballbodies.errors import EmptyBodyError, NoConvergenceError
 from ballbodies.geometry import minimal_enclosing_ball
-from ballbodies.solver import DEFAULT_TOL, prepare_leaf, support_batch
+from ballbodies.solver import DEFAULT_TOL, _support_single_dir, prepare_leaf, support_batch
 
 
 def slsqp_support(centers, radii, u) -> float:
@@ -153,6 +153,26 @@ def test_singleton_leaf_matches_enclosing_ball_path(dim):
         assert leaf.slack == radius - meb.radius
         assert leaf.meb_radius == meb.radius
         assert leaf.point_like == (radius == 0.0)
+
+
+def test_no_convergence_names_leaf_direction_and_gap():
+    # a tolerance below the rounding of the certificate cannot be met
+    rng = np.random.default_rng(0)
+    errors = []
+    for _ in range(20):
+        leaf = prepare_leaf(rng.uniform(-0.3, 0.3, size=(4, 2)))
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        try:
+            _support_single_dir(leaf, u, 1e-300)
+        except NoConvergenceError as exc:
+            errors.append((u, str(exc)))
+    assert errors
+    u, message = errors[0]
+    assert "n=2" in message and "m=4" in message
+    assert f"direction {u.tolist()}" in message
+    gap = float(message.rsplit("ub - lo = ", 1)[1])
+    assert 1e-300 < gap <= DEFAULT_TOL
 
 
 def test_empty_intersection_rejected():
