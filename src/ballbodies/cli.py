@@ -102,7 +102,7 @@ class RunConfig:
 
     def net(self, dim: int):
         mesh = self.net_mesh if self.net_mesh is not None else default_mesh(dim)
-        return make_sphere_net(dim, mesh, seed=self.seed)
+        return make_sphere_net(dim, mesh)
 
     def to_doc(self) -> dict:
         return {
@@ -171,7 +171,7 @@ def _guarded(config: RunConfig, command: str, fn) -> None:
 @click.option("--dim", type=int, default=None, help="Ambient dimension (default: inferred).")
 @click.option("--mesh", type=float, default=None, help="Direction-net covering radius.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, help="Support oracle tolerance.")
-@click.option("--seed", type=int, default=0, help="Seed for nets and randomized checks.")
+@click.option("--seed", type=int, default=0, help="Seed for randomized checks.")
 @click.option("--oracle", is_flag=True, help="Cross-check against the raster oracle (2-d).")
 @click.option("--out", type=str, default=None, help="Write the report to this path.")
 @click.pass_context

@@ -1,9 +1,10 @@
 """Dimension-generic geometric substrate.
 
 Vectors are plain float64 numpy arrays.  This module provides the pieces
-everything else is built from: direction nets on the unit sphere with a
-certified covering radius, minimal enclosing balls (Welzl), least-squares
-orthogonal motion fitting, and planar winding numbers.
+everything else is built from: direction nets on the unit sphere whose
+covering radius is proven by construction (an angular grid in the plane, a
+radially projected cube-face grid for n >= 3), minimal enclosing balls
+(Welzl), least-squares orthogonal motion fitting, and planar winding numbers.
 """
 
 from __future__ import annotations
@@ -129,8 +130,10 @@ class SphereNet:
     """A finite direction net whose covering radius is at most `mesh`.
 
     Every unit vector lies within Euclidean distance `mesh` of some listed
-    direction.  Directions come in exact antipodal pairs, so evaluating a
-    support function on the net and on its negation sees the same vectors.
+    direction.  For nets from `make_sphere_net` this is proven, not sampled:
+    a grid point lies within `mesh` of each unit vector's radial preimage.
+    Directions come in exact antipodal pairs, so evaluating a support
+    function on the net and on its negation sees the same vectors.
     """
 
     directions: np.ndarray
@@ -153,58 +156,23 @@ class SphereNet:
         return self.directions.shape[0]
 
     def covering_audit(self, n_samples: int, seed: int = 0) -> float:
-        """Largest distance from random unit vectors to the net (Monte Carlo)."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        chunk = 20000
-        remaining = n_samples
-        while remaining > 0:
-            k = min(chunk, remaining)
-            u = rng.standard_normal((k, self.dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            # nearest net direction via the largest inner product
-            best_dot = np.max(u @ self.directions.T, axis=1)
-            dist = np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0))
-            worst = max(worst, float(np.max(dist)))
-            remaining -= k
-        return worst
+        """Largest distance from random unit vectors to the net (Monte Carlo, for tests)."""
+        from scipy.spatial import cKDTree
+
+        u = np.random.default_rng(seed).standard_normal((n_samples, self.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        dist, _ = cKDTree(self.directions).query(u)
+        return float(np.max(dist))
 
 
-def _planar_net(mesh: float) -> np.ndarray:
-    # chord between adjacent directions is 2 sin(pi/m) <= mesh
-    m = int(math.ceil(math.pi / math.asin(min(mesh, 2.0) / 2.0)))
-    m = max(m, 2)
-    if m % 2:
-        m += 1
-    half = m // 2
-    theta = 2.0 * math.pi * np.arange(half) / m
-    upper = np.column_stack([np.cos(theta), np.sin(theta)])
-    return np.vstack([upper, -upper])
-
-
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = 2.0 * math.pi * i / golden
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _random_sphere(count: int, dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((count, dim))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def make_sphere_net(n: int, mesh: float, seed: int = 0) -> SphereNet:
+def make_sphere_net(n: int, mesh: float) -> SphereNet:
     """Build a direction net on the unit sphere of R^n with covering radius <= mesh.
 
-    The planar case uses a uniform angular grid (covering radius guaranteed
-    by the chord bound).  For n = 3 a Fibonacci spiral is used and for
-    n >= 4 a seeded quasi-uniform sample; those nets are grown until a
-    Monte Carlo covering audit passes with margin.  Deterministic for fixed
-    (n, mesh, seed).
+    n = 2: m equal angle steps, m the least even count with half-step
+    chord 2 sin(pi/2m) <= mesh.  n >= 3: the normalized cell centers of a k^(n-1)
+    grid on each positive face of [-1, 1]^n, k = ceil(sqrt(n-1)/mesh), and
+    their negations.  Proof: u/|u|_inf lies within sqrt(n-1)/k of a cell
+    center, and radial projection onto the ball is 1-Lipschitz outside it.
     """
     if n < 2:
         raise ValueError("sphere nets need ambient dimension >= 2")
@@ -215,22 +183,19 @@ def make_sphere_net(n: int, mesh: float, seed: int = 0) -> SphereNet:
         raise ValueError("mesh must be positive")
 
     if n == 2:
-        return SphereNet(_planar_net(mesh), mesh)
-
-    # grow until the audited covering radius clears mesh with 10% margin
-    count = max(int((3.0 / mesh) ** (n - 1)), 8)
-    for _ in range(24):
-        if n == 3:
-            half = _fibonacci_sphere(count)
-        else:
-            half = _random_sphere(count, n, seed)
-        dirs = np.vstack([half, -half])
-        net = SphereNet(dirs, mesh)
-        audited = net.covering_audit(30000, seed=seed + 1)
-        if audited <= 0.9 * mesh:
-            return net
-        count = int(count * 1.5) + 1
-    raise RuntimeError(f"could not certify a covering net for n={n}, mesh={mesh}")
+        m = max(int(math.ceil(math.pi / (2.0 * math.asin(min(mesh, 2.0) / 2.0)))), 2)
+        m += m % 2
+        theta = 2.0 * math.pi * np.arange(m // 2) / m
+        half = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        k = int(math.ceil(math.sqrt(n - 1) / mesh))
+        ticks = (2.0 * np.arange(k) + 1.0) / k - 1.0
+        face = np.stack(np.meshgrid(*([ticks] * (n - 1)), indexing="ij"), axis=-1)
+        face = face.reshape(-1, n - 1)
+        ones = np.ones((face.shape[0], 1))
+        half = np.vstack([np.hstack([face[:, :i], ones, face[:, i:]]) for i in range(n)])
+        half /= np.linalg.norm(half, axis=1, keepdims=True)
+    return SphereNet(np.vstack([half, -half]), mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Bodies are rasterized on a square grid by evaluating the set definition
 directly: generator leaves test the ball inequalities, c-duals test the
 distance-to-every-occupied-point rule, Minkowski combinations test against
 the convex hull of the scaled vertex sums, and motions pull the query grid
-back through the inverse map.  Everything is O(cells) per node and is meant
-for validation in the plane, not for performance.
+back through the inverse map.  A body smaller than one cell (a near-point)
+occupies the single cell of least violation.  Everything is O(cells) per
+node and is meant for validation in the plane, not for performance.
 """
 
 from __future__ import annotations
@@ -77,27 +78,25 @@ def _extreme_points(pts: np.ndarray) -> np.ndarray:
         return pts
 
 
-def _member_mask(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray:
+def _violation(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray:
+    """Per point, the largest violated membership inequality; <= 0 means inside.
+
+    Every inequality is 1-Lipschitz in the point and holds on the body, so
+    the violation never exceeds the distance from the point to the body.
+    """
     if isinstance(body, Generators):
         radii = body.radii if body.radii is not None else 1.0
-        out = np.ones(len(pts), dtype=bool)
+        out = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
             sl = slice(start, start + _CHUNK)
             d = np.linalg.norm(pts[sl, None, :] - body.centers[None, :, :], axis=2)
-            out[sl] = np.all(d <= radii + 1e-12, axis=1)
+            out[sl] = np.max(d - radii, axis=1) - 1e-12
         return out
     if isinstance(body, Motion):
         inv = body.g.inverse()
-        return _member_mask(body.of, inv.apply(pts), cell)
+        return _violation(body.of, inv.apply(pts), cell)
     if isinstance(body, CDual):
-        inner = rasterize(body.of, cell)
-        verts = _extreme_points(inner.points())
-        out = np.ones(len(pts), dtype=bool)
-        for start in range(0, len(pts), _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            d = np.linalg.norm(pts[sl, None, :] - verts[None, :, :], axis=2)
-            out[sl] = np.max(d, axis=1) <= 1.0 + 1e-12
-        return out
+        return _cdual_violation(_extreme_points(rasterize(body.of, cell).points()), pts)
     if isinstance(body, Combine):
         ra = rasterize(body.a, cell)
         rb = rasterize(body.b, cell)
@@ -108,19 +107,47 @@ def _member_mask(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray
         try:
             hull = ConvexHull(cloud)
             eqs = hull.equations
-            out = np.ones(len(pts), dtype=bool)
+            out = np.empty(len(pts))
             pad = 0.75 * cell  # hull of cell centers can sit inside the body
             for start in range(0, len(pts), _CHUNK):
                 sl = slice(start, start + _CHUNK)
                 vals = pts[sl] @ eqs[:, :-1].T + eqs[:, -1][None, :]
-                out[sl] = np.all(vals <= pad, axis=1)
+                out[sl] = np.max(vals, axis=1) - pad
             return out
         except QhullError:
             # flat cloud (point or segment body): test distance to the cloud
             tree = cKDTree(cloud)
             d, _ = tree.query(pts)
-            return d <= 0.75 * cell
+            return d - 0.75 * cell
     raise TypeError(f"not a body expression: {type(body).__name__}")
+
+
+def _cdual_violation(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance to the farthest vertex minus 1: the c-dual's membership rule."""
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        d = np.linalg.norm(pts[sl, None, :] - verts[None, :, :], axis=2)
+        out[sl] = np.max(d, axis=1) - 1.0 - 1e-12
+    return out
+
+
+def _occupancy(violation: np.ndarray, shape: tuple, cell: float, empty_message: str) -> np.ndarray:
+    """Cells whose center is inside; for a body smaller than a cell, its nearest cell.
+
+    A nonempty body inside the grid lies within half a cell diagonal of some
+    cell center, where the violation is at most that distance, so the cell
+    of least violation is marked.  Beyond that the body misses the grid.
+    """
+    mask = violation <= 0.0
+    if not mask.any():
+        j = int(np.argmin(violation))
+        if violation[j] > 0.5 * cell * np.sqrt(len(shape)):
+            raise EmptyRasterError(
+                f"{empty_message} at cell={cell} on a grid of shape {shape}; refine the grid"
+            )
+        mask[j] = True
+    return mask.reshape(shape)
 
 
 def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
@@ -140,11 +167,7 @@ def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
     axes = [origin[d] + cell * np.arange(counts[d]) for d in range(body.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts = grid.reshape(-1, body.dim)
-    mask = _member_mask(body, pts, cell).reshape(grid.shape[:-1])
-    if not mask.any():
-        raise EmptyRasterError(
-            f"no cells inside at cell={cell} on a grid of shape {mask.shape}; refine the grid"
-        )
+    mask = _occupancy(_violation(body, pts, cell), grid.shape[:-1], cell, "no cells inside")
     return RasterBody(origin, cell, mask)
 
 
@@ -183,17 +206,8 @@ def raster_cdual(r: RasterBody) -> RasterBody:
     axes = [origin[d] + r.cell * np.arange(counts[d]) for d in range(r.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts = grid.reshape(-1, r.dim)
-    out = np.ones(len(pts), dtype=bool)
-    for start in range(0, len(pts), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        d = np.linalg.norm(pts[sl, None, :] - verts[None, :, :], axis=2)
-        out[sl] = np.max(d, axis=1) <= 1.0 + 1e-12
-    mask = out.reshape(grid.shape[:-1])
-    if not mask.any():
-        raise EmptyRasterError(
-            f"c-dual raster came out empty at cell={r.cell} on a grid of shape {mask.shape}; "
-            "refine the grid"
-        )
+    violation = _cdual_violation(verts, pts)
+    mask = _occupancy(violation, grid.shape[:-1], r.cell, "c-dual raster came out empty")
     return RasterBody(origin, r.cell, mask)
 
 

@@ -221,45 +221,19 @@ def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL, refine: bo
     """max over the body of |y - x|, the Hausdorff distance of {x} to the body.
 
     The coarse net maximum of h(u) - <x, u> is refined by golden-section
-    search on the angle (2-d) or by shrinking-cap sampling (n >= 3).
+    search on the angle (2-d, `farthest_distance_batch` with one probe) or by
+    shrinking-cap sampling (n >= 3).
     """
     ev = as_eval(K, tol)
     x = as_vector(x, ev.dim)
+    if refine and ev.dim == 2:
+        return float(farthest_distance_batch(ev, x[None, :], net, tol)[0])
     h = ev.on_net(net)
     vals = h - net.directions @ x
     i0 = int(np.argmax(vals))
     coarse = float(vals[i0])
     if not refine:
         return coarse
-
-    def phi_dir(u):
-        u = u / np.linalg.norm(u)
-        return float(ev.batch(u[None, :])[0] - u @ x)
-
-    if ev.dim == 2:
-        theta0 = float(np.arctan2(net.directions[i0, 1], net.directions[i0, 0]))
-        width = 2.2 * np.arcsin(min(net.mesh / 2.0, 1.0))
-        lo, hi = theta0 - width, theta0 + width
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-        def phi(theta):
-            return phi_dir(np.array([np.cos(theta), np.sin(theta)]))
-
-        a, b = lo, hi
-        c1 = b - invphi * (b - a)
-        c2 = a + invphi * (b - a)
-        f1, f2 = phi(c1), phi(c2)
-        for _ in range(48):
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + invphi * (b - a)
-                f2 = phi(c2)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - invphi * (b - a)
-                f1 = phi(c1)
-        best = max(coarse, phi(0.5 * (a + b)))
-        return best
 
     # shrinking spherical-cap refinement
     u_best = net.directions[i0].copy()
@@ -285,7 +259,8 @@ def farthest_distance_batch(
 
     Runs one coarse sweep plus a vectorized golden-section refinement of the
     maximizing angle per probe (the support difference is locally unimodal
-    on the circle for these bodies).
+    on the circle for these bodies).  The bracket spans 1.1 angular steps of
+    the net on each side of the coarse maximizer.
     """
     ev = as_eval(K, tol)
     if ev.dim != 2:
@@ -296,7 +271,7 @@ def farthest_distance_batch(
     best = np.max(coarse_vals, axis=1)
     idx = np.argmax(coarse_vals, axis=1)
     theta0 = np.arctan2(net.directions[idx, 1], net.directions[idx, 0])
-    width = 2.2 * np.arcsin(min(net.mesh / 2.0, 1.0))
+    width = 1.1 * 2.0 * np.pi / len(net)
 
     def phi(theta):
         u = np.column_stack([np.cos(theta), np.sin(theta)])

@@ -30,12 +30,15 @@ from ballbodies.geometry import (
 
 
 def test_planar_net_counts_and_covering():
-    net = make_sphere_net(2, 0.1)
-    assert len(net) >= 63  # chord bound: 2 sin(pi/m) <= 0.1 forces m >= 63
-    # exact covering radius of a uniform angular grid is the half-step chord
-    m = len(net)
-    assert 2.0 * math.sin(math.pi / m) <= 0.1
-    assert net.covering_audit(10000, seed=5) <= 0.1
+    for mesh in (0.02, 0.1, 0.3):
+        net = make_sphere_net(2, mesh)
+        m = len(net)
+        assert m % 2 == 0
+        # every direction is within half a step pi/m of the grid, chord 2 sin(pi/2m)
+        assert 2.0 * math.sin(math.pi / (2 * m)) <= mesh
+        # m is the least even count: two fewer directions would not cover
+        assert 2.0 * math.sin(math.pi / (2 * (m - 2))) > mesh
+        assert net.covering_audit(10000, seed=5) <= 2.0 * math.sin(math.pi / (2 * m))
 
 
 def test_two_antipodal_directions_cover_at_mesh_two():
@@ -48,8 +51,26 @@ def test_3d_net_passes_randomized_audit():
     assert net.covering_audit(100000, seed=77) <= 0.2
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mesh", [0.08, 0.2, 0.25, 0.3])
+def test_cube_sphere_net_covers_within_its_proven_radius(n, mesh):
+    k = math.ceil(math.sqrt(n - 1) / mesh)
+    net = make_sphere_net(n, mesh)
+    assert len(net) == 2 * n * k ** (n - 1)
+    assert net.covering_audit(100000) <= math.sqrt(n - 1) / k <= mesh
+
+
+def test_make_sphere_net_runs_no_audit(monkeypatch):
+    def refuse(self, n_samples, seed=0):
+        raise AssertionError("make_sphere_net must not sample its covering radius")
+
+    monkeypatch.setattr(SphereNet, "covering_audit", refuse)
+    for n, mesh in ((2, 0.02), (3, 0.08), (4, 0.25)):
+        assert len(make_sphere_net(n, mesh)) > 0
+
+
 def test_net_is_antipodally_symmetric():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         net = make_sphere_net(n, 0.3)
         dirs = net.directions
         half = len(dirs) // 2
@@ -77,9 +98,10 @@ def test_net_rejects_bad_arguments():
 
 
 def test_net_deterministic():
-    a = make_sphere_net(3, 0.25, seed=4)
-    b = make_sphere_net(3, 0.25, seed=4)
-    np.testing.assert_array_equal(a.directions, b.directions)
+    for n in (3, 4):
+        a = make_sphere_net(n, 0.25)
+        b = make_sphere_net(n, 0.25)
+        np.testing.assert_array_equal(a.directions, b.directions)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ def test_point_body_raster_is_single_cell():
     np.testing.assert_allclose(r.points().mean(axis=0), [0.3, -0.2], atol=0.012)
 
 
+def test_point_like_cdual_rasters_to_its_nearest_cell():
+    # the c-dual of a unit disk is its center; off the lattice, no cell center is inside
+    center = np.array([0.3037, 0.2041])
+    cell = 0.01
+    disk = rasterize(ball_body(center), cell)
+    for r in (rasterize(c_dual(ball_body(center)), cell), raster_cdual(disk)):
+        assert r.count == 1
+        assert np.linalg.norm(r.points()[0] - center) <= cell
+
+
 def test_empty_raster_names_cell_and_grid():
     with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(11, 11\)"):
         rasterize(ball_body([0.0, 0.0]), cell=0.1, bounds=([5.0, 5.0], [6.0, 6.0]))

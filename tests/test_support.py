@@ -20,6 +20,7 @@ from ballbodies.support import (
     circumball,
     contains_point,
     farthest_distance,
+    farthest_distance_batch,
     hausdorff,
     reconstruct,
     support,
@@ -359,6 +360,35 @@ def test_farthest_distance_matches_closed_form(net2):
     pb = point_body([0.3, 0.3])
     d2 = farthest_distance(pb, x, net2)
     assert d2 == pytest.approx(np.linalg.norm(x - np.array([0.3, 0.3])), abs=1e-6)
+
+
+def _dense_farthest(ev, x, count=20000):
+    """max over the circle of h(u) - <x, u>: a 20 000-angle sweep, then a
+    second 20 000-angle sweep across the two steps around its best angle."""
+
+    def phi(theta):
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        return ev.batch(u) - u @ x
+
+    theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    vals = phi(theta)
+    step = 2.0 * math.pi / count
+    best = theta[int(np.argmax(vals))]
+    fine = np.linspace(best - step, best + step, count)
+    return max(float(np.max(vals)), float(np.max(phi(fine))))
+
+
+@pytest.mark.parametrize("mesh", [0.02, 0.3])
+def test_farthest_distance_batch_matches_dense_sweep(mesh):
+    net = make_sphere_net(2, mesh)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        ev = SupportEval(random_body(rng))
+        xs = rng.uniform(-2.0, 2.0, (6, 2))
+        got = farthest_distance_batch(ev, xs, net)
+        ref = np.array([_dense_farthest(ev, x) for x in xs])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+        assert farthest_distance(ev, xs[0], net) == got[0]
 
 
 def test_net_sweep_cache_is_transparent(net2):
