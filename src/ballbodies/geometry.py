@@ -130,10 +130,10 @@ class SphereNet:
     """A finite direction net whose covering radius is at most `mesh`.
 
     Every unit vector lies within Euclidean distance `mesh` of some listed
-    direction.  For nets from `make_sphere_net` this is proven, not sampled:
-    a grid point lies within `mesh` of each unit vector's radial preimage.
-    Directions come in exact antipodal pairs, so evaluating a support
-    function on the net and on its negation sees the same vectors.
+    direction.  For nets from `make_sphere_net` this is proven by the grid's
+    construction (see there), not estimated by sampling.  Directions come
+    in exact antipodal pairs, so evaluating a support function on the net
+    and on its negation sees the same vectors.
     """
 
     directions: np.ndarray
