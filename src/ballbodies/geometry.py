@@ -176,14 +176,11 @@ def make_sphere_net(n: int, mesh: float) -> SphereNet:
     """
     if n < 2:
         raise ValueError("sphere nets need ambient dimension >= 2")
-    if not (0.0 < mesh <= 1.0) and not (n == 2 and mesh <= 2.0):
-        if mesh <= 0 or mesh > 2.0:
-            raise ValueError("mesh must lie in (0, 1] (planar nets accept up to 2)")
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    if not 0.0 < mesh <= 2.0:
+        raise ValueError(f"mesh must lie in (0, 2], the diameter of the unit sphere; got {mesh}")
 
     if n == 2:
-        m = max(int(math.ceil(math.pi / (2.0 * math.asin(min(mesh, 2.0) / 2.0)))), 2)
+        m = max(int(math.ceil(math.pi / (2.0 * math.asin(mesh / 2.0)))), 2)
         m += m % 2
         theta = 2.0 * math.pi * np.arange(m // 2) / m
         half = np.column_stack([np.cos(theta), np.sin(theta)])

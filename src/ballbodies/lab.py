@@ -30,7 +30,7 @@ from .errors import AmbiguousClassificationError, NotIsometryError
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import as_eval, circumball, default_mesh, hausdorff
+from .support import SupportEval, as_eval, circumball, default_mesh, hausdorff
 
 POINT_RADIUS_TOL = 1e-3
 
@@ -41,16 +41,34 @@ def _defect_details(
     net: SphereNet,
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
-    """(worst upper endpoint, worst certified lower endpoint) of the distance defect."""
+    """(worst upper endpoint, worst certified lower endpoint) of the distance defect.
+
+    The map runs once per distinct probe, and every distinct body, probe or
+    image, gets one `SupportEval` for the whole call (both keyed by
+    identity).  Its `on_net` memo then serves every pair the body appears
+    in, so a constant map sweeps its single image once.  Each pair runs the
+    same arithmetic as `hausdorff` on fresh oracles, so the result is
+    bitwise the same.
+    """
+    images: dict[int, BallBodyExpr] = {}
+    for body in itertools.chain.from_iterable(probes):
+        if id(body) not in images:
+            try:
+                images[id(body)] = T(body)
+            except Exception as exc:
+                raise NotIsometryError(f"map evaluation failed on a probe: {exc}") from exc
+    evals: dict[int, SupportEval] = {}
+
+    def oracle(body: BallBodyExpr) -> SupportEval:
+        if id(body) not in evals:
+            evals[id(body)] = as_eval(body, tol)
+        return evals[id(body)]
+
     upper = 0.0
     lower = 0.0
     for k, l in probes:
-        try:
-            tk, tl = T(k), T(l)
-        except Exception as exc:
-            raise NotIsometryError(f"map evaluation failed on a probe pair: {exc}") from exc
-        before = hausdorff(k, l, net, tol)
-        after = hausdorff(tk, tl, net, tol)
+        before = hausdorff(oracle(k), oracle(l), net, tol)
+        after = hausdorff(oracle(images[id(k)]), oracle(images[id(l)]), net, tol)
         shift = abs(after.value - before.value)
         bound = after.error_bound + before.error_bound
         upper = max(upper, shift + bound)

@@ -97,6 +97,16 @@ def test_net_rejects_bad_arguments():
         make_sphere_net(2, -0.3)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_net_mesh_range_is_the_sphere_diameter(n):
+    # coarse cube-sphere nets still cover within their mesh
+    for mesh in (1.5, 2.0):
+        assert make_sphere_net(n, mesh).covering_audit(20000) <= mesh
+    for mesh in (0.0, -1.0, 2.5):
+        with pytest.raises(ValueError, match=r"mesh must lie in \(0, 2\]"):
+            make_sphere_net(n, mesh)
+
+
 def test_net_deterministic():
     for n in (3, 4):
         a = make_sphere_net(n, 0.25)

@@ -12,18 +12,21 @@ from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.lab import (
     ClassifierConfig,
     _ball_fits,
+    _defect_details,
+    _screening_pairs,
     classify_isometry,
     geodesic_midpoint_check,
     isometry_defect,
 )
 from ballbodies.maps import (
+    BlackBoxMap,
     cdual_map,
     compose_maps,
     constant_map,
     motion_map,
     scale_centers_map,
 )
-from ballbodies.support import circumball
+from ballbodies.support import circumball, hausdorff
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,68 @@ def test_defect_of_constant_map_is_large(net2):
     const = constant_map(point_body(np.zeros(2)))
     d = isometry_defect(const, probe_pairs(), net2)
     assert d >= 1.5  # roughly the probe diameter
+
+
+def pairwise_defect(T, probes, net, tol=1e-6):
+    """The screening defect with the map and fresh oracles on every pair, as the reference."""
+    upper = lower = 0.0
+    for k, l in probes:
+        before = hausdorff(k, l, net, tol)
+        after = hausdorff(T(k), T(l), net, tol)
+        shift = abs(after.value - before.value)
+        bound = after.error_bound + before.error_bound
+        upper = max(upper, shift + bound)
+        lower = max(lower, shift - bound)
+    return upper, max(lower, 0.0)
+
+
+def counting(T):
+    calls = []
+
+    def evaluate(body):
+        calls.append(body)
+        return T(body)
+
+    return BlackBoxMap(evaluate, T.dim, name=T.name), calls
+
+
+def three_center_leaf(dim):
+    return Generators(np.random.default_rng(dim).uniform(-0.4, 0.4, size=(3, dim)))
+
+
+def test_screening_maps_each_probe_once_and_matches_pairwise_defect(net2):
+    rng = np.random.default_rng(12)
+    maps = [
+        motion_map(random_motion(rng, 2)),
+        compose_maps([cdual_map(2), motion_map(random_motion(rng, 2))]),
+        constant_map(three_center_leaf(2)),
+        scale_centers_map(2, 2.0),
+    ]
+    probes = _screening_pairs(2)
+    for T in maps:
+        counted, calls = counting(T)
+        assert _defect_details(counted, probes, net2) == pairwise_defect(T, probes, net2)
+        assert len(calls) == 5
+        assert len({id(body) for body in calls}) == 5
+        assert isometry_defect(counted, probes, net2) == pairwise_defect(T, probes, net2)[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
+    support_module = importlib.import_module("ballbodies.support")
+    solve = support_module.support_batch
+    body = three_center_leaf(dim)
+    leaves = []
+
+    def counted(leaf, dirs, tol=1e-6):
+        leaves.append(leaf)
+        return solve(leaf, dirs, tol)
+
+    monkeypatch.setattr(support_module, "support_batch", counted)
+    net = make_sphere_net(dim, 0.3)
+    isometry_defect(constant_map(body), _screening_pairs(dim), net)
+    assert sum(leaf is body.leaf for leaf in leaves) == 1
+    assert len(leaves) == 6  # five probes and the one image
 
 
 def test_classify_planted_motion(config2, no_lp):

@@ -1,5 +1,6 @@
 """Certified support solver vs. independent optimization oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,18 @@ from scipy.optimize import minimize
 
 from ballbodies.errors import EmptyBodyError, NoConvergenceError
 from ballbodies.geometry import minimal_enclosing_ball
-from ballbodies.solver import DEFAULT_TOL, _support_single_dir, prepare_leaf, support_batch
+from ballbodies import solver
+from ballbodies.solver import (
+    DEFAULT_TOL,
+    FEAS_PAD,
+    LAMBDA_PAD,
+    _dual_upper,
+    _enumerate_support,
+    _feasible_lower,
+    _support_single_dir,
+    prepare_leaf,
+    support_batch,
+)
 
 
 def slsqp_support(centers, radii, u) -> float:
@@ -207,3 +219,202 @@ def test_deterministic_values():
     a = support_batch(leaf, dirs)
     b = support_batch(prepare_leaf(centers), dirs)
     np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the leaf skeleton against per-call enumeration of every pair and triple
+# ---------------------------------------------------------------------------
+
+
+def reference_enumerate_support(leaf, U, tol):
+    """Per-call KKT enumeration that re-solves every pair and triple, as the reference.
+
+    Candidates in order (singles, pairs, triples); a later one wins only
+    when strictly better.
+    """
+    X, r = leaf.centers, leaf.radii
+    m, n = X.shape
+    k = U.shape[0]
+    best_val = np.full(k, -np.inf)
+    best_y = np.zeros((k, n))
+    best_lam = np.zeros((k, 3))
+    best_idx = np.full((k, 3), -1, dtype=np.intp)
+
+    def consider(val, y, lam, idx, valid):
+        take = valid & (val > best_val)
+        best_val[take] = val[take]
+        best_y[take] = y[take]
+        best_lam[take] = lam[take]
+        best_idx[take] = idx
+
+    single_ub = U @ X.T + r[None, :]
+    for i in range(m):
+        y = X[i][None, :] + r[i] * U
+        feas = np.all(np.linalg.norm(y[:, None, :] - X[None], axis=2) <= r + FEAS_PAD, axis=1)
+        lam = np.zeros((k, 3))
+        lam[:, 0] = 1.0 / r[i] if r[i] > 0 else 0.0
+        consider(single_ub[:, i], y, lam, [i, -1, -1], feas)
+
+    for i, j in itertools.combinations(range(m), 2):
+        a = X[j] - X[i]
+        aa = float(a @ a)
+        if aa < 1e-24:
+            continue
+        beta = 0.5 * (r[i] ** 2 + aa - r[j] ** 2)
+        rho2 = r[i] ** 2 - beta**2 / aa
+        if rho2 <= 0.0:
+            continue
+        w = U - ((U @ a) / aa)[:, None] * a[None, :]
+        nw = np.linalg.norm(w, axis=1)
+        okw = nw > 1e-12
+        xi = (beta / aa) * a + np.sqrt(rho2) * w / np.where(okw, nw, 1.0)[:, None]
+        y = X[i] + xi
+        g12 = r[i] ** 2 - beta
+        det = r[i] ** 2 * r[j] ** 2 - g12 * g12
+        b1 = np.einsum("kn,kn->k", xi, U)
+        b2 = b1 - U @ a
+        det_safe = det if det > 1e-18 else 1.0
+        lam1 = (r[j] ** 2 * b1 - g12 * b2) / det_safe
+        lam2 = (r[i] ** 2 * b2 - g12 * b1) / det_safe
+        feas = np.all(np.linalg.norm(y[:, None, :] - X[None], axis=2) <= r + FEAS_PAD, axis=1)
+        valid = okw & (det > 1e-18) & (lam1 >= -LAMBDA_PAD) & (lam2 >= -LAMBDA_PAD) & feas
+        lam = np.stack([lam1, lam2, np.zeros(k)], axis=1)
+        consider(np.einsum("kn,kn->k", U, y), y, lam, [i, j, -1], valid)
+
+    if n == 3:
+        for i, j, l in itertools.combinations(range(m), 3):
+            a2, a3 = X[j] - X[i], X[l] - X[i]
+            g22, g23, g33 = a2 @ a2, a2 @ a3, a3 @ a3
+            detg = g22 * g33 - g23 * g23
+            if detg < 1e-18:
+                continue
+            b2 = 0.5 * (r[i] ** 2 + g22 - r[j] ** 2)
+            b3 = 0.5 * (r[i] ** 2 + g33 - r[l] ** 2)
+            xi0 = ((g33 * b2 - g23 * b3) * a2 + (g22 * b3 - g23 * b2) * a3) / detg
+            rho2 = r[i] ** 2 - float(xi0 @ xi0)
+            if rho2 <= 0.0:
+                continue
+            v = np.cross(a2, a3)
+            v /= np.linalg.norm(v)
+            for sgn in (1.0, -1.0):
+                xi = xi0 + sgn * np.sqrt(rho2) * v
+                y = X[i] + xi
+                if np.any(np.linalg.norm(y - X, axis=1) > r + FEAS_PAD):
+                    continue
+                lam = U @ np.linalg.inv(np.stack([xi, xi - a2, xi - a3], axis=1)).T
+                valid = np.all(lam >= -LAMBDA_PAD, axis=1)
+                consider(U @ y, np.broadcast_to(y, (k, 3)), lam, [i, j, l], valid)
+
+    values = np.full(k, np.nan)
+    ub = np.minimum(_dual_upper(X, r, U, best_lam, best_idx), np.min(single_ub, axis=1))
+    lo = _feasible_lower(X, r, U, best_y, leaf.interior, leaf.slack)
+    gap = ub - lo
+    certified = np.isfinite(best_val) & (gap <= tol) & (gap >= -1e-9)
+    values[certified] = 0.5 * (lo[certified] + ub[certified])
+    return values
+
+
+def assert_skeleton_is_kkt_data(leaf):
+    """Skeleton points are feasible, tight on their subset, and G inverts the gradients."""
+    X, r = leaf.centers, leaf.radii
+    sk = leaf.skeleton
+    assert sk is not None
+    n = X.shape[1]
+    u = unit_dirs(n, 5, 0)
+    for y, idx, ginv in zip(sk.points, sk.idx, sk.ginv):
+        assert np.all(np.linalg.norm(y - X, axis=1) <= r + FEAS_PAD)
+        tight = idx[idx >= 0]
+        assert tight.size == n
+        np.testing.assert_allclose(np.linalg.norm(y - X[tight], axis=1), r[tight], atol=1e-12)
+        grads = (y[None, :] - X[tight]).T  # columns
+        np.testing.assert_allclose(grads @ (ginv[:n] @ u.T), u.T, atol=1e-9)
+        np.testing.assert_array_equal(ginv[n:], 0.0)
+
+
+def assert_matches_reference(leaf, U, tol=1e-8):
+    values, resolved = _enumerate_support(leaf, U, tol)
+    ref = reference_enumerate_support(leaf, U, tol)
+    np.testing.assert_array_equal(resolved, np.isfinite(ref))
+    assert np.max(np.abs(values[resolved] - ref[resolved]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("radii", ["unit", "general"])
+def test_skeleton_matches_per_call_enumeration(dim, radii):
+    rng = np.random.default_rng(40 + dim)
+    checked = 0
+    for m in range(2, 9):
+        for _ in range(3):
+            if radii == "unit":
+                centers = rng.uniform(-0.5, 0.5, size=(m, dim))
+                leaf = prepare_leaf(centers)
+            else:
+                centers = rng.uniform(-1.0, 1.0, size=(m, dim))
+                leaf = prepare_leaf(centers, rng.uniform(1.2, 2.5, size=m))
+            assert_skeleton_is_kkt_data(leaf)
+            assert_matches_reference(leaf, unit_dirs(dim, 400, m))
+            checked += 1
+    assert checked == 21
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_skeleton_with_coincident_tangent_and_concurrent_spheres(dim):
+    e1 = np.eye(dim)[0]
+    e2 = np.eye(dim)[1]
+    dirs = unit_dirs(dim, 300, 7)
+    # coincident centers: the pair has no axis and adds no point
+    leaf = prepare_leaf(np.array([0.3 * e1, 0.3 * e1, -0.2 * e2, 0.1 * e1 + 0.4 * e2]))
+    assert_skeleton_is_kkt_data(leaf)
+    assert_matches_reference(leaf, dirs)
+    # spheres 0 and 1 touch from inside (rho^2 = 0 exactly), sphere 2 holds sphere 0
+    # (rho^2 < 0), and sphere 3 cuts sphere 0
+    centers = np.array([np.zeros(dim), 0.5 * e1, 0.2 * e1 + 0.1 * e2, 0.8 * e2])
+    leaf = prepare_leaf(centers, np.array([1.0, 1.5, 3.0, 1.0]))
+    assert_skeleton_is_kkt_data(leaf)
+    if dim == 2:
+        assert {tuple(ij) for ij in leaf.skeleton.idx[:, :2]} == {(0, 3)}
+    assert_matches_reference(leaf, dirs)
+    # n + 1 spheres through one point: at that vertex some subsets have negative
+    # multipliers, and only the multiplier check keeps them from winning the tie
+    rng = np.random.default_rng(dim)
+    spokes = e2 + 0.4 * rng.uniform(-1.0, 1.0, size=(dim + 1, dim)) * (1.0 - e2)
+    spokes /= np.linalg.norm(spokes, axis=1, keepdims=True)
+    leaf = prepare_leaf(0.1 * e1 + spokes)
+    assert_skeleton_is_kkt_data(leaf)
+    cone = -(rng.uniform(0.0, 1.0, size=(200, dim + 1)) @ spokes)
+    cone /= np.linalg.norm(cone, axis=1, keepdims=True)
+    assert_matches_reference(leaf, np.vstack([cone, dirs]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_skeleton_on_directions_parallel_to_a_pair_axis(dim):
+    rng = np.random.default_rng(60 + dim)
+    for m in (2, 3, 5):
+        centers = rng.uniform(-0.5, 0.5, size=(m, dim))
+        leaf = prepare_leaf(centers)
+        assert_skeleton_is_kkt_data(leaf)
+        axes = [centers[j] - centers[i] for i, j in itertools.combinations(range(m), 2)]
+        axes = np.array(axes) / np.linalg.norm(axes, axis=1, keepdims=True)
+        dirs = np.vstack([axes, -axes, unit_dirs(dim, 50, m)])
+        assert_matches_reference(leaf, dirs)
+
+
+def test_enumeration_limit_is_read_when_evaluating(monkeypatch):
+    rng = np.random.default_rng(3)
+    for dim in (2, 3):
+        centers = rng.uniform(-0.4, 0.4, size=(5, dim))
+        dirs = unit_dirs(dim, 40, dim)
+        expected = support_batch(prepare_leaf(centers), dirs)
+
+        leaf = prepare_leaf(centers)  # default limit: enumerated, with a skeleton
+        assert leaf.skeleton is not None
+        monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
+        fallback = support_batch(leaf, dirs)  # past the limit now: active-set loop
+
+        leaf = prepare_leaf(centers)  # prepared past the limit: no skeleton
+        assert leaf.skeleton is None
+        monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 8)
+        enumerated = support_batch(leaf, dirs)
+
+        assert np.max(np.abs(fallback - expected)) <= DEFAULT_TOL
+        assert np.max(np.abs(enumerated - expected)) <= DEFAULT_TOL
