@@ -3,12 +3,15 @@
 Vectors are plain float64 numpy arrays.  This module provides the pieces
 everything else is built from: direction nets on the unit sphere whose
 covering radius is proven by construction (an angular grid in the plane, a
-radially projected cube-face grid for n >= 3), minimal enclosing balls
-(Welzl), least-squares orthogonal motion fitting, and planar winding numbers.
+radially projected cube-face grid for n >= 3), smallest enclosing balls of
+balls and of points (one pivoting routine), least-squares orthogonal motion
+fitting, and planar winding numbers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +33,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")
@@ -44,7 +47,7 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise ValueError("expected a nonempty list of equal-length vectors")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points have non-finite entries")
     if dim is not None and pts.shape[1] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {pts.shape[1]}")
@@ -196,66 +199,105 @@ def make_sphere_net(n: int, mesh: float) -> SphereNet:
 
 
 # ---------------------------------------------------------------------------
-# minimal enclosing ball (Welzl's randomized algorithm)
+# smallest enclosing ball of balls (pivoting)
 # ---------------------------------------------------------------------------
 
 
-def _circumball_of_boundary(boundary: list[np.ndarray]) -> Ball:
-    """Smallest ball with all boundary points on its surface (affinely independent set)."""
-    if not boundary:
-        return Ball(np.zeros(1), 0.0)  # replaced by caller before use
-    p0 = boundary[0]
-    if len(boundary) == 1:
-        return Ball(p0, 0.0)
-    diffs = np.array([p - p0 for p in boundary[1:]])
-    rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
-    gram = diffs @ diffs.T
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    center = p0 + diffs.T @ coef
-    radius = float(np.linalg.norm(center - p0))
-    return Ball(center, radius)
+@functools.lru_cache(maxsize=None)
+def _subsets(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets of range(s) with at most n members, padded with -1, and their padding.
 
-
-def _welzl(points: list[np.ndarray], dim: int) -> Ball:
-    """Welzl's recursion welzl(P, R) run on an explicit stack.
-
-    welzl(P + [p], R) is welzl(P, R) when that ball holds p, else
-    welzl(P, R + [p]); P is always a prefix of `points`, so a pending call
-    is the pair (prefix length, boundary).
+    Returns the (c, n) table, one subset per row, and the (c, n, n) diagonal
+    matrices with ones at the padded positions.  Both are shared, read-only.
     """
-    pending: list[tuple[int, list[np.ndarray]]] = []
-    k, boundary = len(points), []
+    idx = np.array(
+        [
+            row + (-1,) * (n - k)
+            for k in range(min(s, n) + 1)
+            for row in itertools.combinations(range(s), k)
+        ],
+        dtype=np.intp,
+    )
+    pad = np.eye(n) * (idx < 0)[:, None, :]
+    idx.flags.writeable = pad.flags.writeable = False
+    return idx, pad
+
+
+def _tangent_candidates(X, rho, j, basis):
+    """Balls internally tangent to ball j and to every ball of a subset of `basis`.
+
+    For a subset U the center is z = x_j + w with w in the span of the
+    x_i - x_j (i in U).  Tangency |z - x_i| = R - rho_i to every ball of
+    U + [j] makes w affine in R, w = w0 + R w1 (one small linear system),
+    and R a root of |w0 + R w1|^2 = (R - rho_j)^2; both roots are kept.
+    Returns the candidate centers (2c, n), two per subset, and the (c, n)
+    table of subsets as positions in `basis`; the empty subset gives x_j.
+    """
+    n = X.shape[1]
+    idx, pad = _subsets(len(basis), n)
+    # the last row belongs to j itself and is zero, so the -1 padding drops out
+    D = X[basis + [j]] - X[j]
+    d = rho[basis + [j]] - rho[j]
+    b = 0.5 * (np.einsum("sn,sn->s", D, D) - d * (d + 2.0 * rho[j]))
+    A, rhs = D[idx], np.stack([b, d], axis=1)[idx]  # (c, n, n), (c, n, 2)
+    G = A @ A.transpose(0, 2, 1) + pad
+    # affinely dependent subsets get G = I and no solution; their candidates are NaN
+    ok = np.linalg.det(G) > 1e-12 * G.diagonal(axis1=1, axis2=2).prod(axis=1)
+    G[~ok] = np.eye(n)
+    Ginv = np.linalg.inv(G)
+    sol = Ginv @ rhs
+    sol += Ginv @ (rhs - G @ sol)  # one refinement step removes the inverse's last-bit error
+    sol[~ok] = np.nan
+    W = sol.transpose(0, 2, 1) @ A  # rows w0, w1
+    M = W @ W.transpose(0, 2, 1)
+    qa, qb, qc = M[:, 1, 1] - 1.0, M[:, 0, 1] + rho[j], M[:, 0, 0] - rho[j] ** 2
+    q = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - qa * qc, 0.0)), qb))
+    R = np.stack([q / qa, qc / q], axis=1)  # (c, 2), stable for qa near 0
+    return (X[j] + W[:, :1, :] + R[:, :, None] * W[:, 1:, :]).reshape(-1, n), idx
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # degenerate candidates come out inf or NaN
+def enclosing_ball(centers, radii) -> tuple[np.ndarray, float]:
+    """Smallest ball enclosing the balls B(x_i, rho_i); returns (center, radius).
+
+    Pivoting on an LP-type basis of at most n + 1 balls: add the ball that
+    sticks out furthest, then keep the smallest ball tangent to it and to a
+    subset of the basis that encloses basis and new ball alike.  The radius
+    grows strictly, so the loop ends; a pivot that stalls on rounding stops
+    it early.  The returned radius is measured at the returned center, so
+    the ball encloses every input ball whatever the rounding.
+    """
+    X = as_points(centers)
+    rho = np.asarray(radii, dtype=float)
+    if rho.shape != X.shape[:1] or not ((rho >= 0.0) & (rho < np.inf)).all():
+        raise ValueError("radii must be finite, nonnegative and one per center")
+    basis = [int(rho.argmax())]
+    z, R = X[basis[0]].copy(), float(rho[basis[0]])
     while True:
-        while k and len(boundary) < dim + 1:
-            pending.append((k, boundary))
-            k -= 1
-        ball = _circumball_of_boundary(boundary) if boundary else Ball(np.zeros(dim), 0.0)
-        while pending:
-            k, boundary = pending.pop()
-            p = points[k - 1]
-            if not ball.contains(p, slack=1e-12 * (1.0 + ball.radius)):
-                break
-        else:
-            return ball
-        # the pending call's value is now welzl(points[:k - 1], boundary + [p])
-        k, boundary = k - 1, boundary + [p]
+        excess = np.linalg.norm(X - z, axis=1) + rho
+        j = int(excess.argmax())
+        if excess[j] <= R + 1e-12 * (1.0 + R):
+            return z, float(excess[j])
+        cands, subsets = _tangent_candidates(X, rho, j, basis)
+        members = basis + [j]
+        diff = cands[:, None, :] - X[members]
+        radius = (np.sqrt(np.einsum("ckn,ckn->ck", diff, diff)) + rho[members]).max(axis=1)
+        radius[np.isnan(radius)] = np.inf
+        best = int(radius.argmin())
+        if not radius[best] > R:
+            return z, float(excess[j])
+        z, R = cands[best], float(radius[best])
+        basis = [basis[i] for i in subsets[best // 2] if i >= 0] + [j]
 
 
-def minimal_enclosing_ball(points, seed: int = 0) -> Ball:
-    """Smallest ball containing all points (exact up to float rounding).
+def minimal_enclosing_ball(points) -> Ball:
+    """Smallest ball containing all points: `enclosing_ball` with zero radii.
 
-    Deterministic: Welzl's algorithm runs on a seed-shuffled copy.
+    The radius is the largest distance from the returned center to a point.
     """
     pts = as_points(points)
-    unique = np.unique(pts, axis=0)
-    order = np.random.default_rng(seed).permutation(unique.shape[0])
-    ball = _welzl([unique[i] for i in order], pts.shape[1])
-    # tighten the radius to exactly cover the inputs
-    radius = float(np.max(np.linalg.norm(pts - ball.center, axis=1)))
-    return Ball(ball.center, radius)
+    center, radius = enclosing_ball(pts, np.zeros(pts.shape[0]))
+    return Ball(center, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyBodyError, NoConvergenceError
+from .geometry import enclosing_ball
 
 DEFAULT_TOL = 1e-6
 FEAS_PAD = 1e-12
@@ -37,7 +38,7 @@ POINT_SLACK = 2.5e-14
 
 
 # ---------------------------------------------------------------------------
-# leaf geometry: feasibility, interior point, slack
+# leaf geometry: feasibility, maximum-slack point, slack
 # ---------------------------------------------------------------------------
 
 
@@ -60,9 +61,9 @@ class LeafGeometry:
 
     centers: np.ndarray  # (m, n)
     radii: np.ndarray  # (m,)
-    interior: np.ndarray  # feasible point, max-slack-ish
-    slack: float  # min_i (r_i - |interior - x_i|), >= 0
-    meb_radius: float | None  # set when all radii are equal
+    interior: np.ndarray  # the maximum-slack point
+    slack: float  # min_i (r_i - |interior - x_i|), clamped at 0
+    meb_radius: float | None  # r_0 - slack, set when all radii are equal
     skeleton: LeafSkeleton | None = None
 
     @property
@@ -79,54 +80,18 @@ class LeafGeometry:
         return self.meb_radius is not None and self.slack <= POINT_SLACK
 
 
-def _pocs_point(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cyclic projections onto the most violated ball; returns (point, residual)."""
-    z = centers.mean(axis=0)
-    resid = np.inf
-    for _ in range(3000):
-        d = np.linalg.norm(z - centers, axis=1)
-        viol = d - radii
-        i = int(np.argmax(viol))
-        resid = float(viol[i])
-        if resid <= 1e-13:
-            break
-        z = centers[i] + (z - centers[i]) * (radii[i] / d[i])
-    return z, max(resid, 0.0)
-
-
-def _improve_slack(centers, radii, z0, iters: int = 200) -> tuple[np.ndarray, float]:
-    """Supergradient ascent on the concave slack min_i (r_i - |z - x_i|)."""
-
-    def slack_of(z):
-        return float(np.min(radii - np.linalg.norm(z - centers, axis=1)))
-
-    best, best_slack = z0, slack_of(z0)
-    z = z0.copy()
-    step0 = 0.25 * float(np.max(radii))
-    for k in range(1, iters + 1):
-        d = np.linalg.norm(z - centers, axis=1)
-        i = int(np.argmin(radii - d))
-        if d[i] < 1e-14:
-            g = np.zeros_like(z)
-            g[0] = 1.0
-        else:
-            g = (z - centers[i]) / d[i]
-        z = z + (step0 / k) * g
-        s = slack_of(z)
-        if s > best_slack:
-            best, best_slack = z.copy(), s
-    return best, best_slack
-
-
 def prepare_leaf(centers, radii=None) -> LeafGeometry:
-    """Validate nonemptiness and precompute an interior point, its slack and the skeleton.
+    """Validate nonemptiness and precompute the maximum-slack point, its slack and the skeleton.
 
-    Raises EmptyBodyError when the balls have empty intersection.
+    The point z maximizing min_i (r_i - |z - x_i|) is the center of the
+    smallest ball enclosing the balls B(x_i, c - r_i), c = max r; the slack
+    is measured at z.  Raises EmptyBodyError when it is below -FEAS_PAD,
+    that is when the balls have empty intersection.
     """
     X = np.ascontiguousarray(np.asarray(centers, dtype=float))
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("centers must be a nonempty (m, n) array")
-    m = X.shape[0]
+    m, n = X.shape
     if radii is None:
         r = np.ones(m)
     else:
@@ -136,29 +101,17 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
         if np.any(r < 0):
             raise EmptyBodyError("negative constraint radius")
 
-    if m == 1:
-        # the enclosing ball of one center is the center itself
-        return LeafGeometry(X, r, X[0].copy(), float(r[0]), 0.0)
-
-    if np.ptp(r) == 0.0:
-        from .geometry import minimal_enclosing_ball
-
-        meb = minimal_enclosing_ball(X)
-        slack = float(r[0] - meb.radius)
-        if slack < -FEAS_PAD:
-            raise EmptyBodyError(
-                f"generator centers need a ball of radius {meb.radius:.9f} > {r[0]}"
-            )
-        leaf = LeafGeometry(X, r, meb.center, max(slack, 0.0), float(meb.radius))
-    else:
-        z, resid = _pocs_point(X, r)
-        if resid > 1e-9:
-            raise EmptyBodyError(
-                f"constraint balls have empty intersection (residual {resid:.3e})"
-            )
-        z, slack = _improve_slack(X, r, z)
-        leaf = LeafGeometry(X, r, z, max(slack, 0.0), None)
-    if _enumerates(m, X.shape[1]) and not leaf.point_like:
+    c = float(r.max())
+    z, _ = enclosing_ball(X, c - r)
+    slack = float((r - np.linalg.norm(X - z, axis=1)).min())
+    if slack < -FEAS_PAD:
+        raise EmptyBodyError(
+            f"the m={m} balls in dimension n={n} have empty intersection: "
+            f"their maximum-slack point has slack {slack:.3e}"
+        )
+    meb_radius = c - slack if (r == c).all() else None
+    leaf = LeafGeometry(X, r, z, max(slack, 0.0), meb_radius)
+    if _enumerates(m, n) and not leaf.point_like:
         leaf = replace(leaf, skeleton=_build_skeleton(X, r))
     return leaf
 
@@ -489,14 +442,8 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
         j = int(np.argmax(d))
         viol = float(d[j])
         if viol <= FEAS_PAD:
-            idx = np.full((1, 3), -1, dtype=np.intp)
-            lam3 = np.zeros((1, 3))
-            for s, (ii, ll) in enumerate(zip(subset[:3], lam[:3])):
-                idx[0, s] = ii
-                lam3[0, s] = ll
-            ub = float(
-                min(_dual_upper(X, r, u[None, :], lam3, idx)[0], np.min(single_ub))
-            )
+            dual = _dual_upper(X, r, u[None, :], lam[None, :], np.array([subset]))[0]
+            ub = float(min(dual, np.min(single_ub)))
             lo = float(
                 _feasible_lower(X, r, u[None, :], y[None, :], leaf.interior, leaf.slack)[0]
             )

@@ -77,6 +77,13 @@ def test_surjectivity_of_planar_rigid_map():
     assert res["verdict"] == "surjective-evidence"
 
 
+def test_reconstruct_of_a_point():
+    # the 169 probe balls meet in a disk of radius 2 tol around the point
+    res = report("reconstruct", point_doc([0.2, -0.1]))
+    assert res["probes"] == 169
+    assert res["distance"] <= 1e-5
+
+
 def test_malformed_json_exits_parse():
     result = run_cli("support", "{not json", "--direction", "[1, 0]")
     assert result.exit_code == EXIT_PARSE == 2

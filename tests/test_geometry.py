@@ -15,8 +15,8 @@ from ballbodies.errors import (
 from ballbodies.geometry import (
     Ball,
     RigidMotion,
-    _circumball_of_boundary,
     SphereNet,
+    enclosing_ball,
     make_sphere_net,
     minimal_enclosing_ball,
     procrustes_fit,
@@ -172,10 +172,26 @@ def test_meb_duplicated_points():
     assert ball.radius == pytest.approx(0.0, abs=1e-12)
 
 
+def circumball_of_boundary(boundary: list[np.ndarray]) -> Ball:
+    """Smallest ball with all boundary points on its surface (affinely independent set)."""
+    p0 = boundary[0]
+    if len(boundary) == 1:
+        return Ball(p0, 0.0)
+    diffs = np.array([p - p0 for p in boundary[1:]])
+    rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
+    gram = diffs @ diffs.T
+    try:
+        coef = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    center = p0 + diffs.T @ coef
+    return Ball(center, float(np.linalg.norm(center - p0)))
+
+
 def recursive_welzl(points, boundary, dim):
     """The textbook recursion, as the reference for small inputs."""
     if not points or len(boundary) == dim + 1:
-        return _circumball_of_boundary(boundary) if boundary else Ball(np.zeros(dim), 0.0)
+        return circumball_of_boundary(boundary) if boundary else Ball(np.zeros(dim), 0.0)
     p, rest = points[-1], points[:-1]
     ball = recursive_welzl(rest, boundary, dim)
     if ball.contains(p, slack=1e-12 * (1.0 + ball.radius)):
@@ -192,9 +208,47 @@ def test_meb_matches_recursive_welzl(dim):
         order = np.random.default_rng(seed).permutation(len(unique))
         center = recursive_welzl([unique[i] for i in order], [], dim).center
         radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
-        ball = minimal_enclosing_ball(pts, seed=seed)
+        ball = minimal_enclosing_ball(pts)
         np.testing.assert_allclose(ball.center, center, rtol=0, atol=1e-12)
         assert abs(ball.radius - radius) <= 1e-12
+
+
+def nelder_mead_enclosing_radius(centers, radii) -> float:
+    """Independent oracle: minimize max_i (|z - x_i| + rho_i) over z by Nelder-Mead.
+
+    Four restarts from the last point, on initial simplices of edge 1, 0.1,
+    0.01 and 0.001, so the search cannot stall on a kink of the max.
+    """
+    from scipy.optimize import minimize
+
+    def reach(z):
+        return float(np.max(np.linalg.norm(centers - z, axis=1) + radii))
+
+    z, n = centers.mean(axis=0), centers.shape[1]
+    for k in range(4):
+        simplex = z + np.vstack([np.zeros(n), 0.1**k * np.eye(n)])
+        opts = {"xatol": 1e-14, "fatol": 1e-15, "maxfev": 40000, "initial_simplex": simplex}
+        z = minimize(reach, z, method="Nelder-Mead", options=opts).x
+    return reach(z)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_enclosing_ball_of_balls_matches_nelder_mead(dim):
+    rng = np.random.default_rng(40 + dim)
+    for m in range(1, 9):
+        for _ in range(3):
+            centers = rng.uniform(-1.0, 1.0, size=(m, dim))
+            radii = rng.uniform(0.0, 1.0, size=m)
+            center, radius = enclosing_ball(centers, radii)
+            reach = np.linalg.norm(centers - center, axis=1) + radii
+            assert np.all(reach <= radius)
+            assert abs(radius - nelder_mead_enclosing_radius(centers, radii)) <= 1e-9
+
+
+@pytest.mark.parametrize("radii", [[1.0], [-0.1, 0.0], [np.inf, 0.0], [np.nan, 0.0]])
+def test_enclosing_ball_rejects_bad_radii(radii):
+    with pytest.raises(ValueError, match="radii must be finite, nonnegative and one per center"):
+        enclosing_ball([[0.0, 0.0], [1.0, 0.0]], radii)
 
 
 def test_meb_leaves_the_recursion_limit_alone(monkeypatch):

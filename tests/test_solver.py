@@ -188,10 +188,49 @@ def test_no_convergence_names_leaf_direction_and_gap():
 
 
 def test_empty_intersection_rejected():
-    with pytest.raises(EmptyBodyError):
+    # both pairs have their maximum-slack point at (1.25, 0), with slack -0.25;
+    # the triangle's circumradius is 17/16
+    with pytest.raises(EmptyBodyError, match=r"m=2 balls in dimension n=2 .* slack -2\.500e-01"):
         prepare_leaf(np.array([[0.0, 0.0], [2.5, 0.0]]))
-    with pytest.raises(EmptyBodyError):
+    with pytest.raises(EmptyBodyError, match=r"m=2 balls in dimension n=2 .* slack -2\.500e-01"):
         prepare_leaf(np.array([[0.0, 0.0], [3.0, 0.0]]), radii=np.array([1.0, 1.5]))
+    with pytest.raises(EmptyBodyError, match=r"m=3 balls in dimension n=3 .* slack -6\.250e-02"):
+        prepare_leaf(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0, 0.0]]))
+
+
+def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
+    # the 169 probe balls of `reconstruct` around a point body all pass within
+    # 2 tol of the point, so the maximum slack is the 2 tol inflation
+    from ballbodies.bodies import point_body
+    from ballbodies.geometry import make_sphere_net
+    from ballbodies.support import SupportEval, default_mesh, farthest_distance_batch
+
+    net = make_sphere_net(2, default_mesh(2))
+    axis = np.arange(-3.0, 3.0 + 1e-9, 0.5)
+    probes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    body = SupportEval(point_body(np.array([0.2, -0.1])), DEFAULT_TOL)
+    radii = farthest_distance_batch(body, probes, net, DEFAULT_TOL) + 2 * DEFAULT_TOL
+    leaf = prepare_leaf(probes, radii)
+    assert abs(leaf.slack - 2 * DEFAULT_TOL) <= 1e-9
+    # every direction certifies, and the reconstruction contains the point
+    # and lies within the 1e-5 of the `reconstruct` command's report
+    excess = support_batch(leaf, net.directions) - net.directions @ [0.2, -0.1]
+    assert np.all(excess >= -DEFAULT_TOL) and np.all(excess <= 1e-5)
+
+
+def test_four_dimensional_leaves_certify_on_a_whole_net():
+    # a vertex optimum in R^4 has 4 tight balls; the certificate needs all of them
+    from ballbodies.geometry import make_sphere_net
+
+    net = make_sphere_net(4, 0.5)
+    assert len(net) == 512
+    rng = np.random.default_rng(7)
+    for m in (4, 4, 5, 5, 6, 6):
+        centers = rng.uniform(-0.4, 0.4, size=(m, 4))
+        vals = support_batch(prepare_leaf(centers), net.directions)
+        for i in rng.choice(len(net), size=4, replace=False):
+            u = net.directions[i]
+            assert vals[i] == pytest.approx(slsqp_support(centers, np.ones(m), u), abs=1e-6)
 
 
 def test_sublinearity_of_leaf_support():
