@@ -40,7 +40,7 @@ from .support import (
     farthest_distance,
     hausdorff,
     reconstruct,
-    support,
+    support_value,
 )
 
 __all__ = [
@@ -71,6 +71,6 @@ __all__ = [
     "procrustes_fit",
     "push_motion",
     "reconstruct",
-    "support",
+    "support_value",
     "winding_number",
 ]

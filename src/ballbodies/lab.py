@@ -15,12 +15,23 @@ exactly.  The reported radius max_u (h(u) - <z, u>) is the circumball LP's
 objective at the fitted center, an upper bound on the LP optimum, so the
 collapse test is never looser than with the LP.  The circumball LP serves
 only the geodesic midpoint check.
+
+Every probe and test body the classifier maps depends only on the values
+of its `ClassifierConfig`: the screening pairs on the dimension, the
+lattice probes on the dimension, spacing and lattice radius, the test
+bodies on the dimension, seed and count, and the probe net on the
+dimension and probe mesh.  Each is built once per distinct value set and
+kept read-only, arrays included, so a map that writes into its input raises
+instead of changing later calls.  Support values are never kept: every
+call evaluates fresh oracles, so results do not depend on what ran before.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -33,11 +44,29 @@ from .solver import DEFAULT_TOL
 from .support import SupportEval, as_eval, circumball, default_mesh, hausdorff
 
 POINT_RADIUS_TOL = 1e-3
+CACHE_SIZE = 16  # distinct config value sets kept per built input
+
+
+def _read_only(obj):
+    """`obj`, with every array reachable through tuples and attributes made read-only.
+
+    Body nodes, their leaves, motions and nets are dataclasses; a leaf's
+    skeleton is a tuple.
+    """
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    elif is_dataclass(obj):
+        for value in vars(obj).values():
+            _read_only(value)
+    return obj
 
 
 def _defect_details(
     T: BlackBoxMap,
-    probes: list[tuple[BallBodyExpr, BallBodyExpr]],
+    probes: Sequence[tuple[BallBodyExpr, BallBodyExpr]],
     net: SphereNet,
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
@@ -78,7 +107,7 @@ def _defect_details(
 
 def isometry_defect(
     T: BlackBoxMap,
-    probes: list[tuple[BallBodyExpr, BallBodyExpr]],
+    probes: Sequence[tuple[BallBodyExpr, BallBodyExpr]],
     net: SphereNet,
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -86,10 +115,28 @@ def isometry_defect(
     return _defect_details(T, probes, net, tol)[0]
 
 
-def _lattice(dim: int, spacing: float, radius: float) -> np.ndarray:
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _lattice_probes(
+    dim: int, spacing: float, radius: float, family: str
+) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
+    """The lattice points and, read-only, a probe on each: "point" bodies or unit "ball"s."""
     steps = np.arange(-radius, radius + 1e-9, spacing)
-    pts = np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    return pts
+    points = np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    probe = point_body if family == "point" else ball_body
+    return _read_only((points, tuple(probe(x) for x in points)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _test_bodies(dim: int, seed: int, count: int) -> tuple[BallBodyExpr, ...]:
+    """Stage 3's random test bodies, read-only."""
+    rng = np.random.default_rng(seed)
+    return _read_only(tuple(random_body(rng, dim) for _ in range(count)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _probe_net(dim: int, mesh: float) -> SphereNet:
+    """The net of the ball fits, read-only."""
+    return _read_only(make_sphere_net(dim, mesh))
 
 
 def _ball_fits(
@@ -111,6 +158,16 @@ def _ball_fits(
 
 @dataclass
 class ClassifierConfig:
+    """Settings of `classify_isometry`.
+
+    Besides the nets and tolerances, the values fix every input the
+    classifier maps: the screening pairs (`dimension`), the stage-1 and
+    stage-2 lattice probes (`stage1_spacing`, `lattice_spacing`,
+    `lattice_radius`), the stage-3 test bodies (`seed`, `n_test_bodies`) and
+    the probe net (`probe_mesh`).  Each is built on first use, once per
+    distinct value set, so fields set after construction take effect.
+    """
+
     dimension: int = 2
     net: SphereNet | None = None
     tol: float = DEFAULT_TOL
@@ -122,12 +179,10 @@ class ClassifierConfig:
     probe_mesh: float = 0.2  # ball fits of points and unit balls are exact on coarse nets
     n_test_bodies: int = 20
     seed: int = 0
-    probe_net: SphereNet = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.net is None:
             self.net = make_sphere_net(self.dimension, default_mesh(self.dimension))
-        self.probe_net = make_sphere_net(self.dimension, self.probe_mesh)
 
 
 @dataclass
@@ -157,7 +212,9 @@ class IsometryClassification:
         }
 
 
-def _screening_pairs(dim: int) -> list[tuple[BallBodyExpr, BallBodyExpr]]:
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _screening_pairs(dim: int) -> tuple[tuple[BallBodyExpr, BallBodyExpr], ...]:
+    """Every pair of five point and ball probes, read-only."""
     e1 = np.zeros(dim)
     e1[0] = 1.0
     e2 = np.zeros(dim)
@@ -169,7 +226,7 @@ def _screening_pairs(dim: int) -> list[tuple[BallBodyExpr, BallBodyExpr]]:
         ball_body(np.zeros(dim)),
         ball_body(1.5 * e2),
     ]
-    return list(itertools.combinations(probes, 2))
+    return _read_only(tuple(itertools.combinations(probes, 2)))
 
 
 def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClassification:
@@ -178,6 +235,11 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     Raises NotIsometryError when the map fails distance screening or when
     neither probe family collapses to points (impossible for a true
     isometry), and AmbiguousClassificationError when both do.
+
+    The probes, test bodies and probe net come from `config`'s values and
+    are built once per distinct value set (see `ClassifierConfig`); they are
+    read-only, so `T` must build its images rather than write into its
+    input.  Support values are computed afresh on every call.
     """
     net = config.net
     dim = config.dimension
@@ -188,12 +250,13 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
             f"tolerance {config.defect_tol} (worst-case endpoint {defect:.3f})"
         )
 
-    probe_net = config.probe_net
+    probe_net = _probe_net(dim, config.probe_mesh)
 
     # stage 1: which family (points / unit balls) maps to near-points?
-    stage1 = _lattice(dim, config.stage1_spacing, config.lattice_radius)
-    _, point_radii = _ball_fits([T(point_body(x)) for x in stage1], probe_net, config.tol)
-    _, ball_radii = _ball_fits([T(ball_body(x)) for x in stage1], probe_net, config.tol)
+    _, points = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "point")
+    _, balls = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "ball")
+    _, point_radii = _ball_fits([T(p) for p in points], probe_net, config.tol)
+    _, ball_radii = _ball_fits([T(b) for b in balls], probe_net, config.tol)
     point_r = float(np.max(point_radii))
     ball_r = float(np.max(ball_radii))
     points_collapse = point_r <= config.r_tol
@@ -210,17 +273,15 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     kind = "identity" if points_collapse else "cdual"
 
     # stage 2: rigid motion through the centers of the collapsed family
-    sources = _lattice(dim, config.lattice_spacing, config.lattice_radius)
-    probe = point_body if kind == "identity" else ball_body
-    targets, _ = _ball_fits([T(probe(x)) for x in sources], probe_net, config.tol)
+    family = "point" if kind == "identity" else "ball"
+    sources, probes = _lattice_probes(dim, config.lattice_spacing, config.lattice_radius, family)
+    targets, _ = _ball_fits([T(p) for p in probes], probe_net, config.tol)
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form
-    rng = np.random.default_rng(config.seed)
     residual = 0.0
     residual_bound = 0.0
-    for _ in range(config.n_test_bodies):
-        body = random_body(rng, dim)
+    for body in _test_bodies(dim, config.seed, config.n_test_bodies):
         image = T(body)
         model = apply_motion(motion, body if kind == "identity" else c_dual(body))
         res = hausdorff(image, model, net, config.tol)

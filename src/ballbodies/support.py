@@ -99,7 +99,7 @@ class SupportEval:
         return cached[1]
 
 
-def support(eval_or_body, u, tol: float = DEFAULT_TOL) -> float:
+def support_value(eval_or_body, u, tol: float = DEFAULT_TOL) -> float:
     """Support value h(u); accepts a SupportEval or a bare body expression."""
     ev = eval_or_body if isinstance(eval_or_body, SupportEval) else SupportEval(eval_or_body, tol)
     return ev(u)

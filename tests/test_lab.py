@@ -1,14 +1,24 @@
 """Isometry screening, normal-form classification, geodesic midpoint checks."""
 
-import importlib
+import itertools
 
 import numpy as np
 import pytest
 
-from ballbodies.bodies import Generators, apply_motion, ball_body, c_dual, combine, point_body
+import ballbodies.bodies as bodies_module
+import ballbodies.support as support_module
+from ballbodies.bodies import (
+    Combine,
+    Generators,
+    apply_motion,
+    ball_body,
+    c_dual,
+    combine,
+    point_body,
+)
 from ballbodies.corpus import random_body, random_motion
-from ballbodies.errors import NotIsometryError
-from ballbodies.geometry import RigidMotion, make_sphere_net
+from ballbodies.errors import AmbiguousClassificationError, NotIsometryError
+from ballbodies.geometry import RigidMotion, make_sphere_net, procrustes_fit
 from ballbodies.lab import (
     ClassifierConfig,
     _ball_fits,
@@ -46,8 +56,7 @@ def no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the classifier solved a linear program")
 
-    # the package exports a function named `support`, which hides the module attribute
-    monkeypatch.setattr(importlib.import_module("ballbodies.support"), "linprog", refuse)
+    monkeypatch.setattr(support_module, "linprog", refuse)
 
 
 def probe_pairs(dim=2):
@@ -122,7 +131,6 @@ def test_screening_maps_each_probe_once_and_matches_pairwise_defect(net2):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
-    support_module = importlib.import_module("ballbodies.support")
     solve = support_module.support_batch
     body = three_center_leaf(dim)
     leaves = []
@@ -187,6 +195,149 @@ def test_classify_planted_reflection_3d(no_lp):
     assert result.kind == "identity"
     assert np.max(np.abs(result.motion.rotation - q)) < 1e-4
     assert np.linalg.det(result.motion.rotation) < 0
+
+
+def rebuilt_classification(T, config):
+    """The classifier with every probe, test body and net built afresh on each call: the reference."""
+    dim, net, tol = config.dimension, config.net, config.tol
+    e1, e2 = np.eye(dim)[:2]
+    screening = [
+        point_body(np.zeros(dim)),
+        point_body(2.0 * e1),
+        point_body(-1.5 * e2),
+        ball_body(np.zeros(dim)),
+        ball_body(1.5 * e2),
+    ]
+    defect, defect_lower = _defect_details(T, list(itertools.combinations(screening, 2)), net, tol)
+    if defect_lower > config.defect_tol:
+        raise NotIsometryError(
+            f"distance defect is at least {defect_lower:.3f}, beyond the screening "
+            f"tolerance {config.defect_tol} (worst-case endpoint {defect:.3f})"
+        )
+
+    def lattice(spacing):
+        steps = np.arange(-config.lattice_radius, config.lattice_radius + 1e-9, spacing)
+        return np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+    probe_net = make_sphere_net(dim, config.probe_mesh)
+    stage1 = lattice(config.stage1_spacing)
+    _, point_radii = _ball_fits([T(point_body(x)) for x in stage1], probe_net, tol)
+    _, ball_radii = _ball_fits([T(ball_body(x)) for x in stage1], probe_net, tol)
+    point_r, ball_r = float(np.max(point_radii)), float(np.max(ball_radii))
+    if point_r <= config.r_tol and ball_r <= config.r_tol:
+        raise AmbiguousClassificationError(
+            f"both probe families collapse to near-points (radii {point_r:.2e}, {ball_r:.2e})"
+        )
+    if point_r > config.r_tol and ball_r > config.r_tol:
+        raise NotIsometryError(
+            "neither points nor unit balls map to near-points "
+            f"(radii {point_r:.2e}, {ball_r:.2e}); the map cannot be an isometry"
+        )
+    kind = "identity" if point_r <= config.r_tol else "cdual"
+    sources = lattice(config.lattice_spacing)
+    probe = point_body if kind == "identity" else ball_body
+    targets, _ = _ball_fits([T(probe(x)) for x in sources], probe_net, tol)
+    motion, fit_rms = procrustes_fit(sources, targets)
+    rng = np.random.default_rng(config.seed)
+    residual = residual_bound = 0.0
+    for _ in range(config.n_test_bodies):
+        body = random_body(rng, dim)
+        model = apply_motion(motion, body if kind == "identity" else c_dual(body))
+        res = hausdorff(T(body), model, net, tol)
+        residual = max(residual, res.value)
+        residual_bound = max(residual_bound, res.error_bound)
+    return {
+        "kind": kind,
+        "rotation": motion.rotation.tolist(),
+        "translation": motion.translation.tolist(),
+        "residual": residual,
+        "residual_bound": residual_bound,
+        "isometry_defect": defect,
+        "fit_rms": fit_rms,
+        "stage1_point_radius": point_r,
+        "stage1_ball_radius": ball_r,
+        "details": {"map": T.name, "n_correspondences": len(sources)},
+    }
+
+
+def outcome(classify, T, config):
+    """A classification's document, or the type and message of its rejection."""
+    try:
+        result = classify(T, config)
+    except (NotIsometryError, AmbiguousClassificationError) as exc:
+        return type(exc).__name__, str(exc)
+    return result if isinstance(result, dict) else result.to_doc()
+
+
+def classifier_maps(dim):
+    rng = np.random.default_rng(30 + dim)
+    return [
+        motion_map(random_motion(rng, dim)),
+        compose_maps([cdual_map(dim), motion_map(random_motion(rng, dim))]),
+        constant_map(three_center_leaf(dim)),
+        scale_centers_map(dim, 2.0),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_classification_matches_a_per_call_rebuild_bit_for_bit(dim):
+    config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.12 if dim == 3 else 0.05))
+    for T in classifier_maps(dim):
+        reference = outcome(rebuilt_classification, T, config)
+        assert outcome(classify_isometry, T, config) == reference
+        assert outcome(classify_isometry, T, config) == reference
+
+
+def test_second_classification_prepares_no_leaf(monkeypatch, config2):
+    T = motion_map(random_motion(np.random.default_rng(44), 2))
+    first = classify_isometry(T, config2).to_doc()
+    prepare = bodies_module.prepare_leaf
+    prepared = []
+
+    def counted(*args, **kwargs):
+        prepared.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(bodies_module, "prepare_leaf", counted)
+    assert classify_isometry(T, config2).to_doc() == first
+    assert len(prepared) == 0
+
+
+@pytest.mark.parametrize("name, value", [("probe_mesh", 0.3), ("seed", 5)])
+def test_config_fields_set_after_construction_take_effect(net2, name, value):
+    T = compose_maps([cdual_map(2), motion_map(random_motion(np.random.default_rng(45), 2))])
+    config = ClassifierConfig(dimension=2, net=net2)
+    default = classify_isometry(T, config).to_doc()
+    setattr(config, name, value)
+    fresh = ClassifierConfig(dimension=2, net=net2, **{name: value})
+    assert classify_isometry(T, config).to_doc() == classify_isometry(T, fresh).to_doc()
+    assert classify_isometry(T, config).to_doc() != default
+
+
+def first_centers(body):
+    while not isinstance(body, Generators):
+        body = body.a if isinstance(body, Combine) else body.of
+    return body.centers
+
+
+@pytest.mark.parametrize("writes_from", [0, 5, 86])  # screening, stage 1, stage 3 in 2-d
+def test_a_map_writing_into_its_input_raises_and_later_calls_are_unaffected(config2, writes_from):
+    T = motion_map(random_motion(np.random.default_rng(46), 2))
+    before = classify_isometry(T, config2).to_doc()
+    calls = []
+
+    def writing(body):
+        if len(calls) >= writes_from:
+            first_centers(body)[0] += 1.0
+        calls.append(body)
+        return T(body)
+
+    with pytest.raises((NotIsometryError, ValueError)) as info:
+        classify_isometry(BlackBoxMap(writing, 2), config2)
+    error = info.value.__cause__ if writes_from == 0 else info.value
+    assert isinstance(error, ValueError) and "read-only" in str(error)
+    assert len(calls) == writes_from
+    assert classify_isometry(T, config2).to_doc() == before
 
 
 @pytest.mark.parametrize("dim", [2, 3])

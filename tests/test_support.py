@@ -1,6 +1,7 @@
 """Support oracle algebra, Hausdorff distances, circumballs, reconstruction."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ballbodies.support import (
     farthest_distance_batch,
     hausdorff,
     reconstruct,
-    support,
+    support_value,
 )
 
 TOL = 1e-6
@@ -65,6 +66,13 @@ def random_body(rng, dim=2, depth=2):
 # ---------------------------------------------------------------------------
 
 
+def test_support_module_is_not_shadowed_by_a_package_export():
+    import ballbodies.support as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.support_value(ball_body([0.0, 0.0]), [1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_single_ball_support():
     c = np.array([0.3, -0.4])
     ev = SupportEval(ball_body(c))
@@ -93,7 +101,7 @@ def test_support_normalizes_near_unit_directions():
     with pytest.raises(ValueError):
         ev([1.1, 0.0])
     with pytest.raises(ValueError):
-        support(ball_body([0.0, 0.0]), [0.0, 0.0])
+        support_value(ball_body([0.0, 0.0]), [0.0, 0.0])
 
 
 def test_support_identity_on_net(net2):
