@@ -50,6 +50,7 @@ class Generators(BallBodyExpr):
     internal distance-constraint intersections (not serializable).  Center
     sets whose minimal enclosing ball exceeds radius 1 - 1e-9 are rejected
     unless flagged ``boundary`` (such bodies degenerate toward a point).
+    `centers` and `radii` are the leaf's read-only copies of the inputs.
     """
 
     centers: np.ndarray
@@ -57,11 +58,10 @@ class Generators(BallBodyExpr):
     boundary: bool = False
 
     def __post_init__(self):
-        pts = as_points(self.centers)
-        object.__setattr__(self, "centers", pts)
+        leaf = prepare_leaf(as_points(self.centers), self.radii)
+        object.__setattr__(self, "centers", leaf.centers)
         if self.radii is not None:
-            object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
-        leaf = prepare_leaf(pts, self.radii)
+            object.__setattr__(self, "radii", leaf.radii)
         if self.radii is None and leaf.meb_radius is not None:
             if leaf.meb_radius > 1.0 - BOUNDARY_SLACK and not self.boundary:
                 raise EmptyBodyError(

@@ -50,8 +50,8 @@ CACHE_SIZE = 16  # distinct config value sets kept per built input
 def _read_only(obj):
     """`obj`, with every array reachable through tuples and attributes made read-only.
 
-    Body nodes, their leaves, motions and nets are dataclasses; a leaf's
-    skeleton is a tuple.
+    Body nodes, motions and nets are dataclasses; a body's leaf is
+    read-only already.
     """
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
@@ -62,6 +62,18 @@ def _read_only(obj):
         for value in vars(obj).values():
             _read_only(value)
     return obj
+
+
+def _image(T: BlackBoxMap, body: BallBodyExpr, what: str) -> BallBodyExpr:
+    """T(body), with any failure of the map reported as NotIsometryError.
+
+    An isometry maps every body to a body, so a map that fails on one of
+    the classifier's inputs is not an isometry.
+    """
+    try:
+        return T(body)
+    except Exception as exc:
+        raise NotIsometryError(f"map evaluation failed on a {what}: {exc}") from exc
 
 
 def _defect_details(
@@ -82,10 +94,7 @@ def _defect_details(
     images: dict[int, BallBodyExpr] = {}
     for body in itertools.chain.from_iterable(probes):
         if id(body) not in images:
-            try:
-                images[id(body)] = T(body)
-            except Exception as exc:
-                raise NotIsometryError(f"map evaluation failed on a probe: {exc}") from exc
+            images[id(body)] = _image(T, body, "probe")
     evals: dict[int, SupportEval] = {}
 
     def oracle(body: BallBodyExpr) -> SupportEval:
@@ -232,9 +241,9 @@ def _screening_pairs(dim: int) -> tuple[tuple[BallBodyExpr, BallBodyExpr], ...]:
 def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClassification:
     """Recover the normal form of a black-box isometry of the ball-body space.
 
-    Raises NotIsometryError when the map fails distance screening or when
-    neither probe family collapses to points (impossible for a true
-    isometry), and AmbiguousClassificationError when both do.
+    Raises NotIsometryError when the map fails distance screening, fails on
+    any input, or when neither probe family collapses to points (impossible
+    for a true isometry), and AmbiguousClassificationError when both do.
 
     The probes, test bodies and probe net come from `config`'s values and
     are built once per distinct value set (see `ClassifierConfig`); they are
@@ -255,8 +264,8 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     # stage 1: which family (points / unit balls) maps to near-points?
     _, points = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "point")
     _, balls = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "ball")
-    _, point_radii = _ball_fits([T(p) for p in points], probe_net, config.tol)
-    _, ball_radii = _ball_fits([T(b) for b in balls], probe_net, config.tol)
+    _, point_radii = _ball_fits([_image(T, p, "point probe") for p in points], probe_net, config.tol)
+    _, ball_radii = _ball_fits([_image(T, b, "ball probe") for b in balls], probe_net, config.tol)
     point_r = float(np.max(point_radii))
     ball_r = float(np.max(ball_radii))
     points_collapse = point_r <= config.r_tol
@@ -275,14 +284,14 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     # stage 2: rigid motion through the centers of the collapsed family
     family = "point" if kind == "identity" else "ball"
     sources, probes = _lattice_probes(dim, config.lattice_spacing, config.lattice_radius, family)
-    targets, _ = _ball_fits([T(p) for p in probes], probe_net, config.tol)
+    targets, _ = _ball_fits([_image(T, p, "lattice probe") for p in probes], probe_net, config.tol)
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form
     residual = 0.0
     residual_bound = 0.0
     for body in _test_bodies(dim, config.seed, config.n_test_bodies):
-        image = T(body)
+        image = _image(T, body, "test body")
         model = apply_motion(motion, body if kind == "identity" else c_dual(body))
         res = hausdorff(image, model, net, config.tol)
         residual = max(residual, res.value)

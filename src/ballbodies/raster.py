@@ -150,6 +150,16 @@ def _occupancy(violation: np.ndarray, shape: tuple, cell: float, empty_message: 
     return mask.reshape(shape)
 
 
+def _cell_count(lo: np.ndarray, hi: np.ndarray, cell: float) -> np.ndarray:
+    """Grid points per axis: ceil((hi - lo) / cell) + 1, with the quotient's rounding ignored.
+
+    A span of a whole number of cells must not gain a cell from a few ulps
+    of error in lo or hi, or the grid shape would ride on their last bits.
+    """
+    steps = (hi - lo) / cell
+    return np.ceil(steps - 64 * np.finfo(float).eps * np.abs(steps)).astype(int) + 1
+
+
 def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
     """Occupancy raster of the body; bounds default to its norm bound plus margin."""
     if cell <= 0:
@@ -161,7 +171,7 @@ def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
-    counts = np.maximum(np.ceil((hi - lo) / cell).astype(int) + 1, 2)
+    counts = np.maximum(_cell_count(lo, hi, cell), 2)
     # snap the origin to the global lattice so all rasters at one cell align
     origin = np.floor(lo / cell) * cell
     axes = [origin[d] + cell * np.arange(counts[d]) for d in range(body.dim)]
@@ -201,7 +211,7 @@ def raster_cdual(r: RasterBody) -> RasterBody:
     meb = minimal_enclosing_ball(verts)
     lo = meb.center - 1.0 - 2 * r.cell
     hi = meb.center + 1.0 + 2 * r.cell
-    counts = np.ceil((hi - lo) / r.cell).astype(int) + 1
+    counts = _cell_count(lo, hi, r.cell)
     origin = np.floor(lo / r.cell) * r.cell
     axes = [origin[d] + r.cell * np.arange(counts[d]) for d in range(r.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -27,6 +27,22 @@ def test_generators_accepts_fitting_centers():
     assert g.depth == 1
 
 
+def test_generators_arrays_are_the_leafs_read_only_copies():
+    # a write into a body's centers used to leave its leaf inconsistent
+    centers = np.array([[0.0, 0.0], [0.6, 0.1], [0.2, 0.5]])
+    radii = np.array([1.0, 1.2, 1.1])
+    for g in (Generators(centers), Generators(centers, radii)):
+        assert g.centers is g.leaf.centers
+        with pytest.raises(ValueError, match="read-only"):
+            g.centers[0, 0] = 0.3
+    assert g.radii is g.leaf.radii
+    with pytest.raises(ValueError, match="read-only"):
+        g.radii[0] = 2.0
+    assert centers.flags.writeable and radii.flags.writeable
+    centers[0, 0] = 0.3  # the caller's array stays its own
+    assert g.centers[0, 0] == 0.0
+
+
 def test_generators_rejects_empty_intersection():
     with pytest.raises(EmptyBodyError):
         Generators(np.array([[0.0, 0.0], [2.1, 0.0]]))

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import ballbodies
-from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, main
+from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, main
 
 
 def ball_doc(c) -> str:
@@ -94,6 +94,16 @@ def test_dimension_mismatch_exits_invariant():
     result = run_cli("--dim", "3", "circ", ball_doc([0.0, 0.0]))
     assert result.exit_code == EXIT_INVARIANT == 3
     assert json.loads(result.stderr)["error"]["type"] == "DimensionMismatchError"
+
+
+def test_a_map_failing_after_screening_exits_premise():
+    # on a coarse net scaling passes screening, then cannot scale a stage-3
+    # test body: that failure, too, shows the map is not an isometry
+    result = run_cli("--dim", "3", "--mesh", "0.3", "classify", '{"map": "scale_centers", "factor": 2.0}')
+    assert result.exit_code == EXIT_PREMISE == 4
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "NotIsometryError"
+    assert "map evaluation failed on a test body" in error["message"]
 
 
 GUARD = """

@@ -60,8 +60,21 @@ def test_empty_cdual_raster_names_cell_and_grid():
     # two occupied cells 3.9 apart: no point lies within 1 of both
     mask = np.zeros((40, 3), dtype=bool)
     mask[0, 1] = mask[-1, 1] = True
-    with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(26, 26\)"):
+    with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(25, 25\)"):
         raster_cdual(RasterBody(np.zeros(2), 0.1, mask))
+
+
+def test_cdual_grid_shape_does_not_ride_on_the_last_bits_of_the_center():
+    # the grid spans the enclosing center -/+ 1.2, 24 cells in exact arithmetic
+    mask = np.zeros((20, 3), dtype=bool)
+    mask[0, 1] = mask[-1, 1] = True
+    shapes = set()
+    for ulps in (-2, 0, 2):
+        origin = np.ones(2)
+        for _ in range(abs(ulps)):
+            origin = np.nextafter(origin, np.sign(ulps) * np.inf)
+        shapes.add(raster_cdual(RasterBody(origin, 0.1, mask)).mask.shape)
+    assert shapes == {(25, 25)}
 
 
 def test_lens_area_matches_circular_segment_formula():

@@ -14,6 +14,7 @@ from ballbodies.solver import (
     DEFAULT_TOL,
     FEAS_PAD,
     LAMBDA_PAD,
+    _arc_support,
     _dual_upper,
     _enumerate_support,
     _feasible_lower,
@@ -114,7 +115,8 @@ def test_varied_radii_match_slsqp():
 
 
 def test_many_balls_guided_path():
-    # more centers than the enumeration cap: exercises the active-set loop
+    # 81 balls of general radii, many of them redundant: the arc table keeps
+    # only the balls that own an arc of the boundary
     rng = np.random.default_rng(11)
     grid = np.stack(np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)), -1).reshape(-1, 2)
     radii = np.linalg.norm(grid, axis=1) + 1.0 + rng.uniform(0, 0.2, grid.shape[0])
@@ -198,9 +200,8 @@ def test_empty_intersection_rejected():
         prepare_leaf(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0, 0.0]]))
 
 
-def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
-    # the 169 probe balls of `reconstruct` around a point body all pass within
-    # 2 tol of the point, so the maximum slack is the 2 tol inflation
+def point_reconstruction_leaf():
+    """The 169 probe balls of `reconstruct` around the point body {(0.2, -0.1)}."""
     from ballbodies.bodies import point_body
     from ballbodies.geometry import make_sphere_net
     from ballbodies.support import SupportEval, default_mesh, farthest_distance_batch
@@ -210,7 +211,17 @@ def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
     probes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     body = SupportEval(point_body(np.array([0.2, -0.1])), DEFAULT_TOL)
     radii = farthest_distance_batch(body, probes, net, DEFAULT_TOL) + 2 * DEFAULT_TOL
-    leaf = prepare_leaf(probes, radii)
+    return probes, radii
+
+
+def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
+    # the 169 probe balls of `reconstruct` around a point body all pass within
+    # 2 tol of the point, so the maximum slack is the 2 tol inflation
+    from ballbodies.geometry import make_sphere_net
+    from ballbodies.support import default_mesh
+
+    net = make_sphere_net(2, default_mesh(2))
+    leaf = prepare_leaf(*point_reconstruction_leaf())
     assert abs(leaf.slack - 2 * DEFAULT_TOL) <= 1e-9
     # every direction certifies, and the reconstruction contains the point
     # and lies within the 1e-5 of the `reconstruct` command's report
@@ -354,35 +365,73 @@ def reference_enumerate_support(leaf, U, tol):
 
 
 def assert_skeleton_is_kkt_data(leaf):
-    """Skeleton points are feasible, tight on their subset, and G inverts the gradients."""
+    """Table points are feasible, tight on their subset, and G inverts the gradients.
+
+    In 3-d the table is the skeleton of triple points; in 2-d it is the arc
+    table, whose vertices are checked so, and whose arcs are the tangencies
+    of their balls.
+    """
     X, r = leaf.centers, leaf.radii
-    sk = leaf.skeleton
-    assert sk is not None
     n = X.shape[1]
     u = unit_dirs(n, 5, 0)
-    for y, idx, ginv in zip(sk.points, sk.idx, sk.ginv):
+    if n == 2:
+        arcs = leaf.arcs
+        assert arcs is not None and leaf.skeleton is None
+        assert np.all(np.diff(arcs.breaks) >= 0.0)
+        assert arcs.breaks[-1] <= arcs.breaks[0] + 2 * math.pi
+        owner = arcs.idx[0::2, 0]
+        np.testing.assert_array_equal(arcs.base[0::2], X[owner])
+        np.testing.assert_array_equal(arcs.scale[0::2], r[owner])
+        np.testing.assert_array_equal(arcs.lam0[0::2, 0], 1.0 / r[owner])
+        np.testing.assert_array_equal(arcs.idx[0::2, 1], -1)
+        vertex = arcs.idx[1::2, 1] >= 0
+        assert vertex.all() or owner.size == 1  # every gap between two arcs is a vertex
+        np.testing.assert_array_equal(arcs.idx[1::2][vertex, 0], owner[vertex])
+        np.testing.assert_array_equal(arcs.idx[1::2][vertex, 1], np.roll(owner, -1)[vertex])
+        points, idx, ginv = arcs.base[1::2][vertex], arcs.idx[1::2][vertex], arcs.ginv[1::2][vertex]
+        assert np.all(arcs.scale[1::2][vertex] == 0.0) and np.all(arcs.lam0[1::2][vertex] == 0.0)
+    else:
+        sk = leaf.skeleton
+        assert sk is not None
+        points, idx, ginv = sk
+    for y, idx, ginv in zip(points, idx, ginv):
         assert np.all(np.linalg.norm(y - X, axis=1) <= r + FEAS_PAD)
         tight = idx[idx >= 0]
         assert tight.size == n
         np.testing.assert_allclose(np.linalg.norm(y - X[tight], axis=1), r[tight], atol=1e-12)
         grads = (y[None, :] - X[tight]).T  # columns
         np.testing.assert_allclose(grads @ (ginv[:n] @ u.T), u.T, atol=1e-9)
-        np.testing.assert_array_equal(ginv[n:], 0.0)
 
 
-def assert_matches_reference(leaf, U, tol=1e-8):
-    values, resolved = _enumerate_support(leaf, U, tol)
+def table_support(leaf, U, tol):
+    """Values of the leaf's direction-free table path: arc lookup in 2-d, enumeration in 3-d."""
+    return (_arc_support if leaf.dim == 2 else _enumerate_support)(leaf, U, tol)
+
+
+def assert_matches_reference(leaf, U, tol=1e-8, same_mask=True, atol=1e-12):
+    """The table path agrees with the reference, within atol, wherever the reference certifies.
+
+    With `same_mask` both certify the same directions; otherwise the table
+    path may certify more.
+    """
+    values = table_support(leaf, U, tol)
     ref = reference_enumerate_support(leaf, U, tol)
-    np.testing.assert_array_equal(resolved, np.isfinite(ref))
-    assert np.max(np.abs(values[resolved] - ref[resolved]), initial=0.0) <= 1e-12
+    resolved = np.isfinite(ref)
+    if same_mask:
+        np.testing.assert_array_equal(np.isfinite(values), resolved)
+    else:
+        assert np.all(np.isfinite(values[resolved]))
+    assert np.max(np.abs(values[resolved] - ref[resolved]), initial=0.0) <= atol
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("radii", ["unit", "general"])
 def test_skeleton_matches_per_call_enumeration(dim, radii):
+    # 2-d runs past the 3-d enumeration limit: the arc table has none
     rng = np.random.default_rng(40 + dim)
+    sizes = range(2, 17) if dim == 2 else range(2, 9)
     checked = 0
-    for m in range(2, 9):
+    for m in sizes:
         for _ in range(3):
             if radii == "unit":
                 centers = rng.uniform(-0.5, 0.5, size=(m, dim))
@@ -393,35 +442,47 @@ def test_skeleton_matches_per_call_enumeration(dim, radii):
             assert_skeleton_is_kkt_data(leaf)
             assert_matches_reference(leaf, unit_dirs(dim, 400, m))
             checked += 1
-    assert checked == 21
+    assert checked == 3 * len(sizes)
+
+
+def degenerate_leaves(dim):
+    """(centers, radii) of three degenerate leaves, and 200 directions at the third's common point.
+
+    Coincident centers, whose pair has no axis and adds no point; spheres 0
+    and 1 touching from inside (rho^2 = 0 exactly), sphere 2 holding sphere
+    0 (rho^2 < 0) and sphere 3 cutting sphere 0; n + 1 spheres through one
+    point, where some subsets have negative multipliers.  The directions
+    lie in the normal cone at that point.
+    """
+    e1, e2 = np.eye(dim)[:2]
+    coincident = np.array([0.3 * e1, 0.3 * e1, -0.2 * e2, 0.1 * e1 + 0.4 * e2]), None
+    tangent = np.array([np.zeros(dim), 0.5 * e1, 0.2 * e1 + 0.1 * e2, 0.8 * e2]), np.array([1.0, 1.5, 3.0, 1.0])
+    rng = np.random.default_rng(dim)
+    spokes = e2 + 0.4 * rng.uniform(-1.0, 1.0, size=(dim + 1, dim)) * (1.0 - e2)
+    spokes /= np.linalg.norm(spokes, axis=1, keepdims=True)
+    cone = -(rng.uniform(0.0, 1.0, size=(200, dim + 1)) @ spokes)
+    cone /= np.linalg.norm(cone, axis=1, keepdims=True)
+    return coincident, tangent, (0.1 * e1 + spokes, None), cone
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_skeleton_with_coincident_tangent_and_concurrent_spheres(dim):
-    e1 = np.eye(dim)[0]
-    e2 = np.eye(dim)[1]
     dirs = unit_dirs(dim, 300, 7)
-    # coincident centers: the pair has no axis and adds no point
-    leaf = prepare_leaf(np.array([0.3 * e1, 0.3 * e1, -0.2 * e2, 0.1 * e1 + 0.4 * e2]))
+    (coincident, _), tangent, (concurrent, _), cone = degenerate_leaves(dim)
+    leaf = prepare_leaf(coincident)
     assert_skeleton_is_kkt_data(leaf)
     assert_matches_reference(leaf, dirs)
-    # spheres 0 and 1 touch from inside (rho^2 = 0 exactly), sphere 2 holds sphere 0
-    # (rho^2 < 0), and sphere 3 cuts sphere 0
-    centers = np.array([np.zeros(dim), 0.5 * e1, 0.2 * e1 + 0.1 * e2, 0.8 * e2])
-    leaf = prepare_leaf(centers, np.array([1.0, 1.5, 3.0, 1.0]))
+    leaf = prepare_leaf(*tangent)
     assert_skeleton_is_kkt_data(leaf)
     if dim == 2:
-        assert {tuple(ij) for ij in leaf.skeleton.idx[:, :2]} == {(0, 3)}
+        # balls 1 and 2 own no arc; balls 0 and 3 meet in two vertices
+        assert set(leaf.arcs.idx[0::2, 0]) == {0, 3}
+        assert {tuple(ij) for ij in leaf.arcs.idx[1::2]} == {(0, 3), (3, 0)}
     assert_matches_reference(leaf, dirs)
-    # n + 1 spheres through one point: at that vertex some subsets have negative
-    # multipliers, and only the multiplier check keeps them from winning the tie
-    rng = np.random.default_rng(dim)
-    spokes = e2 + 0.4 * rng.uniform(-1.0, 1.0, size=(dim + 1, dim)) * (1.0 - e2)
-    spokes /= np.linalg.norm(spokes, axis=1, keepdims=True)
-    leaf = prepare_leaf(0.1 * e1 + spokes)
+    # at the common point only the multiplier check keeps a subset with
+    # negative multipliers from winning the tie
+    leaf = prepare_leaf(concurrent)
     assert_skeleton_is_kkt_data(leaf)
-    cone = -(rng.uniform(0.0, 1.0, size=(200, dim + 1)) @ spokes)
-    cone /= np.linalg.norm(cone, axis=1, keepdims=True)
     assert_matches_reference(leaf, np.vstack([cone, dirs]))
 
 
@@ -440,20 +501,113 @@ def test_skeleton_on_directions_parallel_to_a_pair_axis(dim):
 
 def test_enumeration_limit_is_read_when_evaluating(monkeypatch):
     rng = np.random.default_rng(3)
-    for dim in (2, 3):
-        centers = rng.uniform(-0.4, 0.4, size=(5, dim))
-        dirs = unit_dirs(dim, 40, dim)
-        expected = support_batch(prepare_leaf(centers), dirs)
+    rng.uniform(-0.4, 0.4, size=(5, 2))  # the leaf of the 2-d test below
+    centers = rng.uniform(-0.4, 0.4, size=(5, 3))
+    dirs = unit_dirs(3, 40, 3)
+    expected = support_batch(prepare_leaf(centers), dirs)
 
-        leaf = prepare_leaf(centers)  # default limit: enumerated, with a skeleton
-        assert leaf.skeleton is not None
-        monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
-        fallback = support_batch(leaf, dirs)  # past the limit now: active-set loop
+    leaf = prepare_leaf(centers)  # default limit: enumerated, with a skeleton
+    assert leaf.skeleton is not None
+    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
+    fallback = support_batch(leaf, dirs)  # past the limit now: active-set loop
 
-        leaf = prepare_leaf(centers)  # prepared past the limit: no skeleton
-        assert leaf.skeleton is None
-        monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 8)
-        enumerated = support_batch(leaf, dirs)
+    leaf = prepare_leaf(centers)  # prepared past the limit: no skeleton
+    assert leaf.skeleton is None
+    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 8)
+    enumerated = support_batch(leaf, dirs)
 
-        assert np.max(np.abs(fallback - expected)) <= DEFAULT_TOL
-        assert np.max(np.abs(enumerated - expected)) <= DEFAULT_TOL
+    assert np.max(np.abs(fallback - expected)) <= DEFAULT_TOL
+    assert np.max(np.abs(enumerated - expected)) <= DEFAULT_TOL
+
+
+def refuse_fallback(monkeypatch):
+    """Make the active-set loop raise, so only the table paths can certify."""
+
+    def refuse(leaf, u, tol):
+        raise AssertionError(f"direction {u.tolist()} of an m={leaf.m} leaf reached the active-set loop")
+
+    monkeypatch.setattr(solver, "_support_single_dir", refuse)
+
+
+def test_enumeration_limit_leaves_plane_leaves_on_the_arc_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-0.4, 0.4, size=(5, 2))
+    dirs = unit_dirs(2, 40, 2)
+    expected = support_batch(prepare_leaf(centers), dirs)
+    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
+    refuse_fallback(monkeypatch)
+    leaf = prepare_leaf(centers)
+    assert leaf.arcs is not None
+    np.testing.assert_array_equal(support_batch(leaf, dirs), expected)
+
+
+def breakpoint_normals(centers, radii):
+    """Outer normals of both circles at every feasible intersection point of two circles."""
+    X = np.asarray(centers, dtype=float)
+    r = np.ones(len(X)) if radii is None else np.asarray(radii, dtype=float)
+    normals = []
+    for i, j in itertools.combinations(range(len(X)), 2):
+        a = X[j] - X[i]
+        d = np.linalg.norm(a)
+        if d == 0.0:
+            continue
+        along = (r[i] ** 2 + d**2 - r[j] ** 2) / (2.0 * d)
+        if r[i] ** 2 - along**2 < 0.0:
+            continue
+        across = math.sqrt(r[i] ** 2 - along**2)
+        for sign in (1.0, -1.0):
+            v = X[i] + (along * a + sign * across * np.array([-a[1], a[0]])) / d
+            if np.all(np.linalg.norm(v - X, axis=1) <= r + 1e-9):
+                normals += [(v - X[i]) / r[i], (v - X[j]) / r[j]]
+    normals = np.array(normals).reshape(-1, 2)
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+PLANE_LEAVES = {
+    # ball 0's caps are each wider than pi, so it owns a top and a bottom arc
+    "two-arc": ([[0.0, 0.0], [1.2, 0.0], [-1.2, 0.0]], [1.0, 1.6, 1.6]),
+    "coincident": degenerate_leaves(2)[0],
+    "tangent": degenerate_leaves(2)[1],
+    "concurrent": degenerate_leaves(2)[2],
+    # ball 0 lies in both others: one arc, the whole circle
+    "contained": ([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]], [0.5, 1.0, 1.0]),
+    "12-ball": (np.random.default_rng(5).uniform(-0.4, 0.4, size=(12, 2)), None),
+    "point-reconstruction": None,
+}
+
+
+@pytest.mark.parametrize("case", list(PLANE_LEAVES))
+def test_plane_leaves_certify_without_the_active_set_loop(case, monkeypatch):
+    from ballbodies.geometry import make_sphere_net
+
+    centers, radii = PLANE_LEAVES[case] or point_reconstruction_leaf()
+    leaf = prepare_leaf(centers, radii)
+    dirs = np.vstack([make_sphere_net(2, 0.02).directions, breakpoint_normals(centers, radii)])
+    refuse_fallback(monkeypatch)
+    values = support_batch(leaf, dirs)
+    if case == "two-arc":
+        assert sorted(leaf.arcs.idx[0::2, 0].tolist()) == [0, 0, 1, 2]
+    if case == "contained":
+        assert leaf.arcs.idx[:, 0].tolist() == [0, 0] and np.ptp(leaf.arcs.breaks) == 2 * math.pi
+    assert np.all(np.isfinite(values))
+    if leaf.m <= 16:  # the reference takes about a minute on the 169 balls
+        # both bracket the optimum within tol; at a breakpoint normal the two
+        # may pick different optimal candidates
+        assert_matches_reference(leaf, dirs, DEFAULT_TOL, same_mask=False, atol=DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_prepared_leaf_is_read_only_and_leaves_the_callers_arrays_alone(dim):
+    rng = np.random.default_rng(dim)
+    centers = rng.uniform(-0.4, 0.4, size=(4, dim))
+    radii = rng.uniform(1.0, 1.5, size=4)
+    leaf = prepare_leaf(centers, radii)
+    table = leaf.arcs if dim == 2 else leaf.skeleton
+    for array in (leaf.centers, leaf.radii, leaf.interior, *table):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    assert centers.flags.writeable and radii.flags.writeable
+    before = support_batch(leaf, unit_dirs(dim, 20, 0))
+    centers += 0.1
+    radii[0] = 0.5
+    np.testing.assert_array_equal(support_batch(leaf, unit_dirs(dim, 20, 0)), before)
