@@ -204,7 +204,7 @@ def make_sphere_net(n: int, mesh: float) -> SphereNet:
 
 
 @functools.lru_cache(maxsize=None)
-def _subsets(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def padded_subsets(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Subsets of range(s) with at most n members, padded with -1, and their padding.
 
     Returns the (c, n) table, one subset per row, and the (c, n, n) diagonal
@@ -234,7 +234,7 @@ def _tangent_candidates(X, rho, j, basis):
     table of subsets as positions in `basis`; the empty subset gives x_j.
     """
     n = X.shape[1]
-    idx, pad = _subsets(len(basis), n)
+    idx, pad = padded_subsets(len(basis), n)
     # the last row belongs to j itself and is zero, so the -1 padding drops out
     D = X[basis + [j]] - X[j]
     d = rho[basis + [j]] - rho[j]

@@ -85,12 +85,11 @@ def _violation(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray:
     the violation never exceeds the distance from the point to the body.
     """
     if isinstance(body, Generators):
-        radii = body.radii if body.radii is not None else 1.0
         out = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
             sl = slice(start, start + _CHUNK)
             d = np.linalg.norm(pts[sl, None, :] - body.centers[None, :, :], axis=2)
-            out[sl] = np.max(d - radii, axis=1) - 1e-12
+            out[sl] = np.max(d - body.leaf.radii, axis=1) - 1e-12
         return out
     if isinstance(body, Motion):
         inv = body.g.inverse()

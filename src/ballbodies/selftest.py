@@ -40,6 +40,7 @@ from .support import (
     contains_point,
     farthest_distance_batch,
     hausdorff,
+    net_error_bound,
     reconstruct,
 )
 
@@ -262,7 +263,7 @@ def _grid_points(extent: float, step: float) -> np.ndarray:
 
 def criterion_7(ctx: SelftestContext) -> CriterionResult:
     net = ctx.net(2)
-    typical_eb = 2.0 * 4.0 * net.mesh + 4 * ctx.tol
+    typical_eb = net_error_bound(net.mesh, (4.0, 4.0), (ctx.tol, ctx.tol))
     if typical_eb >= 0.1:
         return CriterionResult(
             7, CRITERIA_NAMES[7], "vacuous",
@@ -357,7 +358,7 @@ def criterion_8(ctx: SelftestContext) -> CriterionResult:
 
 
 def criterion_9(ctx: SelftestContext) -> CriterionResult:
-    screening_eb = 2.0 * 4.5 * ctx.net(2).mesh + 4 * ctx.tol
+    screening_eb = net_error_bound(ctx.net(2).mesh, (4.5, 4.5), (ctx.tol, ctx.tol))
     if 2 * screening_eb >= 1.0:
         return CriterionResult(
             9, CRITERIA_NAMES[9], "vacuous",
@@ -496,7 +497,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
     for i in range(count):
         kb = circumball(bodies[i], net, ctx.tol)
         rb = raster_circumball(raster_of(i))
-        bound = 2 * SupportEval(bodies[i]).norm_bound * net.mesh + 2 * ctx.tol + 4 * cell
+        bound = net_error_bound(net.mesh, (SupportEval(bodies[i]).norm_bound,), (ctx.tol,)) + 4 * cell
         if abs(kb.radius - rb.radius) > bound:
             failures.append(f"body {i}: circumradius {kb.radius:.4f} vs raster {rb.radius:.4f}")
     # c-dual membership: kernel margins vs the rasterized dual body

@@ -12,14 +12,17 @@ that search, and `support_batch` serves each direction by one of three paths:
   `ArcTable` lists these pieces in angle order; per call one ``arctan2`` and
   one ``searchsorted`` give each direction its optimum: the tangency
   x_i + r_i u on an arc, or the vertex, whose multipliers are ``lam = G u``.
-* 3-d, 2 <= m <= ENUM_MAX_CENTERS: enumeration.  The two common points of
-  each sphere triple that are feasible form the leaf's skeleton, each with
-  its inverse gradient matrix G.  Per call the solver evaluates the
-  single-ball tangencies, the two-sphere circles and the skeleton's values,
-  and picks the best candidate with valid multipliers in one ``argmax``.
-* Elsewhere (n >= 4, larger 3-d leaves, and any direction the first two
-  paths leave uncertified): a guided active-set loop that grows the working
-  set by the most violated constraint and re-solves.
+* n >= 3, 2 <= m <= ENUM_MAX_CENTERS: the subset table.  Every subset S of
+  at most n balls whose spheres meet in a sphere of positive radius (the
+  faces of the ball-polyhedron, in the same paper) has its maximizer of
+  <u, y> in closed form, c_S + rho_S P_S u / |P_S u|, and its multipliers
+  are linear in u and |P_S u|.  Per call the solver evaluates every row
+  with batched products and picks the best candidate with valid
+  multipliers and a feasible point in one ``argmax``.
+* Elsewhere (larger leaves, and any direction the first two paths leave
+  uncertified): a guided active-set loop that grows the working set by the
+  most violated constraint and solves the working set's sub-leaf by the
+  same subset table.
 
 Every path certifies its candidate the same way: a weak-duality upper bound
 plus a feasible lower bound obtained by blending toward a strictly interior
@@ -30,19 +33,19 @@ and radii, so no caller can change it after the fact.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyBodyError, NoConvergenceError
-from .geometry import enclosing_ball
+from .geometry import enclosing_ball, padded_subsets
 
 DEFAULT_TOL = 1e-6
 FEAS_PAD = 1e-12
 LAMBDA_PAD = 1e-9
-ENUM_MAX_CENTERS = 8  # largest 3-d leaf served by enumeration
+ENUM_MAX_CENTERS = 8  # largest leaf, n >= 3, served by the subset table
 POINT_SLACK = 2.5e-14
 TWO_PI = 2.0 * np.pi
 
@@ -52,12 +55,30 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 
-class LeafSkeleton(NamedTuple):
-    """Direction-free KKT points of a 3-d leaf: the common points of sphere triples."""
+class SubsetTable(NamedTuple):
+    """KKT data of every constraint subset S of at most n balls of a leaf (n >= 2).
 
-    points: np.ndarray  # (p, 3), each feasible within FEAS_PAD
-    idx: np.ndarray  # (p, 3) tight constraint indices
-    ginv: np.ndarray  # (p, 3, 3): multipliers lam = ginv @ u
+    Where the spheres of S meet in a sphere of positive radius, that sphere
+    has center c_S and radius rho_S and spans c_S + range(P_S), P_S the
+    projector onto the complement of the directions of the affine hull of
+    S's centers.  Its maximizer of <u, y> is c_S + rho_S P_S u / |P_S u|,
+    with multipliers ``lam = lin @ u + norm |P_S u|`` on the constraints
+    ``idx``.  Rows run by size, then lexicographically; a subset is kept
+    when its centers are affinely independent and rho_S^2 > 0 (a single
+    ball always).  The first q rows, the subsets of fewer than n balls,
+    hold points that move with u.  The spheres of n balls meet in two
+    points, which do not: each one that is feasible is a row of its own,
+    with ``lam = lin @ u``.
+    """
+
+    center: np.ndarray  # (R, n): c_S, or the point of an n-subset
+    radius: np.ndarray  # (q,): rho_S
+    proj: np.ndarray  # (q, n, n): P_S
+    lin: np.ndarray  # (R, n, n): the multipliers' linear part
+    norm: np.ndarray  # (q, n): the multipliers' weights on |P_S u|
+    lift: np.ndarray  # (q, m, n): 2 rho_S P_S (c_S - x_j)
+    room: np.ndarray  # (q, m): (r_j + FEAS_PAD)^2 - |c_S - x_j|^2 - rho_S^2
+    idx: np.ndarray  # (R, n) tight constraint indices, -1 padded
 
 
 class ArcTable(NamedTuple):
@@ -84,12 +105,12 @@ class LeafGeometry:
     """Precomputed, read-only data for one intersection-of-balls leaf.
 
     `support_batch` serves a leaf of m >= 2 balls that is not point-like by
-    one of three paths (see the module docstring), and the leaf carries the
-    direction-free data of the first two: `arcs` for the 2-d arc lookup
-    (None only when rounding leaves no arc, as for a body that is one
-    point), `skeleton` for the 3-d enumeration when 2 <= m <=
-    ENUM_MAX_CENTERS at preparation.  The active-set loop, which serves the
-    rest, needs neither.
+    one of three paths (see the module docstring), and `prepare_leaf` fixes
+    which one by the table it stores: `arcs` for the 2-d arc lookup (None
+    only when rounding leaves no arc, as for a body that is one point),
+    `subsets` for the subset table when n >= 3 and m <= ENUM_MAX_CENTERS.
+    A leaf with neither takes the active-set loop, which builds the subset
+    table of each working set as it goes.
     """
 
     centers: np.ndarray  # (m, n)
@@ -97,7 +118,7 @@ class LeafGeometry:
     interior: np.ndarray  # the maximum-slack point
     slack: float  # min_i (r_i - |interior - x_i|), clamped at 0
     meb_radius: float | None  # r_0 - slack, set when all radii are equal
-    skeleton: LeafSkeleton | None = None
+    subsets: SubsetTable | None = None
     arcs: ArcTable | None = None
 
     @property
@@ -150,9 +171,9 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
     if m >= 2 and not leaf.point_like:
         if n == 2:
             leaf = replace(leaf, arcs=_build_arcs(X, r))
-        elif _enumerates(m, n):
-            leaf = replace(leaf, skeleton=_build_skeleton(X, r))
-    for array in (X, r, z, *(leaf.skeleton or ()), *(leaf.arcs or ())):
+        elif m <= ENUM_MAX_CENTERS:
+            leaf = replace(leaf, subsets=_build_subsets(X, r))
+    for array in (X, r, z, *(leaf.arcs or ())):
         array.flags.writeable = False
     return leaf
 
@@ -206,43 +227,28 @@ def _certify(leaf: LeafGeometry, U, y, lam, idx, single_min, tol):
 
 
 # ---------------------------------------------------------------------------
-# two-sphere data shared by the plane arcs and the 3-d circles
-# ---------------------------------------------------------------------------
-
-
-def _pair_circles(X, r, i, j):
-    """Where spheres i and j meet in a circle (two points in 2-d), with its data, per pair.
-
-    Returns ok (the pair meets properly: distinct centers, positive circle
-    radius, independent gradients) and, for the pairs where ok holds, the
-    axis a = x_j - x_i, |a|^2, beta (the circle's center is
-    x_i + (beta / |a|^2) a), rho^2 (its squared radius), and the gradients'
-    Gram entry g12 and determinant, which use the exact radii.
-    """
-    a = X[j] - X[i]
-    aa = np.einsum("pn,pn->p", a, a)
-    beta = 0.5 * (r[i] ** 2 + aa - r[j] ** 2)
-    rho2 = r[i] ** 2 - beta**2 / np.where(aa >= 1e-24, aa, 1.0)
-    g12 = r[i] ** 2 - beta
-    det = r[i] ** 2 * r[j] ** 2 - g12 * g12
-    ok = (aa >= 1e-24) & (rho2 > 0.0) & (det > 1e-18)
-    return ok, *(v[ok] for v in (a, aa, beta, rho2, g12, det))
-
-
-# ---------------------------------------------------------------------------
 # 2-d: the arc table of a plane ball polygon
 # ---------------------------------------------------------------------------
 
 
 def _pair_vertices(X, r, i, j):
-    """Both intersection points of circles i and j (2-d), with inverse gradients.
+    """Both intersection points of circles i and j (2-d), with inverse gradients, per pair.
 
-    Returns ok as `_pair_circles` does and, for the pairs where it holds,
-    the points (p, 2, 2) and the multiplier rows (p, 2, 2, 2): at point q
-    of pair s, ``rows[s, q] @ u`` gives the multipliers of circles i and j.
+    Returns ok (the pair meets properly: distinct centers, two distinct
+    points, independent gradients) and, for the pairs where it holds, the
+    points (p, 2, 2) and the multiplier rows (p, 2, 2, 2): at point q of
+    pair s, ``rows[s, q] @ u`` gives the multipliers of circles i and j.
+    The points are x_i + (beta / |a|^2) a +- sqrt(rho^2 / |a|^2) a^perp,
+    a = x_j - x_i.
     """
-    ok, a, aa, beta, rho2, g12, det = _pair_circles(X, r, i, j)
-    i, j = i[ok], j[ok]
+    a = X[j] - X[i]
+    aa = np.einsum("pn,pn->p", a, a)
+    beta = 0.5 * (r[i] ** 2 + aa - r[j] ** 2)
+    rho2 = r[i] ** 2 - beta**2 / np.where(aa >= 1e-24, aa, 1.0)
+    g12 = r[i] ** 2 - beta  # the gradients' Gram entry, and its determinant
+    det = r[i] ** 2 * r[j] ** 2 - g12 * g12
+    ok = (aa >= 1e-24) & (rho2 > 0.0) & (det > 1e-18)
+    i, j, a, aa, beta, rho2, g12, det = (v[ok] for v in (i, j, a, aa, beta, rho2, g12, det))
     xi0 = (beta / aa)[:, None] * a
     off = np.sqrt(rho2 / aa)[:, None] * np.column_stack([-a[:, 1], a[:, 0]])
     xi = np.stack([xi0 + off, xi0 - off], axis=1)  # (p, 2, n): y - x_i
@@ -364,215 +370,138 @@ def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 3-d: vectorized KKT-candidate enumeration (small m)
+# every dimension: the KKT subset table
 # ---------------------------------------------------------------------------
 
 
-def _enumerates(m: int, n: int) -> bool:
-    """Whether `support_batch` serves a 3-d leaf of m balls by enumeration."""
-    return n == 3 and 2 <= m <= ENUM_MAX_CENTERS
+def _build_subsets(X: np.ndarray, r: np.ndarray) -> SubsetTable:
+    """The leaf's subset table (see `SubsetTable`), from one batch over all subsets.
 
-
-def _cross(a, b):
-    """Cross products along the last axis (np.cross costs twice as much on small stacks)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _build_skeleton(X: np.ndarray, r: np.ndarray) -> LeafSkeleton:
-    """Both common points of each sphere triple that are feasible within FEAS_PAD.
-
-    Points come in triple order, the two points of a triple one after the
-    other, each with the inverse of its gradient matrix.
+    Each subset S is padded to n members, as `geometry.padded_subsets` lists
+    them.  With A the rows x_k - x_first, the sphere's center solves
+    A xi = beta, beta_k = (r_first^2 + |a_k|^2 - r_k^2) / 2, on the span of
+    A, and P_S = I - A^T (A A^T)^-1 A.  The multipliers solve
+    u = sum_k lam_k (y - x_k), which splits into sum_k lam_k (c_S - x_k) =
+    (I - P_S) u and sum_k lam_k = |P_S u| / rho_S; the least-squares solution
+    of that consistent system is exact.  At the two points c_S +- rho_S e of
+    an n-subset, with e the unit normal of its centers' hyperplane,
+    sum_k lam_k = +-<e, u> / rho_S instead.
     """
-    m = X.shape[0]
-    idx = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-    i, j, l = idx.T
-    a2, a3 = X[j] - X[i], X[l] - X[i]
-    g22 = np.einsum("pn,pn->p", a2, a2)
-    g23 = np.einsum("pn,pn->p", a2, a3)
-    g33 = np.einsum("pn,pn->p", a3, a3)
-    detg = g22 * g33 - g23 * g23
-    b2 = 0.5 * (r[i] ** 2 + g22 - r[j] ** 2)
-    b3 = 0.5 * (r[i] ** 2 + g33 - r[l] ** 2)
-    detg_safe = np.where(detg >= 1e-18, detg, 1.0)
-    xi0 = ((g33 * b2 - g23 * b3) / detg_safe)[:, None] * a2 + (
-        (g22 * b3 - g23 * b2) / detg_safe
-    )[:, None] * a3
-    rho2 = r[i] ** 2 - np.einsum("pn,pn->p", xi0, xi0)
-    v = _cross(a2, a3)
-    ok = (detg >= 1e-18) & (rho2 > 0.0)
-    idx, i, a2, a3, xi0, rho2, v = (w[ok] for w in (idx, i, a2, a3, xi0, rho2, v))
-    off = (np.sqrt(rho2) / np.linalg.norm(v, axis=1))[:, None] * v
-    xi = np.stack([xi0 + off, xi0 - off], axis=1)  # (p, 2, 3): y - x_i
-    # columns c1, c2, c3 = y - x_i, y - x_j, y - x_l; the rows of the inverse are
-    # (c2 x c3, c3 x c1, c1 x c2) / det
-    c1, c2, c3 = xi, xi - a2[:, None, :], xi - a3[:, None, :]
-    rows = np.stack([_cross(c2, c3), _cross(c3, c1), _cross(c1, c2)], axis=2)
-    det = np.einsum("pqn,pqn->pq", c1, rows[:, :, 0])
-    rows = rows / np.where(det != 0.0, det, np.nan)[:, :, None, None]
-    points = (X[i][:, None, :] + xi).reshape(-1, 3)
-    idx = np.repeat(idx, 2, axis=0)
-    ginv = rows.reshape(-1, 3, 3)
-    d = np.linalg.norm(points[:, None, :] - X[None, :, :], axis=2)
-    keep = np.all(d <= r[None, :] + FEAS_PAD, axis=1) & np.all(np.isfinite(ginv), axis=(1, 2))
-    return LeafSkeleton(points[keep], idx[keep], ginv[keep])
+    m, n = X.shape
+    idx, _ = padded_subsets(m, n)
+    idx = idx[1:]  # the empty subset has no sphere
+    real = idx >= 0
+    size = real.sum(axis=1)
+    first = idx[:, 0]
+    A = np.where(real[:, 1:, None], X[idx[:, 1:]] - X[first][:, None, :], 0.0)
+    beta = 0.5 * (r[first, None] ** 2 + np.einsum("ckn,ckn->ck", A, A) - r[idx[:, 1:]] ** 2)
+    beta = np.where(real[:, 1:], beta, 0.0)
+    gram = A @ A.transpose(0, 2, 1) + np.eye(n - 1) * ~real[:, None, 1:]
+    # affinely dependent centers: no sphere of their own
+    ok = np.linalg.det(gram) > 1e-12 * gram.diagonal(axis1=1, axis2=2).prod(axis=1)
+    gram[~ok] = np.eye(n - 1)
+    xi0 = np.einsum("ck,ckn->cn", np.linalg.solve(gram, beta[:, :, None])[:, :, 0], A)
+    rho2 = r[first] ** 2 - np.einsum("cn,cn->c", xi0, xi0)
+    ok &= (size == 1) | (rho2 > 0.0)
+    idx, real, size, A, gram, rho2 = (v[ok] for v in (idx, real, size, A, gram, rho2))
+    center = X[idx[:, 0]] + xi0[ok]
+    rho = np.sqrt(rho2)
+    proj = np.eye(n) - A.transpose(0, 2, 1) @ np.linalg.solve(gram, A)
+    # least squares for lam: [D; 1^T] lam = [(I - P_S) u; |P_S u| / rho_S], D's rows c_S - x_k
+    D = np.where(real[:, :, None], center[:, None, :] - X[idx], 0.0)
+    M = D @ D.transpose(0, 2, 1) + (real[:, :, None] & real[:, None, :]) + np.eye(n) * ~real[:, None, :]
+    inv = np.linalg.inv(M)
+    lin = inv @ D
+    weight = (inv @ real[:, :, None])[:, :, 0]
+    norm = np.divide(weight, rho[:, None], out=np.zeros(real.shape), where=rho[:, None] > 0)
+
+    moving = size < n
+    diff = center[moving][:, None, :] - X[None, :, :]
+    lift = 2.0 * rho[moving][:, None, None] * (diff @ proj[moving])
+    room = (r + FEAS_PAD) ** 2 - np.einsum("qmn,qmn->qm", diff, diff) - rho2[moving][:, None]
+
+    # n-subsets: the points c_S +- rho_S e, where P_S = e e^T, each with lam = G u
+    vertex = ~moving
+    P = proj[vertex]
+    rows, j = np.arange(P.shape[0]), P.diagonal(axis1=1, axis2=2).argmax(axis=1)
+    e = P[rows, j] / np.sqrt(P[rows, j, j])[:, None]
+    sign = np.array([1.0, -1.0])[None, :, None]
+    points = (center[vertex][:, None, :] + sign * (rho[vertex][:, None] * e)[:, None, :]).reshape(-1, n)
+    turn = sign[..., None] * (norm[vertex][:, :, None] * e[:, None, :])[:, None]
+    ginv = (lin[vertex][:, None] + turn).reshape(-1, n, n)
+    keep = np.all(np.linalg.norm(points[:, None, :] - X[None, :, :], axis=2) <= r + FEAS_PAD, axis=1)
+    table = SubsetTable(
+        np.concatenate([center[moving], points[keep]]),
+        rho[moving],
+        proj[moving],
+        np.concatenate([lin[moving], ginv[keep]]),
+        norm[moving],
+        lift,
+        room,
+        np.concatenate([idx[moving], np.repeat(idx[vertex], 2, axis=0)[keep]]),
+    )
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def _circle_candidates(X, r, U, sq_dist):
-    """Optimum of <u, y> on each two-sphere circle (3-d), per direction.
+def _subset_optimum(table: SubsetTable, U: np.ndarray):
+    """Per direction, the first table row of largest value whose point and multipliers are valid.
 
-    `sq_dist` holds the squared center distances |x_i - x_j|^2.  Returns
-    values (k, q) with -inf where the candidate is infeasible or its
-    multipliers are negative, points (k, q, n), multipliers (k, q, 2) and
-    the pairs (q, 2).
+    Returns found (some row is valid), and the winner's point y (k, n),
+    multipliers (k, n) and constraint indices (k, n).  Per-row products keep
+    the directions on the last axis, so the reductions run over whole rows.
     """
-    k = U.shape[0]
-    i, j = np.triu_indices(X.shape[0], 1)
-    ok, a, aa, beta, rho2, g12, det = _pair_circles(X, r, i, j)
-    i, j = i[ok], j[ok]
-    vals = np.full((k, i.size), -np.inf)
-    ys = np.zeros((k, i.size, X.shape[1]))
-    lams = np.zeros((k, i.size, 2))
-    bound2 = (r + FEAS_PAD) ** 2
-    for q in range(i.size):
-        ii, jj, aq = i[q], j[q], a[q]
-        ua = U @ aq
-        w = U - (ua / aa[q])[:, None] * aq[None, :]
-        nw = np.linalg.norm(w, axis=1)
-        okw = nw > 1e-12
-        xi = (beta[q] / aa[q]) * aq + np.sqrt(rho2[q]) * w / np.where(okw, nw, 1.0)[:, None]
-        b1 = np.einsum("kn,kn->k", xi, U)
-        b2 = b1 - ua
-        lam1 = (r[jj] ** 2 * b1 - g12[q] * b2) / det[q]
-        lam2 = (r[ii] ** 2 * b2 - g12[q] * b1) / det[q]
-        # |y - x_l|^2 with y = x_i + xi, expanded to avoid a (k, m, n) difference
-        d2 = sq_dist[ii][None, :] + 2.0 * xi @ (X[ii][None, :] - X).T
-        d2 += np.einsum("kn,kn->k", xi, xi)[:, None]
-        y = X[ii][None, :] + xi
-        valid = okw & (lam1 >= -LAMBDA_PAD) & (lam2 >= -LAMBDA_PAD)
-        valid &= np.all(d2 <= bound2[None, :], axis=1)
-        vals[valid, q] = np.einsum("kn,kn->k", U, y)[valid]
-        ys[:, q] = y
-        lams[:, q, 0], lams[:, q, 1] = lam1, lam2
-    return vals, ys, lams, np.stack([i, j], axis=1)
+    k, n = U.shape
+    q = table.radius.size
+    UT = U.T
+    PU = (table.proj.reshape(-1, n) @ UT).reshape(q, n, k)
+    npu = np.sqrt(np.einsum("qnk,qnk->qk", PU, PU))
+    lam = (table.lin.reshape(-1, n) @ UT).reshape(-1, n, k)
+    lam[:q] += table.norm[:, :, None] * npu[:, None, :]
+    vals = table.center @ UT
+    vals[:q] += table.radius[:, None] * npu
+    valid = lam.min(axis=1) >= -LAMBDA_PAD
+    # a moving point leaves ball j where <lift_j, u> > room_j |P_S u|
+    reach = (table.lift.reshape(-1, n) @ UT).reshape(q, -1, k)
+    valid[:q] &= (npu > 1e-12) & np.all(reach <= table.room[:, :, None] * npu[:, None, :], axis=1)
+    vals[~valid] = -np.inf
+    win = np.argmax(vals, axis=0)  # first maximum: the earliest row wins ties
+    cols = np.arange(k)
+    y = table.center[win]
+    move = np.flatnonzero(win < q)
+    w = win[move]
+    y[move] += (table.radius[w] / npu[w, move])[:, None] * PU[w, :, move]
+    return np.isfinite(vals[win, cols]), y, lam[win, :, cols], table.idx[win]
 
 
 def _enumerate_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
-    """Certified values by enumeration (3-d); NaN where no candidate certifies.
-
-    Candidates are, in order: single-ball tangencies, two-sphere circles,
-    skeleton points.  The winner per direction is the first candidate of
-    largest value with valid multipliers and a feasible point.
-    """
+    """Certified values from the leaf's subset table; NaN where no candidate certifies."""
     X, r = leaf.centers, leaf.radii
-    m, n = X.shape
-    k = U.shape[0]
-    skel = leaf.skeleton if leaf.skeleton is not None else _build_skeleton(X, r)
-
-    ux = U @ X.T
-    single_ub = ux + r[None, :]  # the tangency values, also a valid upper bound per ball
-    # |x_i + r_i u - x_j|^2 <= (r_j + pad)^2 for every j: tangency i is feasible
-    diff = X[:, None, :] - X[None, :, :]
-    sq_dist = np.einsum("ijn,ijn->ij", diff, diff)
-    d2 = sq_dist[None, :, :] + 2.0 * r[None, :, None] * (ux[:, :, None] - ux[:, None, :])
-    d2 += (r**2)[None, :, None] * np.einsum("kn,kn->k", U, U)[:, None, None]
-    feas = np.all(d2 <= ((r + FEAS_PAD) ** 2)[None, None, :], axis=2)
-    circ_vals, circ_y, circ_lam, circ_pairs = _circle_candidates(X, r, U, sq_dist)
-    n_circ = circ_vals.shape[1]
-    skel_lam = (U @ skel.ginv.reshape(-1, n).T).reshape(k, -1, 3)
-    skel_ok = np.all(skel_lam >= -LAMBDA_PAD, axis=2)
-    skel_vals = np.where(skel_ok, U @ skel.points.T, -np.inf)
-    cand = np.concatenate([np.where(feas, single_ub, -np.inf), circ_vals, skel_vals], axis=1)
-    win = np.argmax(cand, axis=1)  # first maximum: the earliest candidate wins ties
-    found = np.isfinite(cand[np.arange(k), win])
-
-    best_y = np.zeros((k, n))
-    best_lam = np.zeros((k, 3))
-    best_idx = np.full((k, 3), -1, dtype=np.intp)
-    sel = win < m
-    i = win[sel]
-    best_y[sel] = X[i] + r[i][:, None] * U[sel]
-    best_lam[sel, 0] = np.divide(1.0, r[i], out=np.zeros(i.size), where=r[i] > 0)
-    best_idx[sel, 0] = i
-    sel = (win >= m) & (win < m + n_circ)
-    rows, q = np.flatnonzero(sel), win[sel] - m
-    best_y[sel] = circ_y[rows, q]
-    best_lam[sel, :2] = circ_lam[rows, q]
-    best_idx[sel, :2] = circ_pairs[q]
-    sel = win >= m + n_circ
-    rows, s = np.flatnonzero(sel), win[sel] - m - n_circ
-    best_y[sel] = skel.points[s]
-    best_lam[sel] = skel_lam[rows, s]
-    best_idx[sel] = skel.idx[s]
-
-    values = _certify(leaf, U, best_y, best_lam, best_idx, np.min(single_ub, axis=1), tol)
+    found, y, lam, idx = _subset_optimum(leaf.subsets, U)
+    values = _certify(leaf, U, y, lam, idx, np.min(U @ X.T + r[None, :], axis=1), tol)
     return np.where(found, values, np.nan)
 
 
 # ---------------------------------------------------------------------------
-# guided active-set loop (general n, large m, or enumeration fallout)
+# guided active-set loop (large m, or table fallout)
 # ---------------------------------------------------------------------------
 
 
-def _subset_candidates_general(X, r, u, subset):
-    """Exact optimum candidates for an all-tight constraint subset (any n)."""
-    i0 = subset[0]
-    rest = subset[1:]
-    if not rest:
-        y = X[i0] + r[i0] * u
-        lam = np.array([1.0 / r[i0]]) if r[i0] > 0 else np.array([0.0])
-        return [(y, lam)]
-    A = X[rest] - X[i0]
-    beta = 0.5 * (r[i0] ** 2 + np.einsum("ij,ij->i", A, A) - r[rest] ** 2)
-    xi0, *_ = np.linalg.lstsq(A, beta, rcond=None)
-    if np.linalg.norm(A @ xi0 - beta) > 1e-9 * (1.0 + np.linalg.norm(beta)):
-        return []
-    rho2 = r[i0] ** 2 - float(xi0 @ xi0)
-    if rho2 <= 0.0:
-        return []
-    _, sv, vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0))) if sv.size else 0
-    null = vt[rank:]  # rows span the tangent directions
-    out = []
-    rho = np.sqrt(rho2)
-    if null.shape[0] == 0:
-        candidates = [xi0]
-    else:
-        q = null @ u
-        nq = np.linalg.norm(q)
-        if nq <= 1e-14:
-            candidates = [xi0]
-        else:
-            candidates = [xi0 + rho * (null.T @ (q / nq))]
-    for xi in candidates:
-        y = X[i0] + xi
-        grads = (y[None, :] - X[subset]).T  # (n, s)
-        lam, *_ = np.linalg.lstsq(grads, u, rcond=None)
-        if np.linalg.norm(grads @ lam - u) > 1e-8:
-            continue
-        if np.any(lam < -LAMBDA_PAD):
-            continue
-        out.append((y, lam))
-    return out
+@functools.lru_cache(maxsize=256)
+def _working_table(leaf: LeafGeometry, active: tuple[int, ...]) -> SubsetTable:
+    """The subset table of the working set's sub-leaf; working sets recur across directions."""
+    sub = list(active)
+    return _build_subsets(leaf.centers[sub], leaf.radii[sub])
 
 
-def _active_set_optimum(X, r, u, active):
-    """Best KKT candidate over the working set: exact optimum of that subproblem."""
-    n = X.shape[1]
-    best = None
-    max_size = min(n, len(active))
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(active, size):
-            for y, lam in _subset_candidates_general(X, r, u, list(subset)):
-                d = np.linalg.norm(y[None, :] - X[list(active)], axis=1)
-                if np.any(d > r[list(active)] + FEAS_PAD):
-                    continue
-                val = float(u @ y)
-                if best is None or val > best[0]:
-                    best = (val, y, np.asarray(lam), list(subset))
-    return best
+def _active_set_optimum(leaf: LeafGeometry, u, active):
+    """Best KKT candidate over the working set: the optimum of that sub-leaf, from its subset table."""
+    found, y, lam, idx = _subset_optimum(_working_table(leaf, tuple(active)), u[None, :])
+    if not found[0]:
+        return None
+    tight = idx[0] >= 0
+    return y[0], lam[0][tight], [active[i] for i in idx[0][tight]]
 
 
 def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
@@ -581,7 +510,7 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
     active = [int(np.argmin(single_ub))]
     gap = np.inf  # stays infinite unless a feasible candidate gets certified bounds
     for _ in range(80):
-        found = _active_set_optimum(X, r, u, active)
+        found = _active_set_optimum(leaf, u, active)
         if found is None:
             # widen the working set with the next-best single bound
             order = np.argsort(single_ub)
@@ -592,7 +521,7 @@ def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
             else:
                 break
             continue
-        val, y, lam, subset = found
+        y, lam, subset = found
         d = np.linalg.norm(y[None, :] - X, axis=1) - r
         j = int(np.argmax(d))
         viol = float(d[j])
@@ -639,9 +568,9 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
     if leaf.point_like:
         return U @ leaf.interior
 
-    if n == 2 and leaf.arcs is not None:
+    if leaf.arcs is not None:
         values = _arc_support(leaf, U, tol)
-    elif _enumerates(m, n):
+    elif leaf.subsets is not None:
         values = _enumerate_support(leaf, U, tol)
     else:
         values = np.full(U.shape[0], np.nan)

@@ -35,8 +35,7 @@ def default_mesh(dim: int) -> float:
 
 def _norm_bound(body: BallBodyExpr) -> float:
     if isinstance(body, Generators):
-        radii = body.radii if body.radii is not None else np.ones(body.centers.shape[0])
-        return float(np.min(np.linalg.norm(body.centers, axis=1) + radii))
+        return float(np.min(np.linalg.norm(body.centers, axis=1) + body.leaf.radii))
     if isinstance(body, CDual):
         return 1.0 + _norm_bound(body.of)
     if isinstance(body, Combine):
@@ -74,8 +73,8 @@ class SupportEval:
             raise ValueError("tolerance must be positive")
         if self.norm_bound is None:
             self.norm_bound = _norm_bound(self.body)
-        # holding each net keeps its id from being reused by another net
-        self._net_cache: dict[int, tuple[SphereNet, np.ndarray]] = {}
+        # nets hash by identity, and a held key keeps its net alive
+        self._net_cache: dict[SphereNet, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -92,11 +91,9 @@ class SupportEval:
 
     def on_net(self, net: SphereNet) -> np.ndarray:
         """Support sweep over a net, memoized per net object (pure, transparent)."""
-        cached = self._net_cache.get(id(net))
-        if cached is None or cached[0] is not net:
-            cached = (net, self.batch(net.directions))
-            self._net_cache[id(net)] = cached
-        return cached[1]
+        if net not in self._net_cache:
+            self._net_cache[net] = self.batch(net.directions)
+        return self._net_cache[net]
 
 
 def support_value(eval_or_body, u, tol: float = DEFAULT_TOL) -> float:
@@ -130,6 +127,18 @@ class HausdorffResult(NamedTuple):
         return max(self.value - self.lower_slack, 0.0)
 
 
+def net_error_bound(mesh: float, norm_bounds, tols) -> float:
+    """How far the sup over the sphere of a support difference can exceed its max over a net.
+
+    Each support function is Lipschitz with its body's norm bound, so
+    within the covering radius `mesh` of the net the difference moves by at
+    most 2 max(norm_bounds) mesh; the oracle tolerances add 2 sum(tols).
+    Every net error bound and every vacuity gate built on one comes from
+    here.
+    """
+    return 2.0 * max(norm_bounds) * mesh + 2.0 * sum(tols)
+
+
 def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult:
     """Hausdorff distance via the sup-norm of support differences on a net.
 
@@ -144,7 +153,7 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
     hk = ek.on_net(net)
     ht = et.on_net(net)
     value = float(np.max(np.abs(hk - ht)))
-    error = 2.0 * max(ek.norm_bound, et.norm_bound) * net.mesh + 2.0 * (ek.tol + et.tol)
+    error = net_error_bound(net.mesh, (ek.norm_bound, et.norm_bound), (ek.tol, et.tol))
     return HausdorffResult(value, error, 2.0 * (ek.tol + et.tol))
 
 
@@ -205,8 +214,7 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
     margin = float(np.min(h - net.directions @ y))
     body = ev.body
     if isinstance(body, Generators):
-        radii = body.radii if body.radii is not None else 1.0
-        inside = bool(np.all(np.linalg.norm(y - body.centers, axis=1) <= radii + 1e-12))
+        inside = bool(np.all(np.linalg.norm(y - body.centers, axis=1) <= body.leaf.radii + 1e-12))
     else:
         inside = margin >= -ev.tol
     return ContainsResult(inside, margin)
@@ -257,29 +265,35 @@ def farthest_distance_batch(
 ) -> np.ndarray:
     """Planar farthest-point distances from many probe points at once.
 
-    Runs one coarse sweep plus a vectorized golden-section refinement of the
-    maximizing angle per probe (the support difference is locally unimodal
-    on the circle for these bodies).  The bracket spans 1.1 angular steps of
-    the net on each side of the coarse maximizer.
+    Runs one coarse sweep, then a vectorized golden-section refinement of
+    the angle around every cyclic local maximum of the coarse values that
+    could reach the best one: within a step of the net, h(u) - <x, u> rises
+    by at most (norm bound + |x|) times the step.  Each bracket spans 1.1
+    angular steps of the net on each side of its local maximum (the support
+    difference is locally unimodal on the circle for these bodies).
     """
     ev = as_eval(K, tol)
     if ev.dim != 2:
         raise ValueError("batched refinement is planar only")
     xs = np.asarray(xs, dtype=float)
-    h = ev.on_net(net)
-    coarse_vals = h[None, :] - xs @ net.directions.T
-    best = np.max(coarse_vals, axis=1)
-    idx = np.argmax(coarse_vals, axis=1)
-    theta0 = np.arctan2(net.directions[idx, 1], net.directions[idx, 0])
-    width = 1.1 * 2.0 * np.pi / len(net)
+    angle = np.arctan2(net.directions[:, 1], net.directions[:, 0])
+    order = np.argsort(angle)
+    coarse = (ev.on_net(net)[None, :] - xs @ net.directions.T)[:, order]
+    best = np.max(coarse, axis=1)
+    step = 2.0 * np.pi / len(net)
+    lift = (ev.norm_bound + np.linalg.norm(xs, axis=1)) * step
+    peak = (coarse >= np.roll(coarse, 1, axis=1)) & (coarse >= np.roll(coarse, -1, axis=1))
+    probe, i = np.nonzero(peak & (coarse + lift[:, None] >= best[:, None]))
+    theta0 = angle[order][i]
+    x = xs[probe]
 
     def phi(theta):
         u = np.column_stack([np.cos(theta), np.sin(theta)])
-        return ev.batch(u) - np.einsum("kn,kn->k", u, xs)
+        return ev.batch(u) - np.einsum("kn,kn->k", u, x)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = theta0 - width
-    b = theta0 + width
+    a = theta0 - 1.1 * step
+    b = theta0 + 1.1 * step
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = phi(c1), phi(c2)
@@ -294,7 +308,8 @@ def farthest_distance_batch(
         f1 = np.where(right, f2, f_new)
         c2 = np.where(right, theta_new, c1_old)
         f2 = np.where(right, f_new, f1_old)
-    return np.maximum(best, np.maximum(f1, f2))
+    np.maximum.at(best, probe, np.maximum(f1, f2))
+    return best
 
 
 def reconstruct(distances, net: SphereNet, tol: float = DEFAULT_TOL) -> SupportEval:

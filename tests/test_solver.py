@@ -114,6 +114,25 @@ def test_varied_radii_match_slsqp():
         assert v == pytest.approx(oracle, abs=5e-7)
 
 
+def plane_vertex_support(centers, radii, u) -> float:
+    """Exact oracle in the plane: the best of every feasible tangency x_i + r_i u
+    and every feasible common point of two circles (where a linear function
+    peaks on a ball polygon)."""
+    X, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    i, j = np.triu_indices(len(X), 1)
+    a = X[j] - X[i]
+    d = np.linalg.norm(a, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = (r[i] ** 2 + d**2 - r[j] ** 2) / (2.0 * d)
+        across = np.sqrt(r[i] ** 2 - along**2)
+        perp = np.column_stack([-a[:, 1], a[:, 0]])
+        points = [X[i] + (along[:, None] * a + sign * across[:, None] * perp) / d[:, None] for sign in (1.0, -1.0)]
+    points = np.vstack([X + r[:, None] * u, *points])
+    points = points[np.all(np.isfinite(points), axis=1)]
+    feasible = np.all(np.linalg.norm(points[:, None, :] - X[None], axis=2) <= r + 1e-9, axis=1)
+    return float(np.max(points[feasible] @ u))
+
+
 def test_many_balls_guided_path():
     # 81 balls of general radii, many of them redundant: the arc table keeps
     # only the balls that own an arc of the boundary
@@ -124,7 +143,7 @@ def test_many_balls_guided_path():
     dirs = unit_dirs(2, 8, 9)
     vals = support_batch(leaf, dirs, tol=1e-8)
     for u, v in zip(dirs, vals):
-        oracle = slsqp_support(grid, radii, u)
+        oracle = plane_vertex_support(grid, radii, u)
         assert v == pytest.approx(oracle, abs=1e-6)
 
 
@@ -229,8 +248,9 @@ def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
     assert np.all(excess >= -DEFAULT_TOL) and np.all(excess <= 1e-5)
 
 
-def test_four_dimensional_leaves_certify_on_a_whole_net():
-    # a vertex optimum in R^4 has 4 tight balls; the certificate needs all of them
+def test_four_dimensional_leaves_certify_on_a_whole_net(monkeypatch):
+    # a vertex optimum in R^4 has 4 tight balls; the certificate needs all of
+    # them, and the subset table alone certifies every direction
     from ballbodies.geometry import make_sphere_net
 
     net = make_sphere_net(4, 0.5)
@@ -238,7 +258,11 @@ def test_four_dimensional_leaves_certify_on_a_whole_net():
     rng = np.random.default_rng(7)
     for m in (4, 4, 5, 5, 6, 6):
         centers = rng.uniform(-0.4, 0.4, size=(m, 4))
-        vals = support_batch(prepare_leaf(centers), net.directions)
+        leaf = prepare_leaf(centers)
+        assert_table_is_kkt_data(leaf)
+        with monkeypatch.context() as patch:
+            refuse_fallback(patch)
+            vals = support_batch(leaf, net.directions)
         for i in rng.choice(len(net), size=4, replace=False):
             u = net.directions[i]
             assert vals[i] == pytest.approx(slsqp_support(centers, np.ones(m), u), abs=1e-6)
@@ -272,7 +296,7 @@ def test_deterministic_values():
 
 
 # ---------------------------------------------------------------------------
-# the leaf skeleton against per-call enumeration of every pair and triple
+# the leaf's table against per-call enumeration of every pair and triple
 # ---------------------------------------------------------------------------
 
 
@@ -364,19 +388,21 @@ def reference_enumerate_support(leaf, U, tol):
     return values
 
 
-def assert_skeleton_is_kkt_data(leaf):
-    """Table points are feasible, tight on their subset, and G inverts the gradients.
+def assert_table_is_kkt_data(leaf):
+    """Table points are feasible, tight on their subset, and their multipliers solve u = sum lam_k (y - x_k).
 
-    In 3-d the table is the skeleton of triple points; in 2-d it is the arc
-    table, whose vertices are checked so, and whose arcs are the tangencies
-    of their balls.
+    In 2-d the table is the arc table, whose vertices are checked so, and
+    whose arcs are the tangencies of their balls.  For n >= 3 it is the
+    subset table: its rows run by size, then lexicographically; a row of
+    fewer than n balls gives, per direction, a point on all of its spheres
+    from its projector, and each n-subset point is checked as a vertex.
     """
     X, r = leaf.centers, leaf.radii
     n = X.shape[1]
     u = unit_dirs(n, 5, 0)
     if n == 2:
         arcs = leaf.arcs
-        assert arcs is not None and leaf.skeleton is None
+        assert arcs is not None and leaf.subsets is None
         assert np.all(np.diff(arcs.breaks) >= 0.0)
         assert arcs.breaks[-1] <= arcs.breaks[0] + 2 * math.pi
         owner = arcs.idx[0::2, 0]
@@ -391,9 +417,24 @@ def assert_skeleton_is_kkt_data(leaf):
         points, idx, ginv = arcs.base[1::2][vertex], arcs.idx[1::2][vertex], arcs.ginv[1::2][vertex]
         assert np.all(arcs.scale[1::2][vertex] == 0.0) and np.all(arcs.lam0[1::2][vertex] == 0.0)
     else:
-        sk = leaf.skeleton
-        assert sk is not None
-        points, idx, ginv = sk
+        table = leaf.subsets
+        assert table is not None and leaf.arcs is None
+        keys = [(int((row >= 0).sum()), tuple(row)) for row in table.idx]
+        assert keys == sorted(keys)
+        q = table.radius.size
+        assert all(size < n for size, _ in keys[:q]) and all(size == n for size, _ in keys[q:])
+        np.testing.assert_array_equal(table.idx[: leaf.m, 0], np.arange(leaf.m))  # every ball is a row
+        np.testing.assert_array_equal(table.radius[: leaf.m], r)
+        for c, rho, P, lin, norm, row in zip(table.center, table.radius, table.proj, table.lin, table.norm, table.idx):
+            tight = row[row >= 0]
+            np.testing.assert_allclose(P @ P, P, atol=1e-12)
+            np.testing.assert_allclose(P @ (X[tight] - X[tight[0]]).T, 0.0, atol=1e-12)
+            for w in u:
+                y = c + rho * (P @ w) / np.linalg.norm(P @ w)
+                np.testing.assert_allclose(np.linalg.norm(y - X[tight], axis=1), r[tight], atol=1e-12)
+                lam = lin @ w + norm * np.linalg.norm(P @ w)
+                np.testing.assert_allclose((y[None, :] - X[tight]).T @ lam[: tight.size], w, atol=1e-9)
+        points, idx, ginv = table.center[q:], table.idx[q:], table.lin[q:]
     for y, idx, ginv in zip(points, idx, ginv):
         assert np.all(np.linalg.norm(y - X, axis=1) <= r + FEAS_PAD)
         tight = idx[idx >= 0]
@@ -439,7 +480,7 @@ def test_skeleton_matches_per_call_enumeration(dim, radii):
             else:
                 centers = rng.uniform(-1.0, 1.0, size=(m, dim))
                 leaf = prepare_leaf(centers, rng.uniform(1.2, 2.5, size=m))
-            assert_skeleton_is_kkt_data(leaf)
+            assert_table_is_kkt_data(leaf)
             assert_matches_reference(leaf, unit_dirs(dim, 400, m))
             checked += 1
     assert checked == 3 * len(sizes)
@@ -470,10 +511,10 @@ def test_skeleton_with_coincident_tangent_and_concurrent_spheres(dim):
     dirs = unit_dirs(dim, 300, 7)
     (coincident, _), tangent, (concurrent, _), cone = degenerate_leaves(dim)
     leaf = prepare_leaf(coincident)
-    assert_skeleton_is_kkt_data(leaf)
+    assert_table_is_kkt_data(leaf)
     assert_matches_reference(leaf, dirs)
     leaf = prepare_leaf(*tangent)
-    assert_skeleton_is_kkt_data(leaf)
+    assert_table_is_kkt_data(leaf)
     if dim == 2:
         # balls 1 and 2 own no arc; balls 0 and 3 meet in two vertices
         assert set(leaf.arcs.idx[0::2, 0]) == {0, 3}
@@ -482,7 +523,7 @@ def test_skeleton_with_coincident_tangent_and_concurrent_spheres(dim):
     # at the common point only the multiplier check keeps a subset with
     # negative multipliers from winning the tie
     leaf = prepare_leaf(concurrent)
-    assert_skeleton_is_kkt_data(leaf)
+    assert_table_is_kkt_data(leaf)
     assert_matches_reference(leaf, np.vstack([cone, dirs]))
 
 
@@ -492,32 +533,28 @@ def test_skeleton_on_directions_parallel_to_a_pair_axis(dim):
     for m in (2, 3, 5):
         centers = rng.uniform(-0.5, 0.5, size=(m, dim))
         leaf = prepare_leaf(centers)
-        assert_skeleton_is_kkt_data(leaf)
+        assert_table_is_kkt_data(leaf)
         axes = [centers[j] - centers[i] for i, j in itertools.combinations(range(m), 2)]
         axes = np.array(axes) / np.linalg.norm(axes, axis=1, keepdims=True)
         dirs = np.vstack([axes, -axes, unit_dirs(dim, 50, m)])
         assert_matches_reference(leaf, dirs)
 
 
-def test_enumeration_limit_is_read_when_evaluating(monkeypatch):
+def test_enumeration_limit_is_read_at_preparation(monkeypatch):
     rng = np.random.default_rng(3)
     rng.uniform(-0.4, 0.4, size=(5, 2))  # the leaf of the 2-d test below
     centers = rng.uniform(-0.4, 0.4, size=(5, 3))
     dirs = unit_dirs(3, 40, 3)
-    expected = support_batch(prepare_leaf(centers), dirs)
+    leaf = prepare_leaf(centers)  # default limit: a subset table
+    expected = support_batch(leaf, dirs)
 
-    leaf = prepare_leaf(centers)  # default limit: enumerated, with a skeleton
-    assert leaf.skeleton is not None
     monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
-    fallback = support_batch(leaf, dirs)  # past the limit now: active-set loop
-
-    leaf = prepare_leaf(centers)  # prepared past the limit: no skeleton
-    assert leaf.skeleton is None
-    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 8)
-    enumerated = support_batch(leaf, dirs)
-
-    assert np.max(np.abs(fallback - expected)) <= DEFAULT_TOL
-    assert np.max(np.abs(enumerated - expected)) <= DEFAULT_TOL
+    fallback = prepare_leaf(centers)  # prepared past the limit: no table, active-set loop
+    assert leaf.subsets is not None and fallback.subsets is None
+    assert np.max(np.abs(support_batch(fallback, dirs) - expected)) <= DEFAULT_TOL
+    # a leaf keeps the path it was prepared with, whatever the limit is now
+    refuse_fallback(monkeypatch)
+    np.testing.assert_array_equal(support_batch(leaf, dirs), expected)
 
 
 def refuse_fallback(monkeypatch):
@@ -602,7 +639,7 @@ def test_prepared_leaf_is_read_only_and_leaves_the_callers_arrays_alone(dim):
     centers = rng.uniform(-0.4, 0.4, size=(4, dim))
     radii = rng.uniform(1.0, 1.5, size=4)
     leaf = prepare_leaf(centers, radii)
-    table = leaf.arcs if dim == 2 else leaf.skeleton
+    table = leaf.arcs if dim == 2 else leaf.subsets
     for array in (leaf.centers, leaf.radii, leaf.interior, *table):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0

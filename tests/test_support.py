@@ -390,9 +390,12 @@ def _dense_farthest(ev, x, count=20000):
 def test_farthest_distance_batch_matches_dense_sweep(mesh):
     net = make_sphere_net(2, mesh)
     rng = np.random.default_rng(31)
-    for _ in range(4):
-        ev = SupportEval(random_body(rng))
-        xs = rng.uniform(-2.0, 2.0, (6, 2))
+    cases = [(SupportEval(random_body(rng)), rng.uniform(-2.0, 2.0, (6, 2))) for _ in range(4)]
+    # two near-tied local maxima: the coarse maximizer of the default net
+    # brackets the lower one, 6.8e-6 below the farthest distance
+    lens = Generators(np.array([[-0.640734985704592, 0.06899873812121052], [-0.487602554119013, 0.271330182868868]]))
+    cases.append((SupportEval(c_dual(lens)), np.array([[-1.0, 0.5]])))
+    for ev, xs in cases:
         got = farthest_distance_batch(ev, xs, net)
         ref = np.array([_dense_farthest(ev, x) for x in xs])
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
