@@ -388,28 +388,28 @@ def _build_subsets(X: np.ndarray, r: np.ndarray) -> SubsetTable:
     sum_k lam_k = +-<e, u> / rho_S instead.
     """
     m, n = X.shape
-    idx, _ = padded_subsets(m, n)
-    idx = idx[1:]  # the empty subset has no sphere
+    idx, pad = padded_subsets(m, n)
+    idx, pad = idx[1:], pad[1:]  # the empty subset has no sphere
     real = idx >= 0
     size = real.sum(axis=1)
     first = idx[:, 0]
     A = np.where(real[:, 1:, None], X[idx[:, 1:]] - X[first][:, None, :], 0.0)
     beta = 0.5 * (r[first, None] ** 2 + np.einsum("ckn,ckn->ck", A, A) - r[idx[:, 1:]] ** 2)
     beta = np.where(real[:, 1:], beta, 0.0)
-    gram = A @ A.transpose(0, 2, 1) + np.eye(n - 1) * ~real[:, None, 1:]
+    gram = A @ A.transpose(0, 2, 1) + pad[:, 1:, 1:]
     # affinely dependent centers: no sphere of their own
     ok = np.linalg.det(gram) > 1e-12 * gram.diagonal(axis1=1, axis2=2).prod(axis=1)
     gram[~ok] = np.eye(n - 1)
     xi0 = np.einsum("ck,ckn->cn", np.linalg.solve(gram, beta[:, :, None])[:, :, 0], A)
     rho2 = r[first] ** 2 - np.einsum("cn,cn->c", xi0, xi0)
     ok &= (size == 1) | (rho2 > 0.0)
-    idx, real, size, A, gram, rho2 = (v[ok] for v in (idx, real, size, A, gram, rho2))
+    idx, pad, real, size, A, gram, rho2 = (v[ok] for v in (idx, pad, real, size, A, gram, rho2))
     center = X[idx[:, 0]] + xi0[ok]
     rho = np.sqrt(rho2)
     proj = np.eye(n) - A.transpose(0, 2, 1) @ np.linalg.solve(gram, A)
     # least squares for lam: [D; 1^T] lam = [(I - P_S) u; |P_S u| / rho_S], D's rows c_S - x_k
     D = np.where(real[:, :, None], center[:, None, :] - X[idx], 0.0)
-    M = D @ D.transpose(0, 2, 1) + (real[:, :, None] & real[:, None, :]) + np.eye(n) * ~real[:, None, :]
+    M = D @ D.transpose(0, 2, 1) + (real[:, :, None] & real[:, None, :]) + pad
     inv = np.linalg.inv(M)
     lin = inv @ D
     weight = (inv @ real[:, :, None])[:, :, 0]

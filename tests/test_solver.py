@@ -114,23 +114,33 @@ def test_varied_radii_match_slsqp():
         assert v == pytest.approx(oracle, abs=5e-7)
 
 
+def plane_vertices(centers, radii):
+    """Every common point of two circles that lies in every disk (within 1e-9), with its pair (i, j)."""
+    X, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    i, j = np.triu_indices(len(X), 1)
+    a = X[j] - X[i]
+    d = np.linalg.norm(a, axis=1)
+    along = (r[i] ** 2 + d**2 - r[j] ** 2) / (2.0 * np.where(d > 0.0, d, 1.0))
+    meet = (d > 0.0) & (r[i] ** 2 - along**2 >= 0.0)
+    i, j, a, d, along = i[meet], j[meet], a[meet], d[meet], along[meet]
+    across = np.sqrt(r[i] ** 2 - along**2)
+    perp = np.column_stack([-a[:, 1], a[:, 0]])
+    points = np.vstack(
+        [X[i] + (along[:, None] * a + (sign * across)[:, None] * perp) / d[:, None] for sign in (1.0, -1.0)]
+    )
+    i, j = np.tile(i, 2), np.tile(j, 2)
+    feasible = np.all(np.linalg.norm(points[:, None, :] - X[None], axis=2) <= r + 1e-9, axis=1)
+    return points[feasible], i[feasible], j[feasible]
+
+
 def plane_vertex_support(centers, radii, u) -> float:
     """Exact oracle in the plane: the best of every feasible tangency x_i + r_i u
     and every feasible common point of two circles (where a linear function
     peaks on a ball polygon)."""
     X, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
-    i, j = np.triu_indices(len(X), 1)
-    a = X[j] - X[i]
-    d = np.linalg.norm(a, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        along = (r[i] ** 2 + d**2 - r[j] ** 2) / (2.0 * d)
-        across = np.sqrt(r[i] ** 2 - along**2)
-        perp = np.column_stack([-a[:, 1], a[:, 0]])
-        points = [X[i] + (along[:, None] * a + sign * across[:, None] * perp) / d[:, None] for sign in (1.0, -1.0)]
-    points = np.vstack([X + r[:, None] * u, *points])
-    points = points[np.all(np.isfinite(points), axis=1)]
-    feasible = np.all(np.linalg.norm(points[:, None, :] - X[None], axis=2) <= r + 1e-9, axis=1)
-    return float(np.max(points[feasible] @ u))
+    tangency = X + r[:, None] * u
+    feasible = np.all(np.linalg.norm(tangency[:, None, :] - X[None], axis=2) <= r + 1e-9, axis=1)
+    return float(np.max(np.vstack([tangency[feasible], plane_vertices(X, r)[0]]) @ u))
 
 
 def test_many_balls_guided_path():
@@ -425,7 +435,8 @@ def assert_table_is_kkt_data(leaf):
         assert all(size < n for size, _ in keys[:q]) and all(size == n for size, _ in keys[q:])
         np.testing.assert_array_equal(table.idx[: leaf.m, 0], np.arange(leaf.m))  # every ball is a row
         np.testing.assert_array_equal(table.radius[: leaf.m], r)
-        for c, rho, P, lin, norm, row in zip(table.center, table.radius, table.proj, table.lin, table.norm, table.idx):
+        moving = zip(table.center, table.radius, table.proj, table.lin, table.norm, table.idx)
+        for c, rho, P, lin, norm, row in moving:
             tight = row[row >= 0]
             np.testing.assert_allclose(P @ P, P, atol=1e-12)
             np.testing.assert_allclose(P @ (X[tight] - X[tight[0]]).T, 0.0, atol=1e-12)
@@ -582,21 +593,8 @@ def breakpoint_normals(centers, radii):
     """Outer normals of both circles at every feasible intersection point of two circles."""
     X = np.asarray(centers, dtype=float)
     r = np.ones(len(X)) if radii is None else np.asarray(radii, dtype=float)
-    normals = []
-    for i, j in itertools.combinations(range(len(X)), 2):
-        a = X[j] - X[i]
-        d = np.linalg.norm(a)
-        if d == 0.0:
-            continue
-        along = (r[i] ** 2 + d**2 - r[j] ** 2) / (2.0 * d)
-        if r[i] ** 2 - along**2 < 0.0:
-            continue
-        across = math.sqrt(r[i] ** 2 - along**2)
-        for sign in (1.0, -1.0):
-            v = X[i] + (along * a + sign * across * np.array([-a[1], a[0]])) / d
-            if np.all(np.linalg.norm(v - X, axis=1) <= r + 1e-9):
-                normals += [(v - X[i]) / r[i], (v - X[j]) / r[j]]
-    normals = np.array(normals).reshape(-1, 2)
+    v, i, j = plane_vertices(X, r)
+    normals = np.vstack([(v - X[i]) / r[i, None], (v - X[j]) / r[j, None]])
     return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
