@@ -378,14 +378,18 @@ def _build_subsets(X: np.ndarray, r: np.ndarray) -> SubsetTable:
     """The leaf's subset table (see `SubsetTable`), from one batch over all subsets.
 
     Each subset S is padded to n members, as `geometry.padded_subsets` lists
-    them.  With A the rows x_k - x_first, the sphere's center solves
-    A xi = beta, beta_k = (r_first^2 + |a_k|^2 - r_k^2) / 2, on the span of
-    A, and P_S = I - A^T (A A^T)^-1 A.  The multipliers solve
-    u = sum_k lam_k (y - x_k), which splits into sum_k lam_k (c_S - x_k) =
-    (I - P_S) u and sum_k lam_k = |P_S u| / rho_S; the least-squares solution
-    of that consistent system is exact.  At the two points c_S +- rho_S e of
-    an n-subset, with e the unit normal of its centers' hyperplane,
-    sum_k lam_k = +-<e, u> / rho_S instead.
+    them.  With A the rows x_k - x_first and G = A A^T, the sphere's center
+    is c_S = x_first + gamma A, G gamma = beta, beta_k = (r_first^2 +
+    |a_k|^2 - r_k^2) / 2, so its barycentric weights on S's centers are
+    bary = (1 - sum gamma, gamma); and P_S = I - A^T G^-1 A.  The
+    multipliers solve u = sum_k lam_k (y - x_k), which splits into
+    sum_k lam_k (c_S - x_k) = (I - P_S) u and sum_k lam_k = |P_S u| / rho_S.
+    The first part is met by lam = (1^T G^-1 A u, -G^-1 A u), which sums to
+    0, and adding |P_S u| / rho_S times bary meets the second.  Only G is
+    inverted, so nearly coincident centers get large multipliers, not a
+    singular system.  At the two points c_S +- rho_S e of an n-subset, with
+    e the unit normal of its centers' hyperplane, sum_k lam_k =
+    +-<e, u> / rho_S instead.
     """
     m, n = X.shape
     idx, pad = padded_subsets(m, n)
@@ -400,20 +404,18 @@ def _build_subsets(X: np.ndarray, r: np.ndarray) -> SubsetTable:
     # affinely dependent centers: no sphere of their own
     ok = np.linalg.det(gram) > 1e-12 * gram.diagonal(axis1=1, axis2=2).prod(axis=1)
     gram[~ok] = np.eye(n - 1)
-    xi0 = np.einsum("ck,ckn->cn", np.linalg.solve(gram, beta[:, :, None])[:, :, 0], A)
+    gamma = np.linalg.solve(gram, beta[:, :, None])[:, :, 0]
+    xi0 = np.einsum("ck,ckn->cn", gamma, A)
     rho2 = r[first] ** 2 - np.einsum("cn,cn->c", xi0, xi0)
     ok &= (size == 1) | (rho2 > 0.0)
-    idx, pad, real, size, A, gram, rho2 = (v[ok] for v in (idx, pad, real, size, A, gram, rho2))
-    center = X[idx[:, 0]] + xi0[ok]
+    idx, size, A, gram, gamma, xi0, rho2 = (v[ok] for v in (idx, size, A, gram, gamma, xi0, rho2))
+    center = X[idx[:, 0]] + xi0
     rho = np.sqrt(rho2)
-    proj = np.eye(n) - A.transpose(0, 2, 1) @ np.linalg.solve(gram, A)
-    # least squares for lam: [D; 1^T] lam = [(I - P_S) u; |P_S u| / rho_S], D's rows c_S - x_k
-    D = np.where(real[:, :, None], center[:, None, :] - X[idx], 0.0)
-    M = D @ D.transpose(0, 2, 1) + (real[:, :, None] & real[:, None, :]) + pad
-    inv = np.linalg.inv(M)
-    lin = inv @ D
-    weight = (inv @ real[:, :, None])[:, :, 0]
-    norm = np.divide(weight, rho[:, None], out=np.zeros(real.shape), where=rho[:, None] > 0)
+    solved = np.linalg.solve(gram, A)  # (A A^T)^-1 A
+    proj = np.eye(n) - A.transpose(0, 2, 1) @ solved
+    lin = np.concatenate([solved.sum(axis=1, keepdims=True), -solved], axis=1)
+    bary = np.column_stack([1.0 - gamma.sum(axis=1), gamma])  # c_S = sum_k bary_k x_k
+    norm = np.divide(bary, rho[:, None], out=np.zeros(bary.shape), where=rho[:, None] > 0)
 
     moving = size < n
     diff = center[moving][:, None, :] - X[None, :, :]
@@ -450,20 +452,22 @@ def _subset_optimum(table: SubsetTable, U: np.ndarray):
 
     Returns found (some row is valid), and the winner's point y (k, n),
     multipliers (k, n) and constraint indices (k, n).  Per-row products keep
-    the directions on the last axis, so the reductions run over whole rows.
+    the directions on the last axis, so the reductions run over whole rows,
+    and are stacked, one small matrix per row: OpenBLAS runs each below its
+    threading threshold, where one large product would wake its threads.
     """
     k, n = U.shape
     q = table.radius.size
     UT = U.T
-    PU = (table.proj.reshape(-1, n) @ UT).reshape(q, n, k)
+    PU = table.proj @ UT
     npu = np.sqrt(np.einsum("qnk,qnk->qk", PU, PU))
-    lam = (table.lin.reshape(-1, n) @ UT).reshape(-1, n, k)
+    lam = table.lin @ UT
     lam[:q] += table.norm[:, :, None] * npu[:, None, :]
-    vals = table.center @ UT
+    vals = (table.center[:, None, :] @ UT)[:, 0]
     vals[:q] += table.radius[:, None] * npu
     valid = lam.min(axis=1) >= -LAMBDA_PAD
     # a moving point leaves ball j where <lift_j, u> > room_j |P_S u|
-    reach = (table.lift.reshape(-1, n) @ UT).reshape(q, -1, k)
+    reach = table.lift @ UT
     valid[:q] &= (npu > 1e-12) & np.all(reach <= table.room[:, :, None] * npu[:, None, :], axis=1)
     vals[~valid] = -np.inf
     win = np.argmax(vals, axis=0)  # first maximum: the earliest row wins ties

@@ -551,6 +551,30 @@ def test_skeleton_on_directions_parallel_to_a_pair_axis(dim):
         assert_matches_reference(leaf, dirs)
 
 
+@pytest.mark.parametrize(
+    "centers",
+    [
+        [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [0.3, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [0.0, 0.3, 0.0], [0.1, 0.1, 0.2]],
+        [[0.0, 0.0, 0.0], [0.0, 1e-9, 0.0], [1e-9, 0.0, 0.0], [0.1, 0.1, 0.2]],
+    ],
+)
+def test_nearly_coincident_centers(centers, monkeypatch):
+    # centers 1e-9 apart: the pair's multipliers are of order 1e9, and the
+    # table, and the active-set loop on the same routine, still certify
+    dirs = np.vstack([unit_dirs(3, 300, 9), [[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]]])
+    leaf = prepare_leaf(centers)
+    assert_matches_reference(leaf, dirs)
+    values = support_batch(leaf, dirs)
+    assert np.all(np.isfinite(values))
+    for i in range(0, 300, 30):
+        assert values[i] == pytest.approx(slsqp_support(np.array(centers), np.ones(len(centers)), dirs[i]), abs=1e-6)
+    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 2)
+    fallback = prepare_leaf(centers)
+    assert fallback.subsets is None
+    assert np.max(np.abs(support_batch(fallback, dirs) - values)) <= DEFAULT_TOL
+
+
 def test_enumeration_limit_is_read_at_preparation(monkeypatch):
     rng = np.random.default_rng(3)
     rng.uniform(-0.4, 0.4, size=(5, 2))  # the leaf of the 2-d test below
