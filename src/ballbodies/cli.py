@@ -38,16 +38,9 @@ from .errors import (
 from .geometry import make_sphere_net
 from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check
 from .maps import parse_map
-from .planar import PlanarProbeConfig, surjectivity_probe_planar
+from .planar import surjectivity_probe_planar
 from .solver import DEFAULT_TOL
-from .support import (
-    SupportEval,
-    circumball,
-    default_mesh,
-    farthest_distance_batch,
-    hausdorff,
-    reconstruct,
-)
+from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -198,12 +191,12 @@ def dist(config: RunConfig, body_a, body_b):
         result = {"value": res.value, "error_bound": res.error_bound}
         if config.oracle:
             if dim == 2:
-                from .raster import raster_hausdorff, rasterize
+                from .raster import ORACLE_CELL, raster_hausdorff, rasterize
 
                 extent = max(SupportEval(a).norm_bound, SupportEval(b).norm_bound) + 0.1
                 bounds = ([-extent, -extent], [extent, extent])
                 result["oracle_value"] = raster_hausdorff(
-                    rasterize(a, 0.01, bounds), rasterize(b, 0.01, bounds)
+                    rasterize(a, ORACLE_CELL, bounds), rasterize(b, ORACLE_CELL, bounds)
                 )
             else:
                 result["oracle_value"] = None
@@ -282,21 +275,12 @@ def reconstruct_cmd(config: RunConfig, body, grid_step, grid_extent):
     def run():
         expr = parse_body(_load_document(body))
         dim = config.resolve_dim(expr.dim)
-        if dim != 2:
-            raise ValueError("reconstruction probing is planar only")
-        net = config.net(dim)
-        ev = SupportEval(expr, config.support_tol)
-        axis = np.arange(-grid_extent, grid_extent + 1e-9, grid_step)
-        probes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
-        d = farthest_distance_batch(ev, probes, net, config.support_tol) + 2 * config.support_tol
-        recon = reconstruct(list(zip(probes, d)), net, config.support_tol)
-        dom = float(np.min(recon.on_net(net) - ev.on_net(net)))
-        res = hausdorff(recon, ev, net, config.support_tol)
+        rec = reconstruct_from_grid(expr, grid_step, grid_extent, config.net(dim), config.support_tol)
         return {
-            "probes": int(len(probes)),
-            "support_dominance_min": dom,
-            "distance": res.value,
-            "distance_error_bound": res.error_bound,
+            "probes": rec.probes,
+            "support_dominance_min": rec.dominance_min,
+            "distance": rec.distance.value,
+            "distance_error_bound": rec.distance.error_bound,
         }
 
     _guarded(config, "reconstruct", run)
@@ -350,8 +334,7 @@ def surjectivity(config: RunConfig, map_doc, target):
         if not T.planar:
             raise ValueError("surjectivity probing needs a planar map document")
         y = np.asarray(json.loads(target), dtype=float)
-        cfg = PlanarProbeConfig(seed=config.seed)
-        return surjectivity_probe_planar(T, y, cfg).to_doc()
+        return surjectivity_probe_planar(T, y, seed=config.seed).to_doc()
 
     _guarded(config, "surjectivity", run)
 
@@ -362,13 +345,13 @@ def surjectivity(config: RunConfig, map_doc, target):
 @click.pass_obj
 def selftest(config: RunConfig, profile, criteria):
     """Run the acceptance criteria; nonzero exit if any criterion fails."""
-    chosen = None
-    if criteria:
-        chosen = [int(c) for c in criteria.split(",") if c.strip()]
 
     def run():
         from .selftest import run_selftest
 
+        chosen = None
+        if criteria:
+            chosen = [int(c) for c in criteria.split(",") if c.strip()]
         return run_selftest(
             seed=config.seed,
             tol=config.support_tol,

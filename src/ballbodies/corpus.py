@@ -8,9 +8,10 @@ from .bodies import BallBodyExpr, Generators, apply_motion, ball_body, c_dual, c
 from .geometry import RigidMotion, minimal_enclosing_ball
 
 
-def random_motion(rng: np.random.Generator, dim: int, allow_reflection: bool = True) -> RigidMotion:
+def random_motion(rng: np.random.Generator, dim: int) -> RigidMotion:
+    """Random rigid motion, a reflection half the time."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    if allow_reflection and rng.random() < 0.5:
+    if rng.random() < 0.5:
         q = q.copy()
         q[:, 0] = -q[:, 0]
     return RigidMotion(q, rng.uniform(-1.5, 1.5, dim))
@@ -33,15 +34,10 @@ def random_generators(
     return Generators(centers)
 
 
-def random_body(
-    rng: np.random.Generator,
-    dim: int,
-    max_wrappers: int = 2,
-    meb_cap: float = 0.9,
-) -> BallBodyExpr:
-    """Random expression tree: a generator leaf under a few random wrappers."""
-    body = random_generators(rng, dim, meb_cap=meb_cap)
-    for _ in range(int(rng.integers(0, max_wrappers + 1))):
+def random_body(rng: np.random.Generator, dim: int) -> BallBodyExpr:
+    """Random expression tree: a generator leaf under at most two random wrappers."""
+    body = random_generators(rng, dim)
+    for _ in range(int(rng.integers(0, 3))):
         pick = rng.integers(0, 3)
         if pick == 0:
             body = c_dual(body)
@@ -54,21 +50,17 @@ def random_body(
     return body
 
 
-def body_corpus(seed: int, dim: int, count: int, include_special: bool = True) -> list[BallBodyExpr]:
-    """Deterministic mixed corpus; includes exact balls and points when asked."""
+def body_corpus(seed: int, dim: int, count: int) -> list[BallBodyExpr]:
+    """Deterministic mixed corpus: two unit balls and two points, then random bodies."""
     rng = np.random.default_rng(seed)
-    bodies: list[BallBodyExpr] = []
-    if include_special:
-        e1 = np.zeros(dim)
-        e1[0] = 1.0
-        bodies.extend(
-            [
-                ball_body(np.zeros(dim)),
-                ball_body(0.7 * e1),
-                point_body(np.zeros(dim)),
-                point_body(-0.5 * e1),
-            ]
-        )
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    bodies: list[BallBodyExpr] = [
+        ball_body(np.zeros(dim)),
+        ball_body(0.7 * e1),
+        point_body(np.zeros(dim)),
+        point_body(-0.5 * e1),
+    ]
     while len(bodies) < count:
         bodies.append(random_body(rng, dim))
     return bodies[:count]

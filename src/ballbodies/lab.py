@@ -16,14 +16,14 @@ objective at the fitted center, an upper bound on the LP optimum, so the
 collapse test is never looser than with the LP.  The circumball LP serves
 only the geodesic midpoint check.
 
-Every probe and test body the classifier maps depends only on the values
-of its `ClassifierConfig`: the screening pairs on the dimension, the
-lattice probes on the dimension, spacing and lattice radius, the test
-bodies on the dimension, seed and count, and the probe net on the
-dimension and probe mesh.  Each is built once per distinct value set and
-kept read-only, arrays included, so a map that writes into its input raises
-instead of changing later calls.  Support values are never kept: every
-call evaluates fresh oracles, so results do not depend on what ran before.
+The screening tolerance, the collapse radius, the lattices, the probe net
+and the number of test bodies are the module constants below.  So every
+probe and test body the classifier maps depends only on the dimension, and
+the test bodies on the seed too.  Each is built once per dimension (and
+seed) and kept read-only, arrays included, so a map that writes into its
+input raises instead of changing later calls.  Support values are never
+kept: every call evaluates fresh oracles, so results do not depend on what
+ran before.
 """
 
 from __future__ import annotations
@@ -43,8 +43,14 @@ from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
 from .support import SupportEval, as_eval, circumball, default_mesh, hausdorff
 
-POINT_RADIUS_TOL = 1e-3
-CACHE_SIZE = 16  # distinct config value sets kept per built input
+POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
+DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
+LATTICE_SPACING = 1.0  # stage 2's lattice
+STAGE1_SPACING = 2.0  # stage 1's coarser lattice
+LATTICE_RADIUS = 3.0  # both lattices cover [-3, 3]^n
+PROBE_MESH = 0.2  # ball fits of points and unit balls are exact on coarse nets
+N_TEST_BODIES = 20  # stage 3's residual bodies
+CACHE_SIZE = 16  # distinct (dimension, seed) values kept per built input
 
 
 def _read_only(obj):
@@ -126,26 +132,26 @@ def isometry_defect(
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _lattice_probes(
-    dim: int, spacing: float, radius: float, family: str
+    dim: int, spacing: float, family: str
 ) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
     """The lattice points and, read-only, a probe on each: "point" bodies or unit "ball"s."""
-    steps = np.arange(-radius, radius + 1e-9, spacing)
+    steps = np.arange(-LATTICE_RADIUS, LATTICE_RADIUS + 1e-9, spacing)
     points = np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     probe = point_body if family == "point" else ball_body
     return _read_only((points, tuple(probe(x) for x in points)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _test_bodies(dim: int, seed: int, count: int) -> tuple[BallBodyExpr, ...]:
+def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
     """Stage 3's random test bodies, read-only."""
     rng = np.random.default_rng(seed)
-    return _read_only(tuple(random_body(rng, dim) for _ in range(count)))
+    return _read_only(tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _probe_net(dim: int, mesh: float) -> SphereNet:
+def _probe_net(dim: int) -> SphereNet:
     """The net of the ball fits, read-only."""
-    return _read_only(make_sphere_net(dim, mesh))
+    return _read_only(make_sphere_net(dim, PROBE_MESH))
 
 
 def _ball_fits(
@@ -167,26 +173,18 @@ def _ball_fits(
 
 @dataclass
 class ClassifierConfig:
-    """Settings of `classify_isometry`.
+    """Settings of `classify_isometry`: the dimension, the net and oracle
+    tolerance of every distance, and the seed of the stage-3 test bodies.
 
-    Besides the nets and tolerances, the values fix every input the
-    classifier maps: the screening pairs (`dimension`), the stage-1 and
-    stage-2 lattice probes (`stage1_spacing`, `lattice_spacing`,
-    `lattice_radius`), the stage-3 test bodies (`seed`, `n_test_bodies`) and
-    the probe net (`probe_mesh`).  Each is built on first use, once per
-    distinct value set, so fields set after construction take effect.
+    The dimension fixes the screening pairs, the lattice probes and the
+    probe net, and with the seed the test bodies.  Each is built on first
+    use, once per distinct value, so fields set after construction take
+    effect.
     """
 
     dimension: int = 2
     net: SphereNet | None = None
     tol: float = DEFAULT_TOL
-    defect_tol: float = 0.5
-    r_tol: float = POINT_RADIUS_TOL
-    lattice_spacing: float = 1.0
-    lattice_radius: float = 3.0
-    stage1_spacing: float = 2.0
-    probe_mesh: float = 0.2  # ball fits of points and unit balls are exact on coarse nets
-    n_test_bodies: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -245,31 +243,32 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     any input, or when neither probe family collapses to points (impossible
     for a true isometry), and AmbiguousClassificationError when both do.
 
-    The probes, test bodies and probe net come from `config`'s values and
-    are built once per distinct value set (see `ClassifierConfig`); they are
-    read-only, so `T` must build its images rather than write into its
-    input.  Support values are computed afresh on every call.
+    The probes, test bodies and probe net come from `config`'s dimension
+    and seed and are built once per distinct value (see
+    `ClassifierConfig`); they are read-only, so `T` must build its images
+    rather than write into its input.  Support values are computed afresh
+    on every call.
     """
     net = config.net
     dim = config.dimension
     defect, defect_lower = _defect_details(T, _screening_pairs(dim), net, config.tol)
-    if defect_lower > config.defect_tol:
+    if defect_lower > DEFECT_TOL:
         raise NotIsometryError(
             f"distance defect is at least {defect_lower:.3f}, beyond the screening "
-            f"tolerance {config.defect_tol} (worst-case endpoint {defect:.3f})"
+            f"tolerance {DEFECT_TOL} (worst-case endpoint {defect:.3f})"
         )
 
-    probe_net = _probe_net(dim, config.probe_mesh)
+    probe_net = _probe_net(dim)
 
     # stage 1: which family (points / unit balls) maps to near-points?
-    _, points = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "point")
-    _, balls = _lattice_probes(dim, config.stage1_spacing, config.lattice_radius, "ball")
+    _, points = _lattice_probes(dim, STAGE1_SPACING, "point")
+    _, balls = _lattice_probes(dim, STAGE1_SPACING, "ball")
     _, point_radii = _ball_fits([_image(T, p, "point probe") for p in points], probe_net, config.tol)
     _, ball_radii = _ball_fits([_image(T, b, "ball probe") for b in balls], probe_net, config.tol)
     point_r = float(np.max(point_radii))
     ball_r = float(np.max(ball_radii))
-    points_collapse = point_r <= config.r_tol
-    balls_collapse = ball_r <= config.r_tol
+    points_collapse = point_r <= POINT_RADIUS_TOL
+    balls_collapse = ball_r <= POINT_RADIUS_TOL
     if points_collapse and balls_collapse:
         raise AmbiguousClassificationError(
             f"both probe families collapse to near-points (radii {point_r:.2e}, {ball_r:.2e})"
@@ -283,14 +282,14 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
 
     # stage 2: rigid motion through the centers of the collapsed family
     family = "point" if kind == "identity" else "ball"
-    sources, probes = _lattice_probes(dim, config.lattice_spacing, config.lattice_radius, family)
+    sources, probes = _lattice_probes(dim, LATTICE_SPACING, family)
     targets, _ = _ball_fits([_image(T, p, "lattice probe") for p in probes], probe_net, config.tol)
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form
     residual = 0.0
     residual_bound = 0.0
-    for body in _test_bodies(dim, config.seed, config.n_test_bodies):
+    for body in _test_bodies(dim, config.seed):
         image = _image(T, body, "test body")
         model = apply_motion(motion, body if kind == "identity" else c_dual(body))
         res = hausdorff(image, model, net, config.tol)
@@ -343,12 +342,11 @@ def geodesic_midpoint_check(
     K2: BallBodyExpr,
     net: SphereNet,
     tol: float = DEFAULT_TOL,
-    point_tol: float = POINT_RADIUS_TOL,
 ) -> GeodesicCheck:
     """Check betweenness additivity and the no-point-between-bodies rule.
 
     When d(K0,K1) + d(K1,K2) = d(K0,K2) within certified bounds and both
-    endpoints have circumradius >= point_tol, the midpoint must too; a
+    endpoints have circumradius >= POINT_RADIUS_TOL, the midpoint must too; a
     midpoint collapse is reported as a verdict, never silently.
     """
     r01 = hausdorff(K0, K1, net, tol)
@@ -360,7 +358,7 @@ def geodesic_midpoint_check(
     radii = tuple(circumball(k, net, tol).radius for k in (K0, K1, K2))
     if not additive:
         verdict = "not-a-geodesic-triple"
-    elif radii[0] >= point_tol and radii[2] >= point_tol and radii[1] < point_tol:
+    elif radii[0] >= POINT_RADIUS_TOL and radii[2] >= POINT_RADIUS_TOL and radii[1] < POINT_RADIUS_TOL:
         verdict = "midpoint-collapse"
     else:
         verdict = "geodesic-ok"

@@ -9,6 +9,9 @@ winding number of f - target on such circles adaptively, and then hunts for
 an actual preimage.  The output is evidence, not proof: winding numbers and
 residuals are certified only at the sampled resolution, and the report says
 which hypothesis (continuity, distortion bound) a failing map violates.
+
+The resolution is fixed by the module constants below; only the seed of
+the random samples varies between calls.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ import numpy as np
 from .errors import ResolutionExhaustedError
 from .geometry import RigidMotion, procrustes_fit, winding_number
 from .maps import BlackBoxMap
+
+ROOT_TOL = 1e-6  # a preimage's residual |f(x) - target| must be at most this
+RADII_FACTORS = (1.0, 1.25, 1.5)  # winding circles, as multiples of the scale R
+MAX_CURVE_SAMPLES = 2**14  # per winding circle
+HOMOTOPY_GRID = 24  # homotopy parameters; the outer circle gets 4x as many angles
 
 
 def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.ndarray:
@@ -131,17 +139,6 @@ def _adaptive_circle_samples(f: BlackBoxMap, target, radius: float, budget: int)
 
 
 @dataclass
-class PlanarProbeConfig:
-    samples: int = 160
-    root_tol: float = 1e-6
-    radii_factors: tuple = (1.0, 1.25, 1.5)
-    max_curve_samples: int = 2**14
-    seed: int = 0
-    declared_eps: float | None = None
-    homotopy_grid: int = 24
-
-
-@dataclass
 class SurjectivityReport:
     target: np.ndarray
     epsilon_hat: float
@@ -174,7 +171,7 @@ class SurjectivityReport:
         }
 
 
-def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts, root_tol: float):
+def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
     from scipy.optimize import least_squares
 
     best_x, best_res = None, np.inf
@@ -190,32 +187,33 @@ def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts, root_tol: float):
         r = float(np.linalg.norm(residual(sol.x)))
         if r < best_res:
             best_x, best_res = sol.x, r
-        if best_res <= root_tol:
+        if best_res <= ROOT_TOL:
             break
     return best_x, best_res
 
 
-def surjectivity_probe_planar(
-    f: BlackBoxMap, target, config: PlanarProbeConfig | None = None
-) -> SurjectivityReport:
-    """Degree-based surjectivity evidence for a continuous planar near-isometry."""
-    config = config or PlanarProbeConfig()
+def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> SurjectivityReport:
+    """Degree-based surjectivity evidence for a continuous planar near-isometry.
+
+    `seed` seeds the distortion samples, the motion fits, the continuity
+    probe and the preimage hunt's starts.
+    """
     target = np.asarray(target, dtype=float)
     if not f.planar:
         raise ValueError("surjectivity probing needs a planar point map")
 
     f0 = np.asarray(f(np.zeros(2)))
     base = 2.0 * (float(np.linalg.norm(target - f0)) + 1.0)
-    fit, fit_err = _affine_fit(f, base, config.seed)
-    eps_hat = eps_isometry_defect_planar(f, base, config.samples, config.seed)
+    fit, fit_err = _affine_fit(f, base, seed)
+    eps_hat = eps_isometry_defect_planar(f, base, seed=seed)
     # circle radius per the argument, with a 2x safety factor; refit at scale
     scale = 2.0 * (float(np.linalg.norm(target - f0)) + fit_err + eps_hat) + 1.0
-    fit, fit_err = _affine_fit(f, scale, config.seed)
-    eps_hat = max(eps_hat, eps_isometry_defect_planar(f, scale, config.samples, config.seed))
+    fit, fit_err = _affine_fit(f, scale, seed)
+    eps_hat = max(eps_hat, eps_isometry_defect_planar(f, scale, seed=seed))
     scale = max(scale, 1.5 * (float(np.linalg.norm(target - f0)) + fit_err + eps_hat))
 
     notes = []
-    discont, persist = _discontinuity_probe(f, scale, config.seed + 1)
+    discont, persist = _discontinuity_probe(f, scale, seed + 1)
     if discont:
         notes.append(
             f"distance distortion {persist:.3f} persists at separations below "
@@ -224,9 +222,9 @@ def surjectivity_probe_planar(
 
     degrees = []
     circle_hit = None
-    for factor in config.radii_factors:
+    for factor in RADII_FACTORS:
         r = scale * factor
-        samples, hit = _adaptive_circle_samples(f, target, r, config.max_curve_samples)
+        samples, hit = _adaptive_circle_samples(f, target, r, MAX_CURVE_SAMPLES)
         if hit is not None:
             circle_hit = hit  # the circle itself passes through the target
             continue
@@ -235,9 +233,9 @@ def surjectivity_probe_planar(
     w_fit = 1 if float(np.linalg.det(fit.rotation)) > 0 else -1
 
     # homotopy between f and the fitted motion on the outer circle
-    tgrid = np.linspace(0.0, 1.0, config.homotopy_grid)
-    r_out = scale * config.radii_factors[-1]
-    thetas = np.linspace(0, 2 * math.pi, 4 * config.homotopy_grid, endpoint=False)
+    tgrid = np.linspace(0.0, 1.0, HOMOTOPY_GRID)
+    r_out = scale * RADII_FACTORS[-1]
+    thetas = np.linspace(0, 2 * math.pi, 4 * HOMOTOPY_GRID, endpoint=False)
     xs = r_out * np.column_stack([np.cos(thetas), np.sin(thetas)])
     fx = np.asarray([f(x) for x in xs])
     ux = fit.apply(xs)
@@ -248,15 +246,15 @@ def surjectivity_probe_planar(
 
     # hunt for a preimage
     starts = [fit.inverse().apply(target)]
-    rng = np.random.default_rng(config.seed + 2)
+    rng = np.random.default_rng(seed + 2)
     starts.extend(_disk_samples(rng, scale, 6))
     if circle_hit is not None:
         starts.insert(0, circle_hit)
-    preimage, residual = _find_preimage(f, target, starts, config.root_tol)
+    preimage, residual = _find_preimage(f, target, starts)
 
     windings = [w for _, w in degrees]
     flags = []
-    if preimage is not None and residual <= config.root_tol:
+    if preimage is not None and residual <= ROOT_TOL:
         verdict = "surjective-evidence"
         if any(w != w_fit for w in windings) and circle_hit is None:
             notes.append("winding numbers disagree with the fitted motion despite a preimage")
@@ -269,7 +267,7 @@ def surjectivity_probe_planar(
         flags.append("preimage-not-found")
         if discont:
             flags.append("continuity")
-        if discont or (config.declared_eps is not None and eps_hat > config.declared_eps) or eps_hat >= 1.0:
+        if discont or eps_hat >= 1.0:
             flags.append("eps-hypothesis")
             notes.append(
                 "the distortion hypothesis fails at the argument's scale: measured "
@@ -286,7 +284,7 @@ def surjectivity_probe_planar(
         scale=scale,
         degrees=degrees,
         verdict=verdict,
-        preimage=None if preimage is None or residual > config.root_tol else preimage,
+        preimage=None if preimage is None or residual > ROOT_TOL else preimage,
         preimage_residual=residual,
         homotopy_min=hmin,
         hypothesis_flags=flags,

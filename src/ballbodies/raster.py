@@ -23,6 +23,7 @@ from .geometry import Ball, minimal_enclosing_ball
 from .support import SupportEval
 
 _CHUNK = 65536
+ORACLE_CELL = 0.01  # the cell of every cross-check: `dist --oracle` and selftest criterion 11
 
 
 @dataclass(eq=False)

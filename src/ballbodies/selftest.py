@@ -5,6 +5,9 @@ configured resolution makes the claim's certified bounds wider than the
 structural gap being tested, so neither pass nor fail would be meaningful.
 Counts scale with the profile ("full" runs the shipped sizes, "quick" a
 small deterministic subset used for demos and byte-determinism checks).
+The one resolution setting is the 2-d net mesh: nets in 3-d use four
+times it, at most 0.6, and the raster cross-checks use the cell
+`raster.ORACLE_CELL`.
 """
 
 from __future__ import annotations
@@ -31,17 +34,16 @@ from .maps import (
     planar_rigid_map,
     scale_centers_map,
 )
-from .planar import PlanarProbeConfig, surjectivity_probe_planar
-from .raster import raster_circumball, raster_hausdorff, rasterize
+from .planar import ROOT_TOL, surjectivity_probe_planar
+from .raster import ORACLE_CELL, raster_circumball, raster_hausdorff, rasterize
 from .solver import DEFAULT_TOL
 from .support import (
     SupportEval,
     circumball,
     contains_point,
-    farthest_distance_batch,
     hausdorff,
     net_error_bound,
-    reconstruct,
+    reconstruct_from_grid,
 )
 
 CRITERIA_NAMES = {
@@ -76,18 +78,14 @@ class SelftestContext:
     seed: int = 0
     tol: float = DEFAULT_TOL
     mesh2: float = 0.02
-    mesh3: float | None = None
-    oracle_cell: float = 0.01
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.mesh3 is None:
-            self.mesh3 = min(4.0 * self.mesh2, 0.6)
         self._nets: dict = {}
 
     def net(self, dim: int):
         if dim not in self._nets:
-            mesh = self.mesh2 if dim == 2 else self.mesh3
+            mesh = self.mesh2 if dim == 2 else min(4.0 * self.mesh2, 0.6)
             self._nets[dim] = make_sphere_net(dim, mesh)
         return self._nets[dim]
 
@@ -256,11 +254,6 @@ def _compact_body(rng: np.random.Generator, dim: int):
     return body
 
 
-def _grid_points(extent: float, step: float) -> np.ndarray:
-    axis = np.arange(-extent, extent + 1e-9, step)
-    return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
-
-
 def criterion_7(ctx: SelftestContext) -> CriterionResult:
     net = ctx.net(2)
     typical_eb = net_error_bound(net.mesh, (4.0, 4.0), (ctx.tol, ctx.tol))
@@ -279,15 +272,10 @@ def criterion_7(ctx: SelftestContext) -> CriterionResult:
         ev = SupportEval(body, ctx.tol)
         dists = {}
         for step in (0.5, 0.25):
-            probes = _grid_points(3.0, step)
-            # probe distances inflated by 2 tol so the reconstruction
-            # provably contains the body despite oracle error
-            d = farthest_distance_batch(ev, probes, net, ctx.tol) + 2 * ctx.tol
-            recon = reconstruct(list(zip(probes, d)), net, ctx.tol)
-            dom = float(np.min(recon.on_net(net) - ev.on_net(net)))
-            if dom < -ctx.tol:
-                failures.append(f"body {i} step {step}: reconstruction misses by {dom:.2e}")
-            dists[step] = hausdorff(recon, ev, net, ctx.tol).value
+            rec = reconstruct_from_grid(ev, step, 3.0, net, ctx.tol)
+            if rec.dominance_min < -ctx.tol:
+                failures.append(f"body {i} step {step}: reconstruction misses by {rec.dominance_min:.2e}")
+            dists[step] = rec.distance.value
         deltas.append(dists)
         if dists[0.5] > 0.1:
             failures.append(f"body {i}: distance {dists[0.5]:.4f} > 0.1 at step 0.5")
@@ -428,7 +416,6 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
     failures = []
     n_rigid = ctx.count(10, minimum=1)
     n_pert = ctx.count(10, minimum=1)
-    cfg = PlanarProbeConfig(seed=ctx.seed)
     maps = []
     for i in range(n_rigid):
         angle = float(rng.uniform(0, 2 * math.pi))
@@ -440,18 +427,18 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
         maps.append(("perturbed", planar_perturbed_map(0.2, seed=ctx.seed + i)))
     for idx, (label, f) in enumerate(maps):
         target = rng.uniform(-2, 2, 2)
-        report = surjectivity_probe_planar(f, target, cfg)
+        report = surjectivity_probe_planar(f, target, seed=ctx.seed)
         if report.verdict != "surjective-evidence":
             failures.append(f"{label} map {idx}: verdict {report.verdict}")
             continue
-        if report.preimage_residual > cfg.root_tol:
+        if report.preimage_residual > ROOT_TOL:
             failures.append(f"{label} map {idx}: residual {report.preimage_residual:.2e}")
         ws = {w for _, w in report.degrees}
         if len(ws) != 1 or abs(next(iter(ws))) != 1:
             failures.append(f"{label} map {idx}: windings {sorted(ws)}")
         if report.homotopy_min <= 0:
             failures.append(f"{label} map {idx}: homotopy grazes the target")
-    hole = surjectivity_probe_planar(planar_radial_hole_map(), np.zeros(2), cfg)
+    hole = surjectivity_probe_planar(planar_radial_hole_map(), np.zeros(2), seed=ctx.seed)
     if hole.verdict != "violation" or hole.preimage is not None:
         failures.append("radial-hole control produced a preimage")
     if "eps-hypothesis" not in hole.hypothesis_flags:
@@ -477,7 +464,7 @@ def _raster_friendly_body(rng: np.random.Generator):
 
 def criterion_11(ctx: SelftestContext) -> CriterionResult:
     net = ctx.net(2)
-    cell = ctx.oracle_cell
+    cell = ORACLE_CELL
     count = ctx.count(30)
     rng = np.random.default_rng(ctx.seed + 1101)
     failures = []
@@ -529,10 +516,7 @@ def criterion_12(ctx: SelftestContext) -> CriterionResult:
     import json
 
     def mini_report():
-        mini = SelftestContext(
-            seed=ctx.seed, tol=ctx.tol, mesh2=ctx.mesh2, mesh3=ctx.mesh3,
-            oracle_cell=ctx.oracle_cell, scale=0.04,
-        )
+        mini = SelftestContext(seed=ctx.seed, tol=ctx.tol, mesh2=ctx.mesh2, scale=0.04)
         results = [run_criterion(cid, mini) for cid in (1, 2, 5)]
         return json.dumps([r.to_doc() for r in results], sort_keys=True)
 
@@ -584,7 +568,6 @@ def run_selftest(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     net_mesh: float | None = None,
-    oracle_cell: float = 0.01,
     profile: str = "full",
     criteria: list[int] | None = None,
 ) -> dict:
@@ -596,7 +579,6 @@ def run_selftest(
         seed=seed,
         tol=tol,
         mesh2=net_mesh if net_mesh is not None else 0.02,
-        oracle_cell=oracle_cell,
         scale=scale,
     )
     chosen = sorted(criteria) if criteria else sorted(_CRITERIA)

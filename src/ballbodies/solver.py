@@ -214,13 +214,14 @@ def _feasible_lower(X, r, u_arr, y, interior, slack):
     return np.einsum("kn,kn->k", u_arr, y_f)
 
 
-def _certify(leaf: LeafGeometry, U, y, lam, idx, single_min, tol):
+def _certify(leaf: LeafGeometry, U, y, lam, idx, tol):
     """Certified values of candidates (y, lam on idx) per direction; NaN where the gap exceeds tol.
 
-    `single_min` is min_i (<x_i, u> + r_i), itself an upper bound.
+    The upper bound is the dual bound of (lam, idx), or the single-ball
+    bound min_i (<x_i, u> + r_i) where that is lower.
     """
     X, r = leaf.centers, leaf.radii
-    ub = np.minimum(_dual_upper(X, r, U, lam, idx), single_min)
+    ub = np.minimum(_dual_upper(X, r, U, lam, idx), np.min(U @ X.T + r[None, :], axis=1))
     lo = _feasible_lower(X, r, U, y, leaf.interior, leaf.slack)
     gap = ub - lo
     return np.where((gap <= tol) & (gap >= -1e-9), 0.5 * (lo + ub), np.nan)
@@ -359,14 +360,12 @@ def _build_arcs(X: np.ndarray, r: np.ndarray) -> ArcTable | None:
 def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
     """Certified values by arc lookup (2-d); NaN where the certificate fails."""
     arcs = leaf.arcs
-    X, r = leaf.centers, leaf.radii
     b0 = arcs.breaks[0]
     phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, TWO_PI)
     p = np.searchsorted(arcs.breaks, phi, side="right") - 1
     y = arcs.base[p] + arcs.scale[p][:, None] * U
     lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], U)
-    single_min = np.min(U @ X.T + r[None, :], axis=1)
-    return _certify(leaf, U, y, lam, arcs.idx[p], single_min, tol)
+    return _certify(leaf, U, y, lam, arcs.idx[p], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +480,8 @@ def _subset_optimum(table: SubsetTable, U: np.ndarray):
 
 def _enumerate_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
     """Certified values from the leaf's subset table; NaN where no candidate certifies."""
-    X, r = leaf.centers, leaf.radii
     found, y, lam, idx = _subset_optimum(leaf.subsets, U)
-    values = _certify(leaf, U, y, lam, idx, np.min(U @ X.T + r[None, :], axis=1), tol)
+    values = _certify(leaf, U, y, lam, idx, tol)
     return np.where(found, values, np.nan)
 
 

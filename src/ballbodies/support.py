@@ -12,11 +12,16 @@ solver guarantees each value within the oracle tolerance.  The Hausdorff
 distance of two bodies equals the sup-norm distance of their support
 functions on the unit sphere; evaluating on a finite net gives a value
 together with a rigorous error bound from the Lipschitz constants.
+
+Reconstruction from point distances lives here too: `reconstruct` builds
+the intersection of the balls around the probes, and `reconstruct_from_grid`
+runs the whole check, from a body's distances to a square probe grid to
+the reconstruction's distance from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +32,7 @@ from .geometry import Ball, SphereNet, as_vector, normalize_direction
 from .solver import DEFAULT_TOL, support_batch
 
 DEFAULT_MESH = {2: 0.02, 3: 0.08}
+GOLDEN_ITERS = 36  # golden-section steps: the bracket shrinks by 0.618^36, about 3e-8
 
 
 def default_mesh(dim: int) -> float:
@@ -62,17 +68,19 @@ def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class SupportEval:
-    """Evaluable support oracle with a certified per-value tolerance."""
+    """Evaluable support oracle with a certified per-value tolerance.
+
+    `norm_bound` bounds |h(u)| over the sphere; it is computed from the body.
+    """
 
     body: BallBodyExpr
     tol: float = DEFAULT_TOL
-    norm_bound: float = None  # type: ignore[assignment]
+    norm_bound: float = field(init=False)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.norm_bound is None:
-            self.norm_bound = _norm_bound(self.body)
+        if not self.tol > 0:  # also rejects NaN
+            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        self.norm_bound = _norm_bound(self.body)
         # nets hash by identity, and a held key keeps its net alive
         self._net_cache: dict[SphereNet, np.ndarray] = {}
 
@@ -225,7 +233,7 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
 # ---------------------------------------------------------------------------
 
 
-def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL, refine: bool = True) -> float:
+def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL) -> float:
     """max over the body of |y - x|, the Hausdorff distance of {x} to the body.
 
     The coarse net maximum of h(u) - <x, u> is refined by golden-section
@@ -234,18 +242,14 @@ def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL, refine: bo
     """
     ev = as_eval(K, tol)
     x = as_vector(x, ev.dim)
-    if refine and ev.dim == 2:
+    if ev.dim == 2:
         return float(farthest_distance_batch(ev, x[None, :], net, tol)[0])
-    h = ev.on_net(net)
-    vals = h - net.directions @ x
+    vals = ev.on_net(net) - net.directions @ x
     i0 = int(np.argmax(vals))
-    coarse = float(vals[i0])
-    if not refine:
-        return coarse
 
     # shrinking spherical-cap refinement
     u_best = net.directions[i0].copy()
-    best = coarse
+    best = float(vals[i0])
     rng = np.random.default_rng(12345)
     cap = net.mesh
     for _ in range(12):
@@ -260,9 +264,7 @@ def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL, refine: bo
     return best
 
 
-def farthest_distance_batch(
-    K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL, iters: int = 36
-) -> np.ndarray:
+def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Planar farthest-point distances from many probe points at once.
 
     Runs one coarse sweep, then a vectorized golden-section refinement of
@@ -297,7 +299,7 @@ def farthest_distance_batch(
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = phi(c1), phi(c2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         right = f1 < f2  # the maximum lies in [c1, b]; otherwise in [a, c2]
         a = np.where(right, c1, a)
         b = np.where(right, b, c2)
@@ -338,3 +340,31 @@ def reconstruct(distances, net: SphereNet, tol: float = DEFAULT_TOL) -> SupportE
     except EmptyBodyError as exc:
         raise EmptyReconstructionError(str(exc)) from exc
     return SupportEval(body, tol)
+
+
+class GridReconstruction(NamedTuple):
+    """A planar body rebuilt from its distances to a probe grid, measured against it."""
+
+    probes: int
+    dominance_min: float  # min over the net of h_recon - h_body: >= -tol when the body is inside
+    distance: HausdorffResult
+
+
+def reconstruct_from_grid(K, step: float, extent: float, net: SphereNet, tol: float) -> GridReconstruction:
+    """Rebuild a planar body from its distances to a square probe grid, and measure the result.
+
+    The grid has spacing `step` on [-extent, extent]^2.  The probe distances
+    are inflated by 2 tol, so the reconstruction provably contains the body
+    despite oracle error.
+    """
+    ev = as_eval(K, tol)
+    if ev.dim != 2:
+        raise ValueError("reconstruction probing is planar only")
+    if not step > 0 or not extent >= 0:
+        raise ValueError(f"the probe grid needs step > 0 and extent >= 0, got {step} and {extent}")
+    axis = np.arange(-extent, extent + 1e-9, step)
+    probes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    d = farthest_distance_batch(ev, probes, net, tol) + 2 * tol
+    recon = reconstruct(list(zip(probes, d)), net, tol)
+    dom = float(np.min(recon.on_net(net) - ev.on_net(net)))
+    return GridReconstruction(len(probes), dom, hausdorff(recon, ev, net, tol))

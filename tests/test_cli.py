@@ -11,6 +11,8 @@ from click.testing import CliRunner
 
 import ballbodies
 from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, main
+from ballbodies.maps import parse_map
+from ballbodies.planar import surjectivity_probe_planar
 
 
 def ball_doc(c) -> str:
@@ -77,6 +79,16 @@ def test_surjectivity_of_planar_rigid_map():
     assert res["verdict"] == "surjective-evidence"
 
 
+def test_surjectivity_uses_the_seed():
+    doc = {"map": "planar_perturbed", "amplitude": 0.2, "seed": 1}
+    T, y = parse_map(doc, 2), [0.5, -0.3]
+    result = run_cli("--seed", "3", "surjectivity", json.dumps(doc), "--target", json.dumps(y))
+    assert result.exit_code == 0, (result.output, result.stderr, result.exception)
+    got = json.loads(result.output)["result"]
+    assert got == json.loads(json.dumps(surjectivity_probe_planar(T, y, seed=3).to_doc()))
+    assert got != json.loads(json.dumps(surjectivity_probe_planar(T, y, seed=0).to_doc()))
+
+
 def test_reconstruct_of_a_point():
     # the 169 probe balls meet in a disk of radius 2 tol around the point
     res = report("reconstruct", point_doc([0.2, -0.1]))
@@ -88,6 +100,31 @@ def test_malformed_json_exits_parse():
     result = run_cli("support", "{not json", "--direction", "[1, 0]")
     assert result.exit_code == EXIT_PARSE == 2
     assert json.loads(result.stderr)["error"]["type"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("selftest", "--criteria", "a"),
+        ("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "0"),
+        ("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "-1"),
+        ("reconstruct", point_doc([0.2, -0.1]), "--grid-extent", "-1"),
+        ("--tol", "nan", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])),
+        ("--tol", "nan", "classify", '{"map": "cdual"}'),
+    ],
+    ids=[
+        "criteria-a",
+        "grid-step-0",
+        "grid-step-negative",
+        "grid-extent-negative",
+        "tol-nan-dist",
+        "tol-nan-classify",
+    ],
+)
+def test_bad_arguments_exit_invariant(args):
+    result = run_cli(*args)
+    assert result.exit_code == EXIT_INVARIANT, (result.output, result.exception)
+    assert json.loads(result.stderr)["error"]["type"] == "ValueError"
 
 
 def test_dimension_mismatch_exits_invariant():
@@ -123,6 +160,7 @@ point = json.dumps({{"type": "cdual", "of": json.loads(ball)}})
 run("dist", point, ball)
 run("support", ball, "--direction", "[0.6, 0.8]")
 run("cdual-check", ball)
+run("reconstruct", point, "--grid-step", "1.0")
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 run("circ", ball)

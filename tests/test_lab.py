@@ -20,6 +20,13 @@ from ballbodies.corpus import random_body, random_motion
 from ballbodies.errors import AmbiguousClassificationError, NotIsometryError
 from ballbodies.geometry import RigidMotion, make_sphere_net, procrustes_fit
 from ballbodies.lab import (
+    DEFECT_TOL,
+    LATTICE_RADIUS,
+    LATTICE_SPACING,
+    N_TEST_BODIES,
+    POINT_RADIUS_TOL,
+    PROBE_MESH,
+    STAGE1_SPACING,
     ClassifierConfig,
     _ball_fits,
     _defect_details,
@@ -209,38 +216,38 @@ def rebuilt_classification(T, config):
         ball_body(1.5 * e2),
     ]
     defect, defect_lower = _defect_details(T, list(itertools.combinations(screening, 2)), net, tol)
-    if defect_lower > config.defect_tol:
+    if defect_lower > DEFECT_TOL:
         raise NotIsometryError(
             f"distance defect is at least {defect_lower:.3f}, beyond the screening "
-            f"tolerance {config.defect_tol} (worst-case endpoint {defect:.3f})"
+            f"tolerance {DEFECT_TOL} (worst-case endpoint {defect:.3f})"
         )
 
     def lattice(spacing):
-        steps = np.arange(-config.lattice_radius, config.lattice_radius + 1e-9, spacing)
+        steps = np.arange(-LATTICE_RADIUS, LATTICE_RADIUS + 1e-9, spacing)
         return np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
 
-    probe_net = make_sphere_net(dim, config.probe_mesh)
-    stage1 = lattice(config.stage1_spacing)
+    probe_net = make_sphere_net(dim, PROBE_MESH)
+    stage1 = lattice(STAGE1_SPACING)
     _, point_radii = _ball_fits([T(point_body(x)) for x in stage1], probe_net, tol)
     _, ball_radii = _ball_fits([T(ball_body(x)) for x in stage1], probe_net, tol)
     point_r, ball_r = float(np.max(point_radii)), float(np.max(ball_radii))
-    if point_r <= config.r_tol and ball_r <= config.r_tol:
+    if point_r <= POINT_RADIUS_TOL and ball_r <= POINT_RADIUS_TOL:
         raise AmbiguousClassificationError(
             f"both probe families collapse to near-points (radii {point_r:.2e}, {ball_r:.2e})"
         )
-    if point_r > config.r_tol and ball_r > config.r_tol:
+    if point_r > POINT_RADIUS_TOL and ball_r > POINT_RADIUS_TOL:
         raise NotIsometryError(
             "neither points nor unit balls map to near-points "
             f"(radii {point_r:.2e}, {ball_r:.2e}); the map cannot be an isometry"
         )
-    kind = "identity" if point_r <= config.r_tol else "cdual"
-    sources = lattice(config.lattice_spacing)
+    kind = "identity" if point_r <= POINT_RADIUS_TOL else "cdual"
+    sources = lattice(LATTICE_SPACING)
     probe = point_body if kind == "identity" else ball_body
     targets, _ = _ball_fits([T(probe(x)) for x in sources], probe_net, tol)
     motion, fit_rms = procrustes_fit(sources, targets)
     rng = np.random.default_rng(config.seed)
     residual = residual_bound = 0.0
-    for _ in range(config.n_test_bodies):
+    for _ in range(N_TEST_BODIES):
         body = random_body(rng, dim)
         model = apply_motion(motion, body if kind == "identity" else c_dual(body))
         res = hausdorff(T(body), model, net, tol)
@@ -303,7 +310,7 @@ def test_second_classification_prepares_no_leaf(monkeypatch, config2):
     assert len(prepared) == 0
 
 
-@pytest.mark.parametrize("name, value", [("probe_mesh", 0.3), ("seed", 5)])
+@pytest.mark.parametrize("name, value", [("seed", 5)])
 def test_config_fields_set_after_construction_take_effect(net2, name, value):
     T = compose_maps([cdual_map(2), motion_map(random_motion(np.random.default_rng(45), 2))])
     config = ClassifierConfig(dimension=2, net=net2)

@@ -11,11 +11,7 @@ from ballbodies.maps import (
     planar_radial_hole_map,
     planar_rigid_map,
 )
-from ballbodies.planar import (
-    PlanarProbeConfig,
-    eps_isometry_defect_planar,
-    surjectivity_probe_planar,
-)
+from ballbodies.planar import eps_isometry_defect_planar, surjectivity_probe_planar
 
 
 def rotation(theta):
