@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Generators, apply_motion, ball_body, c_dual, combine, point_body
+from .bodies import apply_motion, ball_body, c_dual, combine, point_body
 from .corpus import body_corpus, body_pairs, random_body, random_generators, random_motion
 from .errors import NotIsometryError
 from .geometry import RigidMotion, make_sphere_net

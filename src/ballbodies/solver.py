@@ -9,9 +9,11 @@ that search, and `support_batch` serves each direction by one of three paths:
   sequence of circular arcs, each owning an interval of outer-normal angles,
   with a vertex owning the normal cone between consecutive arcs
   (Bezdek-Langi-Naszodi-Papez, "Ball-polyhedra", 2007).  The leaf's
-  `ArcTable` lists these pieces in angle order; per call one ``arctan2`` and
-  one ``searchsorted`` give each direction its optimum: the tangency
-  x_i + r_i u on an arc, or the vertex, whose multipliers are ``lam = G u``.
+  `ArcTable` lists these pieces in angle order, each with its support
+  function in closed form, <x_i, u> + r_i on an arc and <v, u> at a vertex,
+  certified once for the whole piece.  Per call one ``arctan2`` and one
+  ``searchsorted`` find each direction's piece, and a dot product gives its
+  value.
 * n >= 3, 2 <= m <= ENUM_MAX_CENTERS: the subset table.  Every subset S of
   at most n balls whose spheres meet in a sphere of positive radius (the
   faces of the ball-polyhedron, in the same paper) has its maximizer of
@@ -24,11 +26,16 @@ that search, and `support_batch` serves each direction by one of three paths:
   most violated constraint and solves the working set's sub-leaf by the
   same subset table.
 
-Every path certifies its candidate the same way: a weak-duality upper bound
-plus a feasible lower bound obtained by blending toward a strictly interior
-point.  Certificates are exact up to a 1e-12 feasibility pad on the
-constraints.  A prepared leaf keeps its own read-only copies of the centers
-and radii, so no caller can change it after the fact.
+A 2-d piece is certified when the leaf is prepared (see `ArcTable`): an
+upper bound from the piece's ball, or from the vertex's normal cone, and a
+lower bound from blending the piece's worst point toward a strictly
+interior point.  A direction whose piece misses the tolerance, and every
+direction of the other two paths, is certified on its own from its KKT
+candidate: a weak-duality upper bound from the candidate's multipliers plus
+the same blended lower bound, taken at that candidate.  Certificates are
+exact up to rounding, and to a 1e-12 feasibility pad on the constraints
+where a candidate is checked.  A prepared leaf keeps its own read-only
+copies of the centers and radii, so no caller can change it after the fact.
 """
 
 from __future__ import annotations
@@ -48,6 +55,9 @@ LAMBDA_PAD = 1e-9
 ENUM_MAX_CENTERS = 8  # largest leaf, n >= 3, served by the subset table
 POINT_SLACK = 2.5e-14
 TWO_PI = 2.0 * np.pi
+# widens each arc-table piece: a direction's computed angle, arctan2 shifted
+# into [breaks[0], breaks[0] + 2 pi), is within about 3e-15 of its true angle
+ANGLE_PAD = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +100,36 @@ class ArcTable(NamedTuple):
     [breaks[0], breaks[0] + 2 pi).  Its KKT point is ``base[p] + scale[p] u``
     and its multipliers on the constraints ``idx[p]`` are
     ``lam0[p] + ginv[p] @ u``.
+
+    Each piece is certified once, for every direction whose angle lies in
+    the piece widened by ANGLE_PAD on both sides (which covers the rounding
+    of the computed angle): with L(u) = <base[p], u> + scale[p],
+
+        L(u) - lo_p <= h(u) <= L(u) + hi_p,
+
+    stored as ``gap = lo + hi`` and ``offset = scale + (hi - lo) / 2``, so
+    <base[p], u> + offset[p] is within gap[p] / 2 of h(u).
+
+    * A piece of ball i (an arc, or a vertex piece that kept arc i's
+      tangency): L(u) = <x_i, u> + r_i bounds h from above, so hi = 0.  Per
+      ball j, |x_i + r_i u(phi) - x_j|^2 is a sinusoid in phi, largest at an
+      end of the piece or at the angle of x_i - x_j, so the piece's points
+      y(u) = x_i + r_i u leave the disks by at most viol.  Blending y(u)
+      toward the interior point z by theta = viol / (viol + slack) lands in
+      every disk, so h(u) >= L(u) - theta |y(u) - z|, and lo = theta
+      (|x_i - z| + r_i).
+    * A vertex v on circles i and j, with outer normals n_i and n_j: every
+      y in disk i has <n_i, y - v> <= |y - x_i| - r_i <= 0, and the same
+      holds for j, so h(u) <= <u, v> on the cone of nonnegative
+      combinations of n_i and n_j.  That cone is the angle interval from
+      n_i to n_j when the interval is shorter than pi.  A direction past n_j
+      by alpha still has h(u) <= <x_j, u> + r_j = <u, v> + r_j (1 - cos
+      alpha) <= <u, v> + r_j alpha^2 / 2, and likewise past n_i; hi is the
+      largest such excess over the widened piece.  v's own violation of the
+      disks gives lo = theta |v - z|, as on an arc.  A vertex whose cone is
+      pi or wider has gap = inf.
+
+    The directions of a piece with gap > tol are certified one by one.
     """
 
     breaks: np.ndarray  # (2K,) nondecreasing, within 2 pi of breaks[0]
@@ -98,6 +138,8 @@ class ArcTable(NamedTuple):
     lam0: np.ndarray  # (2K, 2): (1 / r_i, 0) on an arc, 0 at a vertex
     ginv: np.ndarray  # (2K, 2, 2): 0 on an arc, the inverse gradients at a vertex
     idx: np.ndarray  # (2K, 2) tight constraint indices, -1 padded
+    gap: np.ndarray  # (2K,): width of the piece's certified interval
+    offset: np.ndarray  # (2K,): its midpoint minus <base, u>
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +150,10 @@ class LeafGeometry:
     one of three paths (see the module docstring), and `prepare_leaf` fixes
     which one by the table it stores: `arcs` for the 2-d arc lookup (None
     only when rounding leaves no arc, as for a body that is one point),
-    `subsets` for the subset table when n >= 3 and m <= ENUM_MAX_CENTERS.
-    A leaf with neither takes the active-set loop, which builds the subset
-    table of each working set as it goes.
+    with every piece's certificate already computed from `interior` and
+    `slack`; `subsets` for the subset table when n >= 3 and m <=
+    ENUM_MAX_CENTERS.  A leaf with neither takes the active-set loop, which
+    builds the subset table of each working set as it goes.
     """
 
     centers: np.ndarray  # (m, n)
@@ -170,7 +213,7 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
     leaf = LeafGeometry(X, r, z, max(slack, 0.0), meb_radius)
     if m >= 2 and not leaf.point_like:
         if n == 2:
-            leaf = replace(leaf, arcs=_build_arcs(X, r))
+            leaf = replace(leaf, arcs=_build_arcs(X, r, z, leaf.slack))
         elif m <= ENUM_MAX_CENTERS:
             leaf = replace(leaf, subsets=_build_subsets(X, r))
     for array in (X, r, z, *(leaf.arcs or ())):
@@ -204,12 +247,21 @@ def _dual_upper(X, r, u_arr, lam, idx):
     return np.where(ok, g, np.inf)
 
 
+def _blend(viol, slack):
+    """Weight theta = viol / (viol + slack) of the interior point z in the blend y + theta (z - y).
+
+    Where y is outside the disks by at most viol, the blend is in every
+    disk j: its distance from x_j is at most (1 - theta) (r_j + viol) +
+    theta (r_j - slack) = r_j.
+    """
+    viol = np.maximum(viol, 0.0)
+    return viol / (viol + slack) if slack > 0.0 else (viol > 0.0).astype(float)
+
+
 def _feasible_lower(X, r, u_arr, y, interior, slack):
     """Lower bound by blending candidate points toward the interior point."""
     d = np.linalg.norm(y[:, None, :] - X[None, :, :], axis=2)
-    viol = np.maximum(np.max(d - r[None, :], axis=1), 0.0)
-    denom = viol + max(slack, 0.0)
-    theta = np.where(denom > 0, viol / np.where(denom > 0, denom, 1.0), 1.0)
+    theta = _blend(np.max(d - r[None, :], axis=1), slack)
     y_f = y + theta[:, None] * (interior[None, :] - y)
     return np.einsum("kn,kn->k", u_arr, y_f)
 
@@ -314,8 +366,11 @@ def _arc_intervals(X, r):
     return ball, lo, hi
 
 
-def _build_arcs(X: np.ndarray, r: np.ndarray) -> ArcTable | None:
-    """The leaf's arc table; None when rounding leaves no arc (a one-point body)."""
+def _build_arcs(X: np.ndarray, r: np.ndarray, z: np.ndarray, slack: float) -> ArcTable | None:
+    """The leaf's arc table; None when rounding leaves no arc (a one-point body).
+
+    z and slack, the leaf's interior point and its slack, certify the pieces.
+    """
     ball, lo, hi = _arc_intervals(X, r)
     if ball.size == 0:
         return None
@@ -354,18 +409,68 @@ def _build_arcs(X: np.ndarray, r: np.ndarray) -> ArcTable | None:
     lam0[vertex] = 0.0
     ginv[vertex] = rows[pick, near]
     idx[vertex, 1] = j[q]
-    return ArcTable(breaks, base, scale, lam0, ginv, idx)
+    gap, offset = _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex)
+    return ArcTable(breaks, base, scale, lam0, ginv, idx, gap, offset)
+
+
+def _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex):
+    """Each piece's certified interval around L(u), as (gap, offset); see `ArcTable`.
+
+    A piece is the angle interval mid +- half.  Its points base + scale u
+    reach from x_j at most sqrt(|d|^2 + scale^2 + 2 scale reach), d = base -
+    x_j, where reach, the largest <u, d> over the piece, is |d| when d's
+    angle is within half of mid and otherwise the larger end's value,
+    cos(half) <u_mid, d> + sin(half) |<u_mid^perp, d>|.  At a vertex,
+    scale = 0 and this is |v - x_j|.  `vertex` lists the pieces that are
+    vertices of two circles.
+    """
+    start = breaks - ANGLE_PAD
+    length = np.concatenate([breaks[1:], [breaks[0] + TWO_PI]]) + ANGLE_PAD - start
+    mid = start + 0.5 * length
+    half = np.minimum(0.5 * length, np.pi)
+    cm, sm = np.cos(mid)[:, None], np.sin(mid)[:, None]
+    ch, sh = np.cos(half)[:, None], np.sin(half)[:, None]
+    dx = base[:, :1] - X[:, 0]
+    dy = base[:, 1:] - X[:, 1]
+    along = dx * cm + dy * sm
+    across = np.abs(dy * cm - dx * sm)
+    dn = np.hypot(dx, dy)
+    reach = np.where(along >= dn * ch, dn, ch * along + sh * across)
+    s = scale[:, None]
+    far = np.sqrt(np.maximum(dn * dn + s * (s + 2.0 * reach), 0.0))
+    lo = _blend((far - r).max(axis=1), slack) * (np.hypot(*(base - z).T) + scale)
+
+    # a vertex's cone runs from n_i to n_j; where the piece overhangs it by
+    # alpha, the excess r (1 - cos alpha) is at most r alpha^2 / 2
+    hi = np.zeros(breaks.size)
+    pair = idx[vertex]
+    normal = base[vertex, None, :] - X[pair]
+    psi = np.arctan2(normal[..., 1], normal[..., 0])
+    width = np.mod(psi[:, 1] - psi[:, 0], TWO_PI)
+    before = np.mod(psi[:, 0] - start[vertex] + np.pi, TWO_PI) - np.pi
+    over = np.maximum(np.column_stack([before, length[vertex] - before - width]), 0.0)
+    hi[vertex] = np.where(width < np.pi, 0.5 * (r[pair] * over * over).max(axis=1), np.inf)
+    return lo + hi, scale + 0.5 * (hi - lo)
 
 
 def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
-    """Certified values by arc lookup (2-d); NaN where the certificate fails."""
+    """Certified values by arc lookup (2-d); NaN where the certificate fails.
+
+    A direction in a piece certified within tol takes the piece's value;
+    the rest are certified one by one from the piece's KKT candidate.
+    """
     arcs = leaf.arcs
     b0 = arcs.breaks[0]
     phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, TWO_PI)
     p = np.searchsorted(arcs.breaks, phi, side="right") - 1
-    y = arcs.base[p] + arcs.scale[p][:, None] * U
-    lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], U)
-    return _certify(leaf, U, y, lam, arcs.idx[p], tol)
+    values = np.einsum("kn,kn->k", arcs.base[p], U) + arcs.offset[p]
+    if arcs.gap.max() > tol:
+        rest = np.flatnonzero(arcs.gap[p] > tol)
+        p, V = p[rest], U[rest]
+        y = arcs.base[p] + arcs.scale[p][:, None] * V
+        lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], V)
+        values[rest] = _certify(leaf, V, y, lam, arcs.idx[p], tol)
+    return values
 
 
 # ---------------------------------------------------------------------------

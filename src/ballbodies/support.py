@@ -21,7 +21,8 @@ the reconstruction's distance from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,21 +69,21 @@ def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class SupportEval:
-    """Evaluable support oracle with a certified per-value tolerance.
-
-    `norm_bound` bounds |h(u)| over the sphere; it is computed from the body.
-    """
+    """Evaluable support oracle with a certified per-value tolerance."""
 
     body: BallBodyExpr
     tol: float = DEFAULT_TOL
-    norm_bound: float = field(init=False)
 
     def __post_init__(self):
         if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        self.norm_bound = _norm_bound(self.body)
         # nets hash by identity, and a held key keeps its net alive
         self._net_cache: dict[SphereNet, np.ndarray] = {}
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        """A bound on |h(u)| over the sphere, computed from the body on first read."""
+        return _norm_bound(self.body)
 
     @property
     def dim(self) -> int:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ballbodies.errors import CurveHitsOriginError
 from ballbodies.geometry import RigidMotion
 from ballbodies.maps import (
     BlackBoxMap,

@@ -22,7 +22,7 @@ from ballbodies.raster import (
     raster_hausdorff,
     rasterize,
 )
-from ballbodies.support import SupportEval, circumball, hausdorff
+from ballbodies.support import hausdorff
 
 
 @pytest.fixture(scope="module")

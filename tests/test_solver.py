@@ -655,6 +655,98 @@ def test_plane_leaves_certify_without_the_active_set_loop(case, monkeypatch):
         assert_matches_reference(leaf, dirs, DEFAULT_TOL, same_mask=False, atol=DEFAULT_TOL)
 
 
+def per_direction_support(leaf, U, tol):
+    """The arc lookup with every direction certified on its own, by `_certify`, as the reference."""
+    arcs = leaf.arcs
+    b0 = arcs.breaks[0]
+    phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, 2 * math.pi)
+    p = np.searchsorted(arcs.breaks, phi, side="right") - 1
+    y = arcs.base[p] + arcs.scale[p][:, None] * U
+    lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], U)
+    return solver._certify(leaf, U, y, lam, arcs.idx[p], tol)
+
+
+def random_plane_leaves():
+    """(centers, radii) of random unit-radius and general-radius plane leaves, m <= 16."""
+    rng = np.random.default_rng(77)
+    for m in (2, 3, 4, 5, 8, 9, 12, 16):
+        yield rng.uniform(-0.5, 0.5, size=(m, 2)), None
+        yield rng.uniform(-1.0, 1.0, size=(m, 2)), rng.uniform(1.2, 2.5, size=m)
+
+
+def directions_at_breaks(leaf):
+    """Unit directions at every break of the leaf's arc table and one ulp to either side."""
+    breaks = np.concatenate([leaf.arcs.breaks, leaf.arcs.breaks + 2 * math.pi])
+    angles = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)])
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def test_piece_certificates_agree_with_the_per_direction_certificate():
+    cases = [PLANE_LEAVES[case] or point_reconstruction_leaf() for case in PLANE_LEAVES]
+    theta = np.linspace(0.0, 2 * math.pi, 20000, endpoint=False)
+    dense = np.column_stack([np.cos(theta), np.sin(theta)])
+    for centers, radii in [*cases, *random_plane_leaves()]:
+        leaf = prepare_leaf(centers, radii)
+        assert leaf.arcs.gap.shape == leaf.arcs.breaks.shape
+        assert np.all(leaf.arcs.gap >= 0.0)
+        dirs = np.vstack([dense, breakpoint_normals(centers, radii), directions_at_breaks(leaf)])
+        values = _arc_support(leaf, dirs, DEFAULT_TOL)
+        ref = per_direction_support(leaf, dirs, DEFAULT_TOL)
+        assert np.all(np.isfinite(values[np.isfinite(ref)]))
+        both = np.isfinite(values) & np.isfinite(ref)
+        assert np.max(np.abs(values[both] - ref[both])) <= DEFAULT_TOL
+
+
+def test_generic_plane_leaves_sweep_without_per_direction_certificates(monkeypatch):
+    from ballbodies.geometry import make_sphere_net
+
+    def refuse(leaf, U, *args):
+        raise AssertionError(f"{U.shape[0]} directions of an m={leaf.m} leaf were certified one by one")
+
+    net = make_sphere_net(2, 0.02).directions
+    expected = [support_batch(prepare_leaf(c, r), net) for c, r in random_plane_leaves()]
+    monkeypatch.setattr(solver, "_certify", refuse)
+    refuse_fallback(monkeypatch)
+    for (centers, radii), before in zip(random_plane_leaves(), expected):
+        leaf = prepare_leaf(centers, radii)
+        assert np.all(leaf.arcs.gap <= DEFAULT_TOL)
+        np.testing.assert_array_equal(support_batch(leaf, net), before)
+
+
+def test_pieces_that_cannot_be_proven_certify_direction_by_direction(monkeypatch):
+    seen = []
+    certify = solver._certify
+
+    def spy(leaf, U, *args):
+        seen.append(U.shape[0])
+        return certify(leaf, U, *args)
+
+    monkeypatch.setattr(solver, "_certify", spy)
+    refuse_fallback(monkeypatch)
+    # the 169-ball leaf has arcs too short for their ends to be placed within
+    # tol; a direction in the middle of one takes the per-direction certificate
+    leaf = prepare_leaf(*point_reconstruction_leaf())
+    arcs = leaf.arcs
+    ends = np.append(arcs.breaks[1:], arcs.breaks[0] + 2 * math.pi)
+    unproven = np.flatnonzero((arcs.gap > DEFAULT_TOL) & (ends > arcs.breaks))  # a direction can land there
+    assert unproven.size > 0
+    mid = 0.5 * (arcs.breaks + ends)[unproven]
+    dirs = np.column_stack([np.cos(mid), np.sin(mid)])
+    values = support_batch(leaf, dirs)
+    assert seen == [unproven.size]
+    np.testing.assert_array_equal(values, per_direction_support(leaf, dirs, DEFAULT_TOL))
+    # a tolerance below a generic leaf's piece gaps: the pieces over it go
+    # direction by direction, and the values stay within the gaps
+    leaf = prepare_leaf(np.random.default_rng(5).uniform(-0.4, 0.4, size=(5, 2)))
+    tight = 1e-15
+    assert np.any(leaf.arcs.gap > tight) and np.any(leaf.arcs.gap <= tight)
+    dirs = unit_dirs(2, 2000, 5)
+    seen.clear()
+    values = support_batch(leaf, dirs, tight)
+    assert 0 < seen[0] < dirs.shape[0]
+    assert np.max(np.abs(values - support_batch(leaf, dirs))) <= leaf.arcs.gap.max()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_prepared_leaf_is_read_only_and_leaves_the_callers_arrays_alone(dim):
     rng = np.random.default_rng(dim)
