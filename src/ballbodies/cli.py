@@ -5,8 +5,7 @@ an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
 2 parse error, 3 invariant violation, 4 classification-premise failure,
 5 adaptive resolution exhausted.
-SciPy is loaded only by ``circ``, ``geodesic-check``, ``surjectivity``, ``selftest`` and
-``dist --oracle``.
+SciPy is loaded only by ``selftest`` and ``dist --oracle``.
 """
 
 from __future__ import annotations

@@ -22,10 +22,12 @@ from .errors import (
     DegenerateSourcesError,
     DimensionMismatchError,
     InsufficientResolutionError,
+    NoConvergenceError,
 )
 
 UNIT_NORM_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
+MAX_LP_PIVOTS = 1000  # circumball LP rounds; Bland's rule ends every tie, so only rounding gets here
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -298,6 +300,136 @@ def minimal_enclosing_ball(points) -> Ball:
     pts = as_points(points)
     center, radius = enclosing_ball(pts, np.zeros(pts.shape[0]))
     return Ball(center, radius)
+
+
+# ---------------------------------------------------------------------------
+# the circumball LP (pivoting)
+# ---------------------------------------------------------------------------
+
+
+def _lp_basis(A, h, cons, tol):
+    """An optimal basis of the circumball LP restricted to the sorted constraints `cons`.
+
+    Each (n + 1)-subset S of `cons` gives, from one batched inverse, the
+    vertex y_S = (z, rho) at which its constraints are tight and its dual
+    multipliers lam_S (sum of lam_i (u_i, 1) = (0, 1)).  S is valid when
+    lam_S >= 0 and y_S meets every constraint of `cons`, both within tol;
+    then y_S is optimal over `cons`.  Of several valid subsets the
+    lexicographically largest is kept: within a round it drops the
+    lowest-indexed constraint.  Returns (basis, y, lam).
+    """
+    k = A.shape[1]
+    # padded_subsets lists the full-size subsets last, in lexicographic order
+    S = cons[padded_subsets(len(cons), k)[0][-math.comb(len(cons), k) :]]
+    M = A[S]
+    # rows (u_i, 1) have norm sqrt(2): a Hadamard ratio test for singular subsets
+    ok = np.abs(np.linalg.det(M)) > 1e-9 * 2.0 ** (k / 2)
+    M[~ok] = np.eye(k)
+    Minv = np.linalg.inv(M)
+    y = np.einsum("cij,cj->ci", Minv, h[S])
+    lam = Minv[:, -1, :]  # the last row of M^-1 solves M^T lam = e_last
+    slack = y @ A[cons].T - h[cons]
+    worst = np.maximum(-lam.min(axis=1), -slack.min(axis=1))
+    worst[~ok] = np.inf
+    valid = np.flatnonzero(worst <= tol)
+    best = int(valid[-1]) if valid.size else int(worst.argmin())
+    return S[best], y[best], lam[best]
+
+
+def circumcenter_lp(directions, heights) -> tuple[np.ndarray, float]:
+    """The least rho, and a center z, with <u_i, z> + rho >= h_i for every direction u_i.
+
+    With h_i a body's support values on a direction net this is its
+    circumball to net resolution.  The LP has n + 1 variables, so it is
+    LP-type with combinatorial dimension n + 1 (Matousek-Sharir-Welzl
+    1996), and the loop below is the simplex method on its dual, max sum
+    lam_i h_i over lam >= 0 with sum lam_i u_i = 0 and sum lam_i = 1:
+
+    * a basis is n + 1 constraints whose tight vertex is optimal over them;
+    * the start is the LP over n linearly independent directions, picked
+      by pivoted Gram-Schmidt (each the one farthest from the span of those
+      before), and the directions nearest their antipodes.  For an
+      antipodal net, such as every `make_sphere_net` net, the hull of these
+      pairs holds a neighbourhood of the origin, so the start is bounded.
+      (The directions nearest +-e_k need not span: on the 24-direction net
+      of mesh 1 in R^3 they do not.)
+    * each round adds the most violated constraint j and keeps an optimal
+      basis of the basis plus j (`_lp_basis`).
+
+    rho never decreases, but it can stay put: the optimum need not be
+    unique (z is often free along an axis at the start), and a round then
+    only moves z.  Tie rule: every round keeps, of several optimal bases,
+    the one that drops the lowest-indexed constraint, and once a basis
+    recurs without rho rising, rounds add the lowest-indexed violated
+    constraint instead of the most violated one until rho rises.  Rounds at
+    one rho cannot go on forever: there are finitely many bases, so one
+    recurs, and from then on the rounds follow Bland's rule, which cannot
+    cycle (Bland 1977).  As rho takes finitely many values, the loop ends.
+
+    The radius is max_i (h_i - <u_i, z>) at the returned center, so the ball
+    meets every constraint whatever the rounding.  Raises
+    NoConvergenceError when a support value is not finite, or when the final
+    basis does not certify the radius: a multiplier below -tol, or the radius
+    above the dual value sum lam_i h_i by more than tol, with tol =
+    1e-12 (1 + max |h|).  An LP without a bounded optimum (directions whose
+    hull misses the origin) ends there too.  Directions that span only a
+    subspace leave z free off it; z is 0 there.
+    """
+    U = as_points(directions)
+    h = np.asarray(heights, dtype=float)
+    N, n = U.shape
+    if h.shape != (N,):
+        raise ValueError(f"expected {N} support values, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise NoConvergenceError(
+            f"circumball LP in dimension n={n} over {N} directions: "
+            f"{int(np.count_nonzero(~np.isfinite(h)))} support values are not finite"
+        )
+    rank = np.linalg.matrix_rank(U)
+    if rank < n:
+        span = np.linalg.svd(U)[2][:rank]
+        z, rho = circumcenter_lp(U @ span.T, h)
+        return z @ span, rho
+    A = np.hstack([U, np.ones((N, 1))])
+    tol = 1e-12 * (1.0 + float(np.abs(h).max()))
+    picks, R = [], U.copy()
+    for _ in range(n):  # pivoted Gram-Schmidt: each pick farthest from the span of those before
+        i = int(np.einsum("ij,ij->i", R, R).argmax())
+        picks.append(i)
+        q = R[i] / np.linalg.norm(R[i])
+        R -= np.outer(R @ q, q)
+    antipodes = (U @ U[picks].T).argmin(axis=0)
+    start = np.unique(np.concatenate([picks, antipodes]))
+    if len(start) <= n:
+        raise NoConvergenceError(
+            f"circumball LP in dimension n={n} over {N} directions: no start, as the "
+            f"directions nearest the antipodes of {n} independent ones are those {n} again"
+        )
+    basis, y, lam = _lp_basis(A, h, start, tol)
+    pivots, seen, bland = 0, set(), False  # seen: the bases met since rho last rose
+    while pivots < MAX_LP_PIVOTS:
+        viol = h - A @ y
+        j = int((viol > tol).argmax()) if bland else int(viol.argmax())
+        if not viol[j] > tol or j in basis:
+            break
+        basis, y_next, lam = _lp_basis(A, h, np.sort(np.append(basis, j)), tol)
+        if y_next[-1] > y[-1] + tol:
+            seen, bland = set(), False
+        else:
+            bland = bland or tuple(basis) in seen
+            seen.add(tuple(basis))
+        y = y_next
+        pivots += 1
+    z = y[:n]
+    rho = float((h - U @ z).max())
+    gap = rho - float(lam @ h[basis])
+    if not (gap <= tol and lam.min() >= -tol):
+        raise NoConvergenceError(
+            f"circumball LP in dimension n={n} over {N} directions did not converge after "
+            f"{pivots} pivots: achieved duality gap {gap:.3g} (needs at most {tol:.3g}), "
+            f"least multiplier {lam.min():.3g} (needs at least {-tol:.3g})"
+        )
+    return z, rho
 
 
 # ---------------------------------------------------------------------------

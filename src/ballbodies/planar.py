@@ -29,6 +29,8 @@ ROOT_TOL = 1e-6  # a preimage's residual |f(x) - target| must be at most this
 RADII_FACTORS = (1.0, 1.25, 1.5)  # winding circles, as multiples of the scale R
 MAX_CURVE_SAMPLES = 2**14  # per winding circle
 HOMOTOPY_GRID = 24  # homotopy parameters; the outer circle gets 4x as many angles
+LM_MAX_ITERS = 100  # Jacobians per preimage search
+SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 
 
 def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.ndarray:
@@ -171,9 +173,45 @@ class SurjectivityReport:
         }
 
 
-def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
-    from scipy.optimize import least_squares
+def _levenberg_marquardt(residual, x0) -> np.ndarray:
+    """A local minimizer of |residual(x)|^2 over the plane, from x0.
 
+    Levenberg-Marquardt (More 1978): the step solves (J^T J + mu I) dx =
+    -J^T r with a forward-difference Jacobian J, step sqrt(eps) max(|x_k|, 1)
+    per coordinate.  A step that lowers the cost is taken and mu shrinks;
+    one that does not grows mu.  Ends at a step below 1e-15 relative to x,
+    at a cost of 0, when no mu lowers the cost, or after LM_MAX_ITERS
+    Jacobians.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = residual(x)
+    cost, mu = float(r @ r), None
+    for _ in range(LM_MAX_ITERS):
+        steps = SQRT_EPS * np.maximum(np.abs(x), 1.0)
+        J = np.column_stack([(residual(x + s * e) - r) / s for s, e in zip(steps, np.eye(2))])
+        H, g = J.T @ J, J.T @ r
+        scale = 1.0 + float(np.max(np.diag(H)))
+        mu = 1e-3 * scale if mu is None else mu
+        while cost > 0.0 and mu < 1e16 * scale:
+            dx = np.linalg.solve(H + mu * np.eye(2), -g)
+            if np.linalg.norm(dx) <= 1e-15 * (np.linalg.norm(x) + 1e-15):
+                return x
+            r_new = residual(x + dx)
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                x, r, cost, mu = x + dx, r_new, cost_new, mu / 3.0
+                break
+            mu *= 4.0
+        else:
+            return x  # no damping lowers the cost
+    return x
+
+
+def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
+    """The best Levenberg-Marquardt end point over the starts.
+
+    A start on whose search the map raises is skipped.
+    """
     best_x, best_res = None, np.inf
 
     def residual(x):
@@ -181,12 +219,12 @@ def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
 
     for x0 in starts:
         try:
-            sol = least_squares(residual, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            x = _levenberg_marquardt(residual, x0)
         except Exception:
             continue
-        r = float(np.linalg.norm(residual(sol.x)))
+        r = float(np.linalg.norm(residual(x)))
         if r < best_res:
-            best_x, best_res = sol.x, r
+            best_x, best_res = x, r
         if best_res <= ROOT_TOL:
             break
     return best_x, best_res

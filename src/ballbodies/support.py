@@ -29,7 +29,7 @@ import numpy as np
 
 from .bodies import BallBodyExpr, CDual, Combine, Generators, Motion
 from .errors import DimensionMismatchError, EmptyReconstructionError, EmptyBodyError
-from .geometry import Ball, SphereNet, as_vector, normalize_direction
+from .geometry import Ball, SphereNet, as_vector, circumcenter_lp, normalize_direction
 from .solver import DEFAULT_TOL, support_batch
 
 DEFAULT_MESH = {2: 0.02, 3: 0.08}
@@ -171,34 +171,19 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
 # ---------------------------------------------------------------------------
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on first call to keep SciPy off the import path."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
-
-
 def circumball(K, net: SphereNet, tol: float = DEFAULT_TOL) -> Ball:
     """Smallest enclosing ball of the body, to net resolution.
 
     Solves min over (z, rho) of max over net directions of h(u) - <z, u>,
-    a linear program.  The radius never exceeds the true circumradius by
-    more than the oracle tolerance.
+    a linear program, by `geometry.circumcenter_lp`.  The radius never
+    exceeds the true circumradius by more than the oracle tolerance.
+    Raises NoConvergenceError when the LP cannot be certified.
     """
     ev = as_eval(K, tol)
     if net.dim != ev.dim:
         raise DimensionMismatchError("net dimension does not match the body")
-    h = ev.on_net(net)
-    n = ev.dim
-    u_mat = net.directions
-    # variables (z, rho): minimize rho s.t. <z, u> + rho >= h(u)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([u_mat, np.ones((len(net), 1))])
-    res = linprog(c, A_ub=-a_ub, b_ub=-h, bounds=[(None, None)] * (n + 1), method="highs")
-    if not res.success:
-        raise RuntimeError(f"circumball LP failed: {res.message}")
-    return Ball(res.x[:n], max(float(res.x[-1]), 0.0))
+    center, radius = circumcenter_lp(net.directions, ev.on_net(net))
+    return Ball(center, max(radius, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line front end: reports against closed forms, exit codes, lazy SciPy."""
+"""Command-line front end: reports against closed forms, exit codes, SciPy-free commands."""
 
 import json
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import ballbodies
-from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, main
+from ballbodies.support import SupportEval
+from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, EXIT_RESOLUTION, main
 from ballbodies.maps import parse_map
 from ballbodies.planar import surjectivity_probe_planar
 
@@ -55,6 +56,16 @@ def test_circ_of_ball():
     res = report("circ", ball_doc(c))
     np.testing.assert_allclose(res["center"], c, atol=1e-6)
     assert res["radius"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_circumball_failure_exits_resolution(monkeypatch):
+    # non-finite support values must end in the documented exit, not a NaN ball
+    monkeypatch.setattr(SupportEval, "on_net", lambda self, net: np.full(len(net), np.nan))
+    result = run_cli("circ", ball_doc([0.4, -0.7]))
+    assert result.exit_code == EXIT_RESOLUTION == 5
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "NoConvergenceError"
+    assert "n=2 over 158 directions: 158 support values are not finite" in error["message"]
 
 
 def test_cdual_check_passes():
@@ -157,14 +168,20 @@ def run(*argv):
 
 ball = json.dumps({{"type": "generators", "centers": [[0.1, 0.2]]}})
 point = json.dumps({{"type": "cdual", "of": json.loads(ball)}})
+rigid = json.dumps({{"map": "planar_rigid", "rotation": [[0.0, -1.0], [1.0, 0.0]], "translation": [0.3, -0.1]}})
+perturbed = json.dumps({{"map": "planar_perturbed", "amplitude": 0.2, "seed": 1}})
+hole = json.dumps({{"map": "planar_radial_hole"}})
 run("dist", point, ball)
 run("support", ball, "--direction", "[0.6, 0.8]")
 run("cdual-check", ball)
 run("reconstruct", point, "--grid-step", "1.0")
+run("circ", ball)
+run("geodesic-check", ball, point, ball)
+run("surjectivity", rigid, "--target", "[0.5, 1.0]")
+run("surjectivity", perturbed, "--target", "[0.5, -0.3]")
+run("surjectivity", hole, "--target", "[0.0, 0.0]")
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-run("circ", ball)
-assert "scipy.optimize" in sys.modules
 """
 
 

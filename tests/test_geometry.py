@@ -7,21 +7,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ballbodies.geometry as geometry
+from ballbodies.bodies import Generators, ball_body, point_body
+from ballbodies.corpus import body_corpus
 from ballbodies.errors import (
     CurveHitsOriginError,
     DegenerateSourcesError,
     InsufficientResolutionError,
+    NoConvergenceError,
 )
 from ballbodies.geometry import (
     Ball,
     RigidMotion,
     SphereNet,
+    circumcenter_lp,
     enclosing_ball,
     make_sphere_net,
     minimal_enclosing_ball,
     procrustes_fit,
     winding_number,
 )
+from ballbodies.support import SupportEval, default_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,104 @@ def test_meb_leaves_the_recursion_limit_alone(monkeypatch):
     pts = np.random.default_rng(5).standard_normal((3000, 2))
     ball = minimal_enclosing_ball(pts)
     assert np.max(np.linalg.norm(pts - ball.center, axis=1)) == ball.radius
+
+
+# ---------------------------------------------------------------------------
+# the circumball LP
+# ---------------------------------------------------------------------------
+
+
+def highs_circumradius(U, h) -> float:
+    """Independent oracle: HiGHS on min rho s.t. <u_i, z> + rho >= h_i, at tight tolerances."""
+    from scipy.optimize import linprog
+
+    n = U.shape[1]
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        cost,
+        A_ub=-np.hstack([U, np.ones((len(U), 1))]),
+        b_ub=-h,
+        bounds=[(None, None)] * (n + 1),
+        method="highs",
+        options=tight,
+    )
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
+# mesh 1.0 gives the 4-direction planar net, 2.0 the 2-direction one (which
+# leaves the center free along e2) and the 2n directions +-e_k for n = 3, 4
+@pytest.mark.parametrize(
+    "dim,mesh,count",
+    [(2, None, 40), (2, 0.5, 40), (2, 1.0, 20), (2, 2.0, 20)]
+    + [(3, None, 16), (3, 0.5, 30), (3, 1.0, 20), (3, 2.0, 20)]
+    + [(4, None, 8), (4, 0.5, 16), (4, 2.0, 16)],
+)
+def test_circumcenter_lp_matches_highs(dim, mesh, count):
+    net = make_sphere_net(dim, default_mesh(dim) if mesh is None else mesh)
+    U = net.directions
+    for body in body_corpus(300 + dim, dim, count):
+        h = SupportEval(body).on_net(net)
+        z, rho = circumcenter_lp(U, h)
+        assert rho == float(np.max(h - U @ z))
+        assert abs(rho - highs_circumradius(U, h)) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_circumcenter_lp_is_exact_on_unit_balls_and_points(dim):
+    net = make_sphere_net(dim, default_mesh(dim))
+    c = np.random.default_rng(dim).uniform(-0.8, 0.8, dim)
+    for body, radius in ((ball_body(c), 1.0), (point_body(c), 0.0)):
+        z, rho = circumcenter_lp(net.directions, SupportEval(body).on_net(net))
+        np.testing.assert_allclose(z, c, rtol=0, atol=1e-12)
+        assert abs(rho - radius) <= 1e-12
+
+
+def test_circumcenter_lp_passes_ties_at_a_degenerate_start(monkeypatch):
+    # the thin lens is 0.2 wide along e1 and 0.87 tall along e2: the start
+    # pairs fix rho by the height alone and leave z_1 free over an interval,
+    # so the first rounds only move z; stopping at a tie overstates the radius
+    rhos = []
+    real = geometry._lp_basis
+
+    def spy(*args):
+        basis, y, lam = real(*args)
+        rhos.append(y[-1])
+        return basis, y, lam
+
+    monkeypatch.setattr(geometry, "_lp_basis", spy)
+    net = make_sphere_net(2, 0.02)
+    h = SupportEval(Generators([[-0.9, 0.0], [0.9, 0.0]])).on_net(net)
+    z, rho = circumcenter_lp(net.directions, h)
+    assert any(b == a for a, b in zip(rhos, rhos[1:]))
+    assert abs(rho - highs_circumradius(net.directions, h)) <= 1e-12
+    np.testing.assert_allclose(z, [0.0, 0.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_circumcenter_lp_rejects_non_finite_supports(bad):
+    net = make_sphere_net(2, 0.02)
+    h = SupportEval(ball_body([0.1, 0.2])).on_net(net).copy()
+    h[7] = bad
+    with pytest.raises(NoConvergenceError, match=r"n=2 over 158 directions: 1 support values are not finite"):
+        circumcenter_lp(net.directions, h)
+
+
+def test_circumcenter_lp_without_antipodal_pairs_has_no_start():
+    # the direction nearest -e1 is e2 and the one nearest -e2 is e1
+    U = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    with pytest.raises(NoConvergenceError, match=r"n=2 over 3 directions: no start"):
+        circumcenter_lp(U, np.ones(3))
+
+
+def test_circumcenter_lp_without_a_bounded_optimum_names_its_gap():
+    # directions in the upper half plane only: rho falls without bound as z_2 grows
+    theta = np.linspace(0.1, 3.0, 12)
+    U = np.column_stack([np.cos(theta), np.sin(theta)])
+    with pytest.raises(NoConvergenceError, match=r"n=2 over 12 directions .* pivots: .* least multiplier -"):
+        circumcenter_lp(U, np.ones(12))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,12 @@ def no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the classifier solved a linear program")
 
-    monkeypatch.setattr(support_module, "linprog", refuse)
+    monkeypatch.setattr(support_module, "circumcenter_lp", refuse)
+
+
+def test_no_lp_fixture_refuses_the_circumball_lp(no_lp, net2):
+    with pytest.raises(AssertionError, match="the classifier solved a linear program"):
+        circumball(ball_body(np.zeros(2)), net2)
 
 
 def probe_pairs(dim=2):

@@ -10,7 +10,8 @@ from ballbodies.maps import (
     planar_radial_hole_map,
     planar_rigid_map,
 )
-from ballbodies.planar import eps_isometry_defect_planar, surjectivity_probe_planar
+import ballbodies.planar as planar
+from ballbodies.planar import ROOT_TOL, eps_isometry_defect_planar, surjectivity_probe_planar
 
 
 def rotation(theta):
@@ -89,3 +90,63 @@ def test_reports_serialize():
     doc = report.to_doc()
     assert doc["verdict"] == "surjective-evidence"
     assert isinstance(doc["degrees"][0][1], int)
+
+
+def scipy_find_preimage(f, target, starts):
+    """The preimage search as SciPy's MINPACK Levenberg-Marquardt runs it, for comparison."""
+    from scipy.optimize import least_squares
+
+    best_x, best_res = None, np.inf
+    for x0 in starts:
+        try:
+            sol = least_squares(
+                lambda x: np.asarray(f(x)) - target, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+            )
+        except Exception:
+            continue
+        res = float(np.linalg.norm(np.asarray(f(sol.x)) - target))
+        if res < best_res:
+            best_x, best_res = sol.x, res
+        if best_res <= ROOT_TOL:
+            break
+    return best_x, best_res
+
+
+def test_preimage_of_rigid_motion_is_its_inverse():
+    rng = np.random.default_rng(5)
+    for k in range(10):
+        q = rotation(rng.uniform(0, 2 * np.pi))
+        if k % 2:
+            q[:, 1] = -q[:, 1]
+        g = RigidMotion(q, rng.uniform(-1, 1, 2))
+        y = rng.uniform(-2, 2, 2)
+        x, res = planar._find_preimage(planar_rigid_map(g), y, [rng.uniform(-3, 3, 2)])
+        np.testing.assert_allclose(x, g.inverse().apply(y), rtol=0, atol=1e-12)
+        assert res <= 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 0.3])
+def test_perturbed_preimages_reach_the_root_and_agree_with_scipy(amplitude, monkeypatch):
+    for seed in range(30):
+        f = planar_perturbed_map(amplitude, seed)
+        target = np.random.default_rng(seed + 200).uniform(-2, 2, 2)
+        report = surjectivity_probe_planar(f, target, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(planar, "_find_preimage", scipy_find_preimage)
+            reference = surjectivity_probe_planar(f, target, seed=seed)
+        assert report.verdict == reference.verdict == "surjective-evidence"
+        assert report.preimage_residual <= ROOT_TOL
+        np.testing.assert_allclose(report.preimage, reference.preimage, rtol=0, atol=1e-9)
+
+
+def test_preimage_search_skips_a_start_where_the_map_fails():
+    def run(x):
+        x = np.asarray(x, dtype=float)
+        if np.linalg.norm(x) > 5.0:
+            raise ValueError("outside the map's domain")
+        return x + 0.1
+
+    f = BlackBoxMap(run, 2, planar=True, name="partial")
+    x, res = planar._find_preimage(f, np.array([0.5, 0.5]), [np.array([9.0, 0.0]), np.zeros(2)])
+    np.testing.assert_allclose(x, [0.4, 0.4], rtol=0, atol=1e-12)
+    assert res <= 1e-12
