@@ -28,6 +28,7 @@ from .errors import (
 UNIT_NORM_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
 MAX_LP_PIVOTS = 1000  # circumball LP rounds; Bland's rule ends every tie, so only rounding gets here
+DIRECTION_SLACK = 1e-6  # largest distance of a query direction from the unit sphere
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -42,7 +43,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_points(points, dim: int | None = None) -> np.ndarray:
+def as_points(points) -> np.ndarray:
     """Coerce a sequence of vectors to an (m, n) float64 array."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and pts.size > 0:
@@ -51,17 +52,15 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         raise ValueError("expected a nonempty list of equal-length vectors")
     if not np.isfinite(pts).all():
         raise ValueError("points have non-finite entries")
-    if dim is not None and pts.shape[1] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {pts.shape[1]}")
     return pts
 
 
-def normalize_direction(u, dim: int | None = None, slack: float = 1e-6) -> np.ndarray:
-    """Return u rescaled to unit norm; rejects vectors further than `slack` from the sphere."""
+def normalize_direction(u, dim: int | None = None) -> np.ndarray:
+    """Return u rescaled to unit norm; rejects vectors further than DIRECTION_SLACK from the sphere."""
     u = as_vector(u, dim)
     norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > slack:
-        raise ValueError(f"direction norm {norm} is not within {slack} of 1")
+    if abs(norm - 1.0) > DIRECTION_SLACK:
+        raise ValueError(f"direction norm {norm} is not within {DIRECTION_SLACK} of 1")
     return u / norm
 
 

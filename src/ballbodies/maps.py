@@ -52,8 +52,8 @@ class BlackBoxMap:
         return self.evaluate(x)
 
 
-def motion_map(g: RigidMotion, name: str = "motion") -> BlackBoxMap:
-    return BlackBoxMap(lambda body: apply_motion(g, body), g.dim, name=name)
+def motion_map(g: RigidMotion) -> BlackBoxMap:
+    return BlackBoxMap(lambda body: apply_motion(g, body), g.dim, name="motion")
 
 
 def cdual_map(dim: int) -> BlackBoxMap:

@@ -31,6 +31,7 @@ MAX_CURVE_SAMPLES = 2**14  # per winding circle
 HOMOTOPY_GRID = 24  # homotopy parameters; the outer circle gets 4x as many angles
 LM_MAX_ITERS = 100  # Jacobians per preimage search
 SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
+DEFECT_SAMPLES = 160  # random disk points of the distortion estimate
 
 
 def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.ndarray:
@@ -39,9 +40,7 @@ def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.nda
     return pts * (radius * np.sqrt(rng.uniform(0, 1, (count, 1))))
 
 
-def eps_isometry_defect_planar(
-    f: BlackBoxMap, radius: float, samples: int = 160, seed: int = 0
-) -> float:
+def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> float:
     """Max over sampled pairs in the disk of | |f(x)-f(x')| - |x-x'| |.
 
     A lower bound on the true distortion.  The sample includes antipodal
@@ -51,7 +50,7 @@ def eps_isometry_defect_planar(
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    pts = list(_disk_samples(rng, radius, samples))
+    pts = list(_disk_samples(rng, radius, DEFECT_SAMPLES))
     # shrinking antipodal ladder around the origin
     for k in range(1, 7):
         u = rng.standard_normal(2)
@@ -73,17 +72,12 @@ def _discontinuity_probe(f: BlackBoxMap, radius: float, seed: int) -> tuple[bool
     """Does a large distance distortion persist at vanishing separations?"""
     rng = np.random.default_rng(seed)
     persistent = 0.0
+    h = radius * 10.0**-8  # the smallest separation of the origin ladder below
     for _ in range(8):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
         base = rng.uniform(-0.2, 0.2, 2)
-        sep_defect = 0.0
-        for k in range(3, 9):
-            h = radius * 10.0**-k
-            a, b = base + h * u, base - h * u
-            d = abs(float(np.linalg.norm(f(a) - f(b))) - 2 * h)
-            sep_defect = d
-        persistent = max(persistent, sep_defect)
+        persistent = max(persistent, abs(float(np.linalg.norm(f(base + h * u) - f(base - h * u))) - 2 * h))
     # probe around the origin explicitly
     for k in range(3, 9):
         h = radius * 10.0**-k

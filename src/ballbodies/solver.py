@@ -22,9 +22,10 @@ that search, and `support_batch` serves each direction by one of three paths:
   with batched products and picks the best candidate with valid
   multipliers and a feasible point in one ``argmax``.
 * Elsewhere (larger leaves, and any direction the first two paths leave
-  uncertified): a guided active-set loop that grows the working set by the
-  most violated constraint and solves the working set's sub-leaf by the
-  same subset table.
+  uncertified): an LP-type pivot over all such directions at once.  Each
+  direction keeps a basis of at most n balls; a round adds the ball its
+  optimum violates most, solves that sub-leaf by its own subset table, and
+  keeps the winner's tight balls, until the optimum lies in every ball.
 
 A 2-d piece is certified when the leaf is prepared (see `ArcTable`): an
 upper bound from the piece's ball, or from the vertex's normal cone, and a
@@ -40,7 +41,6 @@ copies of the centers and radii, so no caller can change it after the fact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -152,8 +152,8 @@ class LeafGeometry:
     only when rounding leaves no arc, as for a body that is one point),
     with every piece's certificate already computed from `interior` and
     `slack`; `subsets` for the subset table when n >= 3 and m <=
-    ENUM_MAX_CENTERS.  A leaf with neither takes the active-set loop, which
-    builds the subset table of each working set as it goes.
+    ENUM_MAX_CENTERS.  A leaf with neither takes the pivot, which builds
+    the subset table of each sub-leaf as it goes.
     """
 
     centers: np.ndarray  # (m, n)
@@ -266,15 +266,20 @@ def _feasible_lower(X, r, u_arr, y, interior, slack):
     return np.einsum("kn,kn->k", u_arr, y_f)
 
 
-def _certify(leaf: LeafGeometry, U, y, lam, idx, tol):
-    """Certified values of candidates (y, lam on idx) per direction; NaN where the gap exceeds tol.
+def _bounds(leaf: LeafGeometry, U, y, lam, idx):
+    """Lower and upper bounds of h(u) from candidates (y, lam on idx), per direction.
 
     The upper bound is the dual bound of (lam, idx), or the single-ball
     bound min_i (<x_i, u> + r_i) where that is lower.
     """
     X, r = leaf.centers, leaf.radii
     ub = np.minimum(_dual_upper(X, r, U, lam, idx), np.min(U @ X.T + r[None, :], axis=1))
-    lo = _feasible_lower(X, r, U, y, leaf.interior, leaf.slack)
+    return _feasible_lower(X, r, U, y, leaf.interior, leaf.slack), ub
+
+
+def _certify(leaf: LeafGeometry, U, y, lam, idx, tol):
+    """Certified values of candidates (y, lam on idx) per direction; NaN where the gap exceeds tol."""
+    lo, ub = _bounds(leaf, U, y, lam, idx)
     gap = ub - lo
     return np.where((gap <= tol) & (gap >= -1e-9), 0.5 * (lo + ub), np.nan)
 
@@ -591,68 +596,59 @@ def _enumerate_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# guided active-set loop (large m, or table fallout)
+# LP-type pivot (large leaves, or table fallout)
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _working_table(leaf: LeafGeometry, active: tuple[int, ...]) -> SubsetTable:
-    """The subset table of the working set's sub-leaf; working sets recur across directions."""
-    sub = list(active)
-    return _build_subsets(leaf.centers[sub], leaf.radii[sub])
+def _pivot_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
+    """Certified values by basis pivoting, for all directions at once.
 
-
-def _active_set_optimum(leaf: LeafGeometry, u, active):
-    """Best KKT candidate over the working set: the optimum of that sub-leaf, from its subset table."""
-    found, y, lam, idx = _subset_optimum(_working_table(leaf, tuple(active)), u[None, :])
-    if not found[0]:
-        return None
-    tight = idx[0] >= 0
-    return y[0], lam[0][tight], [active[i] for i in idx[0][tight]]
-
-
-def _support_single_dir(leaf: LeafGeometry, u: np.ndarray, tol: float) -> float:
+    The leaf problem is LP-type with combinatorial dimension n
+    (Matousek-Sharir-Welzl, Algorithmica 1996).  Each direction starts from
+    the ball of least single-ball bound.  Per round, its sub-leaf is its
+    basis plus the ball its optimum violates most, and the winner of the
+    sub-leaf's subset table gives the new optimum and, by its tight balls,
+    the new basis.  A sub-leaf's body holds the leaf's, and a strictly
+    convex body has one maximizer, so the optimum falls until it lies in
+    every ball; a round where rounding keeps it from falling also ends the
+    direction.  Raises NoConvergenceError where the last candidate does not
+    certify.
+    """
     X, r = leaf.centers, leaf.radii
-    single_ub = X @ u + r
-    active = [int(np.argmin(single_ub))]
-    gap = np.inf  # stays infinite unless a feasible candidate gets certified bounds
-    for _ in range(80):
-        found = _active_set_optimum(leaf, u, active)
-        if found is None:
-            # widen the working set with the next-best single bound
-            order = np.argsort(single_ub)
-            for cand in order:
-                if int(cand) not in active:
-                    active.append(int(cand))
-                    break
-            else:
-                break
-            continue
-        y, lam, subset = found
-        d = np.linalg.norm(y[None, :] - X, axis=1) - r
-        j = int(np.argmax(d))
-        viol = float(d[j])
-        if viol <= FEAS_PAD:
-            dual = _dual_upper(X, r, u[None, :], lam[None, :], np.array([subset]))[0]
-            ub = float(min(dual, np.min(single_ub)))
-            lo = float(
-                _feasible_lower(X, r, u[None, :], y[None, :], leaf.interior, leaf.slack)[0]
-            )
-            gap = ub - lo
-            if gap <= tol:
-                return 0.5 * (lo + ub)
-            break
-        if j in active:
-            break
-        active.append(j)
-        if len(active) > X.shape[1] + 6:
-            # keep the working set small: drop members not in the KKT subset
-            keep = [i for i in active if i in subset or i == j]
-            active = keep if keep else active[-(X.shape[1] + 3) :]
-    raise NoConvergenceError(
-        f"support solve failed to certify tolerance {tol} in dimension n={X.shape[1]} "
-        f"with m={X.shape[0]} balls, direction {u.tolist()}: achieved gap ub - lo = {gap:.3g}"
-    )
+    k, n = U.shape
+    sub = np.full((k, n + 1), -1, dtype=np.intp)  # each direction's sub-leaf
+    sub[:, 0] = np.argmin(U @ X.T + r, axis=1)
+    y, lam, idx = np.zeros((k, n)), np.zeros((k, n)), np.full((k, n), -1, dtype=np.intp)
+    best = np.full(k, np.inf)
+    live = np.arange(k)
+    while live.size:
+        rows, inv = np.unique(np.sort(sub[live], axis=1), axis=0, return_inverse=True)
+        found, ny, nlam = np.zeros(live.size, dtype=bool), np.zeros((live.size, n)), np.zeros((live.size, n))
+        nidx = np.full((live.size, n), -1, dtype=np.intp)
+        for g, row in enumerate(rows):  # one table per distinct sub-leaf
+            sel, members = np.flatnonzero(inv.ravel() == g), row[row >= 0]
+            table = _build_subsets(X[members], r[members])
+            found[sel], ny[sel], nlam[sel], local = _subset_optimum(table, U[live[sel]])
+            nidx[sel] = np.where(local >= 0, members[local], -1)
+        value = np.einsum("kn,kn->k", U[live], ny)
+        fell = found & (value < best[live])
+        live, ny, nidx = live[fell], ny[fell], nidx[fell]
+        y[live], lam[live], idx[live], best[live] = ny, nlam[fell], nidx, value[fell]
+        viol = np.linalg.norm(ny[:, None, :] - X, axis=2) - r
+        j = np.argmax(viol, axis=1)
+        out = viol[np.arange(live.size), j] > FEAS_PAD
+        live = live[out]
+        sub[live] = np.column_stack([nidx[out], j[out]])
+
+    values = _certify(leaf, U, y, lam, idx, tol)
+    i = np.flatnonzero(np.isnan(values))[:1]
+    if i.size:
+        lo, ub = _bounds(leaf, U[i], y[i], lam[i], idx[i])
+        raise NoConvergenceError(
+            f"support solve failed to certify tolerance {tol} in dimension n={n} with m={leaf.m} balls, "
+            f"direction {U[i[0]].tolist()}: achieved gap ub - lo = {ub[0] - lo[0]:.3g}"
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +677,7 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
         values = _enumerate_support(leaf, U, tol)
     else:
         values = np.full(U.shape[0], np.nan)
-    for i in np.flatnonzero(np.isnan(values)):
-        values[i] = _support_single_dir(leaf, U[i], tol)
+    rest = np.flatnonzero(np.isnan(values))
+    if rest.size:
+        values[rest] = _pivot_support(leaf, U[rest], tol)
     return values

@@ -222,32 +222,11 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
 def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL) -> float:
     """max over the body of |y - x|, the Hausdorff distance of {x} to the body.
 
-    The coarse net maximum of h(u) - <x, u> is refined by golden-section
-    search on the angle (2-d, `farthest_distance_batch` with one probe) or by
-    shrinking-cap sampling (n >= 3).
+    Planar only: `farthest_distance_batch` with one probe, which raises
+    ValueError for n >= 3.
     """
     ev = as_eval(K, tol)
-    x = as_vector(x, ev.dim)
-    if ev.dim == 2:
-        return float(farthest_distance_batch(ev, x[None, :], net, tol)[0])
-    vals = ev.on_net(net) - net.directions @ x
-    i0 = int(np.argmax(vals))
-
-    # shrinking spherical-cap refinement
-    u_best = net.directions[i0].copy()
-    best = float(vals[i0])
-    rng = np.random.default_rng(12345)
-    cap = net.mesh
-    for _ in range(12):
-        probes = u_best[None, :] + cap * rng.standard_normal((24, ev.dim))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        vals = ev.batch(probes) - probes @ x
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best:
-            best = float(vals[j])
-            u_best = probes[j]
-        cap *= 0.6
-    return best
+    return float(farthest_distance_batch(ev, as_vector(x, ev.dim)[None, :], net, tol)[0])
 
 
 def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -262,7 +241,7 @@ def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFA
     """
     ev = as_eval(K, tol)
     if ev.dim != 2:
-        raise ValueError("batched refinement is planar only")
+        raise ValueError("farthest distances are planar only")
     xs = np.asarray(xs, dtype=float)
     angle = np.arctan2(net.directions[:, 1], net.directions[:, 0])
     order = np.argsort(angle)

@@ -30,7 +30,7 @@ def test_defect_of_sinusoidal_perturbation():
         planar=True,
         name="wobble",
     )
-    d = eps_isometry_defect_planar(f, radius=3.0, samples=240)
+    d = eps_isometry_defect_planar(f, radius=3.0)
     # the displacement has sup norm 0.3 * sqrt(2), so the distortion is at
     # most twice that (0.849); pairs aligned with the wobble do exceed 0.6
     assert 0.0 < d <= 2 * 0.3 * np.sqrt(2) + 1e-9

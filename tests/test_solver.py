@@ -18,7 +18,6 @@ from ballbodies.solver import (
     _dual_upper,
     _enumerate_support,
     _feasible_lower,
-    _support_single_dir,
     prepare_leaf,
     support_batch,
 )
@@ -199,21 +198,21 @@ def test_singleton_leaf_matches_enclosing_ball_path(dim):
 
 
 def test_no_convergence_names_leaf_direction_and_gap():
-    # a tolerance below the rounding of the certificate cannot be met
+    # a tolerance below the rounding of the certificate cannot be met; 3-d
+    # leaves past the subset table reach the pivot
     rng = np.random.default_rng(0)
     errors = []
     for _ in range(20):
-        leaf = prepare_leaf(rng.uniform(-0.3, 0.3, size=(4, 2)))
-        u = rng.standard_normal(2)
-        u /= np.linalg.norm(u)
+        leaf = prepare_leaf(rng.uniform(-0.3, 0.3, size=(9, 3)))
+        dirs = unit_dirs(3, 4, int(rng.integers(1000)))
         try:
-            _support_single_dir(leaf, u, 1e-300)
+            support_batch(leaf, dirs, 1e-300)
         except NoConvergenceError as exc:
-            errors.append((u, str(exc)))
+            errors.append((dirs, str(exc)))
     assert errors
-    u, message = errors[0]
-    assert "n=2" in message and "m=4" in message
-    assert f"direction {u.tolist()}" in message
+    dirs, message = errors[0]
+    assert "n=3" in message and "m=9" in message
+    assert any(f"direction {u.tolist()}" in message for u in dirs)
     gap = float(message.rsplit("ub - lo = ", 1)[1])
     assert 1e-300 < gap <= DEFAULT_TOL
 
@@ -276,6 +275,44 @@ def test_four_dimensional_leaves_certify_on_a_whole_net(monkeypatch):
         for i in rng.choice(len(net), size=4, replace=False):
             u = net.directions[i]
             assert vals[i] == pytest.approx(slsqp_support(centers, np.ones(m), u), abs=1e-6)
+
+
+def reconstruction_leaf_3d():
+    """27 probe balls on a 3 x 3 x 3 grid over [-3, 3]^3 that reach 0.5 + 2e-6 past a point."""
+    axis = np.linspace(-3.0, 3.0, 3)
+    probes = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    return probes, np.linalg.norm(probes - [0.2, -0.1, 0.05], axis=1) + 0.5 + 2e-6
+
+
+@pytest.mark.parametrize("kind, dim, m", [("unit", 3, 9), ("unit", 3, 64), ("reconstruction", 3, 27), ("unit", 4, 32)])
+def test_pivot_certifies_leaves_past_the_subset_table(kind, dim, m):
+    from ballbodies.geometry import make_sphere_net
+
+    rng = np.random.default_rng(m)
+    if kind == "unit":
+        centers, radii = rng.uniform(-0.4, 0.4, size=(m, dim)), np.ones(m)
+    else:
+        centers, radii = reconstruction_leaf_3d()
+    leaf = prepare_leaf(centers, radii)
+    assert leaf.m == m and leaf.subsets is None and leaf.arcs is None
+    dirs = make_sphere_net(dim, 0.5).directions
+    values = support_batch(leaf, dirs)
+    assert np.all(np.isfinite(values))
+    for i in rng.choice(len(dirs), size=2, replace=False):
+        assert values[i] == pytest.approx(slsqp_support(centers, radii, dirs[i]), abs=1e-6)
+
+
+@pytest.mark.parametrize("dim, m", [(3, 9), (4, 10)])
+def test_pivot_matches_a_raised_subset_table(dim, m, monkeypatch):
+    rng = np.random.default_rng(m)
+    centers = rng.uniform(-0.4, 0.4, size=(m, dim))
+    dirs = unit_dirs(dim, 200, m)
+    pivot = support_batch(prepare_leaf(centers), dirs)
+    monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", m)
+    leaf = prepare_leaf(centers)
+    assert leaf.subsets is not None
+    refuse_fallback(monkeypatch)
+    assert np.max(np.abs(support_batch(leaf, dirs) - pivot)) <= DEFAULT_TOL
 
 
 def test_sublinearity_of_leaf_support():
@@ -561,7 +598,7 @@ def test_skeleton_on_directions_parallel_to_a_pair_axis(dim):
 )
 def test_nearly_coincident_centers(centers, monkeypatch):
     # centers 1e-9 apart: the pair's multipliers are of order 1e9, and the
-    # table, and the active-set loop on the same routine, still certify
+    # table, and the pivot on the same routine, still certify
     dirs = np.vstack([unit_dirs(3, 300, 9), [[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]]])
     leaf = prepare_leaf(centers)
     assert_matches_reference(leaf, dirs)
@@ -584,7 +621,7 @@ def test_enumeration_limit_is_read_at_preparation(monkeypatch):
     expected = support_batch(leaf, dirs)
 
     monkeypatch.setattr(solver, "ENUM_MAX_CENTERS", 3)
-    fallback = prepare_leaf(centers)  # prepared past the limit: no table, active-set loop
+    fallback = prepare_leaf(centers)  # prepared past the limit: no table, the pivot
     assert leaf.subsets is not None and fallback.subsets is None
     assert np.max(np.abs(support_batch(fallback, dirs) - expected)) <= DEFAULT_TOL
     # a leaf keeps the path it was prepared with, whatever the limit is now
@@ -593,12 +630,12 @@ def test_enumeration_limit_is_read_at_preparation(monkeypatch):
 
 
 def refuse_fallback(monkeypatch):
-    """Make the active-set loop raise, so only the table paths can certify."""
+    """Make the pivot raise, so only the table paths can certify."""
 
-    def refuse(leaf, u, tol):
-        raise AssertionError(f"direction {u.tolist()} of an m={leaf.m} leaf reached the active-set loop")
+    def refuse(leaf, U, tol):
+        raise AssertionError(f"{U.shape[0]} directions of an m={leaf.m} leaf reached the pivot")
 
-    monkeypatch.setattr(solver, "_support_single_dir", refuse)
+    monkeypatch.setattr(solver, "_pivot_support", refuse)
 
 
 def test_enumeration_limit_leaves_plane_leaves_on_the_arc_path(monkeypatch):
