@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import make_sphere_net
 from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check
-from .maps import parse_map
+from .maps import map_dimension, parse_map
 from .planar import surjectivity_probe_planar
 from .solver import DEFAULT_TOL
 from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid
@@ -82,12 +82,13 @@ class RunConfig:
     oracle: bool
     output_path: str | None
 
-    def resolve_dim(self, inferred: int) -> int:
-        if self.dimension is not None and self.dimension != inferred:
+    def resolve_dim(self, inferred: int | None) -> int:
+        """--dim or the documents' dimension, which must agree; 2 when neither is set (inferred None)."""
+        if None not in (self.dimension, inferred) and self.dimension != inferred:
             raise DimensionMismatchError(
                 f"--dim {self.dimension} but the documents live in dimension {inferred}"
             )
-        dim = self.dimension if self.dimension is not None else inferred
+        dim = next(d for d in (self.dimension, inferred, 2) if d is not None)
         if dim < 2:
             raise ValueError("dimension must be at least 2")
         return dim
@@ -311,8 +312,9 @@ def classify(config: RunConfig, map_doc):
     """Normal form of a black-box isometry: a motion, or a motion after duality."""
 
     def run():
-        dim = config.dimension if config.dimension is not None else 2
-        T = parse_map(_load_document(map_doc), dim)
+        doc = _load_document(map_doc)
+        dim = config.resolve_dim(map_dimension(doc))
+        T = parse_map(doc, dim)
         cfg = ClassifierConfig(
             dimension=dim, net=config.net(dim), tol=config.support_tol, seed=config.seed
         )

@@ -159,15 +159,6 @@ class SphereNet:
     def __len__(self) -> int:
         return self.directions.shape[0]
 
-    def covering_audit(self, n_samples: int, seed: int = 0) -> float:
-        """Largest distance from random unit vectors to the net (Monte Carlo, for tests)."""
-        from scipy.spatial import cKDTree
-
-        u = np.random.default_rng(seed).standard_normal((n_samples, self.dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        dist, _ = cKDTree(self.directions).query(u)
-        return float(np.max(dist))
-
 
 def make_sphere_net(n: int, mesh: float) -> SphereNet:
     """Build a direction net on the unit sphere of R^n with covering radius <= mesh.

@@ -3,10 +3,11 @@ classification of black-box isometries, and the geodesic midpoint check.
 
 A metric isometry of the ball-body space is, in normal form, a rigid motion
 applied either directly or after c-duality.  The classifier recovers that
-form in three stages: (1) probe points and unit balls and see which family
-collapses to near-points under the map, (2) fit a rigid motion through the
-centers of the collapsed images, and (3) certify the fit by measuring
-residual distances on random test bodies.
+form in three stages: (1) map a point and a unit ball on each of 0 and
++-PROBE_OFFSET e_i and see which family collapses to near-points, (2) fit
+the rigid motion, which any n + 1 affinely independent points fix, to the
+fitted centers of the collapsed images, and (3) certify the fit by
+measuring residual distances on random test bodies.
 
 Stages 1 and 2 need no linear program.  Under a true isometry every probe
 image is a point or a unit ball, whose support h(u) = <z, u> + rho is affine
@@ -16,8 +17,8 @@ objective at the fitted center, an upper bound on the LP optimum, so the
 collapse test is never looser than with the LP.  The circumball LP serves
 only the geodesic midpoint check.
 
-The screening tolerance, the collapse radius, the lattices, the probe net
-and the number of test bodies are the module constants below.  So every
+The screening tolerance, the collapse radius, the probe points, the probe
+net and the number of test bodies are the module constants below.  So every
 probe and test body the classifier maps depends only on the dimension, and
 the test bodies on the seed too.  Each is built once per dimension (and
 seed) and kept read-only, arrays included, so a map that writes into its
@@ -45,9 +46,7 @@ from .support import SupportEval, as_eval, circumball, default_mesh, hausdorff
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
-LATTICE_SPACING = 1.0  # stage 2's lattice
-STAGE1_SPACING = 2.0  # stage 1's coarser lattice
-LATTICE_RADIUS = 3.0  # both lattices cover [-3, 3]^n
+PROBE_OFFSET = 2.0  # the probes sit on 0 and +-PROBE_OFFSET e_i
 PROBE_MESH = 0.2  # ball fits of points and unit balls are exact on coarse nets
 N_TEST_BODIES = 20  # stage 3's residual bodies
 CACHE_SIZE = 16  # distinct (dimension, seed) values kept per built input
@@ -131,14 +130,10 @@ def isometry_defect(
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _lattice_probes(
-    dim: int, spacing: float, family: str
-) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
-    """The lattice points and, read-only, a probe on each: "point" bodies or unit "ball"s."""
-    steps = np.arange(-LATTICE_RADIUS, LATTICE_RADIUS + 1e-9, spacing)
-    points = np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    probe = point_body if family == "point" else ball_body
-    return _read_only((points, tuple(probe(x) for x in points)))
+def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...], tuple[BallBodyExpr, ...]]:
+    """The points 0 and +-PROBE_OFFSET e_i, and a point and a unit-ball probe on each, read-only."""
+    points = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
+    return _read_only((points, tuple(map(point_body, points)), tuple(map(ball_body, points))))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -176,10 +171,9 @@ class ClassifierConfig:
     """Settings of `classify_isometry`: the dimension, the net and oracle
     tolerance of every distance, and the seed of the stage-3 test bodies.
 
-    The dimension fixes the screening pairs, the lattice probes and the
-    probe net, and with the seed the test bodies.  Each is built on first
-    use, once per distinct value, so fields set after construction take
-    effect.
+    The dimension fixes the screening pairs, the probes and the probe net,
+    and with the seed the test bodies.  Each is built on first use, once
+    per distinct value, so fields set after construction take effect.
     """
 
     dimension: int = 2
@@ -261,10 +255,9 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     probe_net = _probe_net(dim)
 
     # stage 1: which family (points / unit balls) maps to near-points?
-    _, points = _lattice_probes(dim, STAGE1_SPACING, "point")
-    _, balls = _lattice_probes(dim, STAGE1_SPACING, "ball")
-    _, point_radii = _ball_fits([_image(T, p, "point probe") for p in points], probe_net, config.tol)
-    _, ball_radii = _ball_fits([_image(T, b, "ball probe") for b in balls], probe_net, config.tol)
+    sources, points, balls = _probes(dim)
+    point_z, point_radii = _ball_fits([_image(T, p, "point probe") for p in points], probe_net, config.tol)
+    ball_z, ball_radii = _ball_fits([_image(T, b, "ball probe") for b in balls], probe_net, config.tol)
     point_r = float(np.max(point_radii))
     ball_r = float(np.max(ball_radii))
     points_collapse = point_r <= POINT_RADIUS_TOL
@@ -280,10 +273,8 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
         )
     kind = "identity" if points_collapse else "cdual"
 
-    # stage 2: rigid motion through the centers of the collapsed family
-    family = "point" if kind == "identity" else "ball"
-    sources, probes = _lattice_probes(dim, LATTICE_SPACING, family)
-    targets, _ = _ball_fits([_image(T, p, "lattice probe") for p in probes], probe_net, config.tol)
+    # stage 2: rigid motion through the fitted centers of the collapsed family
+    targets = point_z if kind == "identity" else ball_z
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form

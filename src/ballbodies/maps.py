@@ -35,7 +35,7 @@ from .bodies import (
     c_dual,
     parse_body,
 )
-from .errors import DocumentError
+from .errors import DimensionMismatchError, DocumentError
 from .geometry import RigidMotion
 
 
@@ -191,3 +191,15 @@ def parse_map(doc, dim: int) -> BlackBoxMap:
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"malformed map node of type {kind!r}: {exc}") from exc
     raise DocumentError(f"unknown map type {kind!r}")
+
+
+def map_dimension(doc) -> int | None:
+    """The dimension a motion's rotation or a constant's body fixes, compose parts included; else None."""
+    kind = doc.get("map") if isinstance(doc, dict) else None
+    if kind in ("motion", "constant"):
+        return parse_map(doc, 2).dim  # neither kind reads the dimension argument
+    parts = doc["of"] if kind == "compose" and isinstance(doc.get("of"), list) else []
+    dims = {map_dimension(part) for part in parts} - {None}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"compose parts live in dimensions {sorted(dims)}")
+    return min(dims, default=None)

@@ -196,8 +196,8 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
         r = np.ones(m)
     else:
         r = np.array(radii, dtype=float)
-        if r.shape != (m,):
-            raise ValueError("radii must match the number of centers")
+        if r.shape != (m,) or not np.isfinite(r).all():
+            raise ValueError("radii must be finite and one per center")
         if np.any(r < 0):
             raise EmptyBodyError("negative constraint radius")
 

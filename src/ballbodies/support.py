@@ -292,10 +292,12 @@ def reconstruct(distances, net: SphereNet, tol: float = DEFAULT_TOL) -> SupportE
     for x, d in distances:
         x = as_vector(x)
         d = float(d)
-        if d < 0:
-            raise ValueError("probe distances must be nonnegative")
+        if not 0 <= d < np.inf:
+            raise ValueError(f"probe distances must be finite and nonnegative, got {d}")
         pts.append(x)
         rads.append(d)
+    if not pts:
+        raise ValueError("reconstruct needs at least one (point, distance) pair")
     centers = np.asarray(pts)
     radii = np.asarray(rads)
     if net.dim != centers.shape[1]:

@@ -48,6 +48,13 @@ def test_generators_rejects_empty_intersection():
         Generators(np.array([[0.0, 0.0], [2.1, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_generators_rejects_non_finite_radii(recwarn, bad):
+    with pytest.raises(ValueError, match="radii must be finite and one per center"):
+        Generators(np.array([[0.0, 0.0], [0.5, 0.0]]), radii=np.array([1.0, bad]))
+    assert not recwarn.list
+
+
 def test_generators_boundary_flag():
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
     with pytest.raises(EmptyBodyError, match="boundary"):

@@ -154,6 +154,38 @@ def test_a_map_failing_after_screening_exits_premise():
     assert "map evaluation failed on a test body" in error["message"]
 
 
+MOTION_3D = {"map": "motion", "rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0]}
+
+
+def compose_doc(*parts) -> str:
+    return json.dumps({"map": "compose", "of": list(parts)})
+
+
+@pytest.mark.parametrize(
+    "doc, kind",
+    [(json.dumps(MOTION_3D), "identity"), (compose_doc({"map": "cdual"}, MOTION_3D), "cdual")],
+    ids=["motion", "cdual-then-motion"],
+)
+def test_classify_takes_the_dimension_from_the_map(doc, kind):
+    result = report("classify", doc)
+    assert result["kind"] == kind
+    assert np.shape(result["rotation"]) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--dim", "2", "classify", json.dumps(MOTION_3D)),
+        ("classify", compose_doc(MOTION_3D, {"map": "constant", "body": json.loads(ball_doc([0.0, 0.0]))})),
+    ],
+    ids=["dim-flag", "compose-parts"],
+)
+def test_classify_dimension_mismatch_exits_invariant(args):
+    result = run_cli(*args)
+    assert result.exit_code == EXIT_INVARIANT
+    assert json.loads(result.stderr)["error"]["type"] == "DimensionMismatchError"
+
+
 GUARD = """
 import json, sys
 sys.path.insert(0, {src!r})

@@ -21,16 +21,15 @@ from ballbodies.errors import AmbiguousClassificationError, NotIsometryError
 from ballbodies.geometry import RigidMotion, make_sphere_net, procrustes_fit
 from ballbodies.lab import (
     DEFECT_TOL,
-    LATTICE_RADIUS,
-    LATTICE_SPACING,
     N_TEST_BODIES,
     POINT_RADIUS_TOL,
     PROBE_MESH,
-    STAGE1_SPACING,
+    PROBE_OFFSET,
     ClassifierConfig,
     _ball_fits,
     _defect_details,
     _screening_pairs,
+    _test_bodies,
     classify_isometry,
     geodesic_midpoint_check,
     isometry_defect,
@@ -227,14 +226,10 @@ def rebuilt_classification(T, config):
             f"tolerance {DEFECT_TOL} (worst-case endpoint {defect:.3f})"
         )
 
-    def lattice(spacing):
-        steps = np.arange(-LATTICE_RADIUS, LATTICE_RADIUS + 1e-9, spacing)
-        return np.stack(np.meshgrid(*([steps] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-
     probe_net = make_sphere_net(dim, PROBE_MESH)
-    stage1 = lattice(STAGE1_SPACING)
-    _, point_radii = _ball_fits([T(point_body(x)) for x in stage1], probe_net, tol)
-    _, ball_radii = _ball_fits([T(ball_body(x)) for x in stage1], probe_net, tol)
+    sources = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
+    point_z, point_radii = _ball_fits([T(point_body(x)) for x in sources], probe_net, tol)
+    ball_z, ball_radii = _ball_fits([T(ball_body(x)) for x in sources], probe_net, tol)
     point_r, ball_r = float(np.max(point_radii)), float(np.max(ball_radii))
     if point_r <= POINT_RADIUS_TOL and ball_r <= POINT_RADIUS_TOL:
         raise AmbiguousClassificationError(
@@ -246,9 +241,7 @@ def rebuilt_classification(T, config):
             f"(radii {point_r:.2e}, {ball_r:.2e}); the map cannot be an isometry"
         )
     kind = "identity" if point_r <= POINT_RADIUS_TOL else "cdual"
-    sources = lattice(LATTICE_SPACING)
-    probe = point_body if kind == "identity" else ball_body
-    targets, _ = _ball_fits([T(probe(x)) for x in sources], probe_net, tol)
+    targets = point_z if kind == "identity" else ball_z
     motion, fit_rms = procrustes_fit(sources, targets)
     rng = np.random.default_rng(config.seed)
     residual = residual_bound = 0.0
@@ -300,6 +293,34 @@ def test_classification_matches_a_per_call_rebuild_bit_for_bit(dim):
         assert outcome(classify_isometry, T, config) == reference
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stages_one_and_two_map_a_point_and_a_ball_on_each_probe_point(dim):
+    # 5 screening probes, then the 2n + 1 probe points 0 and +-2 e_i, each
+    # as a point and as a unit ball; stage 2 maps nothing
+    g = random_motion(np.random.default_rng(47), dim)
+    T, calls = counting(compose_maps([cdual_map(dim), motion_map(g)]))
+    config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.5))
+    assert classify_isometry(T, config).details["n_correspondences"] == 2 * dim + 1
+    stage3 = {id(body) for body in _test_bodies(dim, config.seed)}
+    before = next(i for i, body in enumerate(calls) if id(body) in stage3)
+    assert before == 5 + 2 * (2 * dim + 1)
+    assert len(calls) == before + N_TEST_BODIES
+
+
+def test_classify_planted_4d_reflection_after_duality(no_lp):
+    rng = np.random.default_rng(48)
+    g = random_motion(rng, 4)
+    q = g.rotation.copy()
+    if np.linalg.det(q) > 0:
+        q[:, 0] = -q[:, 0]
+    g = RigidMotion(q, g.translation)
+    result = classify_isometry(compose_maps([cdual_map(4), motion_map(g)]), ClassifierConfig(dimension=4))
+    assert result.kind == "cdual"
+    assert np.linalg.det(result.motion.rotation) < 0
+    assert np.max(np.abs(result.motion.rotation - q)) <= 1e-9
+    assert np.max(np.abs(result.motion.translation - g.translation)) <= 1e-9
+
+
 def test_second_classification_prepares_no_leaf(monkeypatch, config2):
     T = motion_map(random_motion(np.random.default_rng(44), 2))
     first = classify_isometry(T, config2).to_doc()
@@ -332,7 +353,7 @@ def first_centers(body):
     return body.centers
 
 
-@pytest.mark.parametrize("writes_from", [0, 5, 86])  # screening, stage 1, stage 3 in 2-d
+@pytest.mark.parametrize("writes_from", [0, 5, 15])  # screening, stage 1, stage 3 in 2-d
 def test_a_map_writing_into_its_input_raises_and_later_calls_are_unaffected(config2, writes_from):
     T = motion_map(random_motion(np.random.default_rng(46), 2))
     before = classify_isometry(T, config2).to_doc()

@@ -379,6 +379,14 @@ def test_reconstruct_empty_raises(net2):
         reconstruct([(np.array([0.0, 0.0]), 1.0), (np.array([5.0, 0.0]), 1.0)], net2)
 
 
+def test_reconstruct_rejects_missing_or_non_finite_probe_data(net2):
+    with pytest.raises(ValueError, match="at least one .point, distance. pair"):
+        reconstruct([], net2)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="probe distances must be finite and nonnegative"):
+            reconstruct([(np.zeros(2), bad)], net2)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_farthest_distance_matches_closed_form(dim):
     if dim == 3:
