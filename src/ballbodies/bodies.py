@@ -8,8 +8,10 @@ tree of four node kinds:
 * ``Combine(lam, a, b)``      -- the Minkowski average (1-lam) a + lam b
 * ``Motion(g, of)``           -- the image under a rigid motion
 
-Trees are immutable and hash by identity.  The matching JSON document
-format (one object per node) is::
+Trees are immutable and hash by identity.  Each node sets its dimension,
+its depth and its norm bound (a bound on |h(u)| over the unit sphere) once,
+at construction, from its own data and its children's values.  The matching
+JSON document format (one object per node) is::
 
     {"type": "generators", "centers": [[...], ...]}
     {"type": "cdual", "of": <body>}
@@ -36,10 +38,14 @@ class BallBodyExpr:
 
     dim: int
     depth: int
+    norm_bound: float  # bounds |h(u)| over the unit sphere
 
-    def _check_depth(self):
-        if self.depth > MAX_TREE_DEPTH:
+    def _derive(self, dim: int, depth: int, norm_bound: float) -> None:
+        if depth > MAX_TREE_DEPTH:
             raise ValueError(f"expression depth exceeds {MAX_TREE_DEPTH}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "norm_bound", norm_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +75,12 @@ class Generators(BallBodyExpr):
                     "pass boundary=True to accept a near-degenerate body"
                 )
         object.__setattr__(self, "_leaf", leaf)
+        norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
+        self._derive(leaf.dim, 1, norm_bound)
 
     @property
     def leaf(self) -> LeafGeometry:
         return self._leaf
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
-    @property
-    def depth(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +89,8 @@ class CDual(BallBodyExpr):
 
     of: BallBodyExpr
 
-    @property
-    def dim(self) -> int:
-        return self.of.dim
-
-    @property
-    def depth(self) -> int:
-        return self.of.depth + 1
-
     def __post_init__(self):
-        self._check_depth()
+        self._derive(self.of.dim, self.of.depth + 1, 1.0 + self.of.norm_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +106,8 @@ class Combine(BallBodyExpr):
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.a.dim != self.b.dim:
             raise DimensionMismatchError("combined bodies have different dimensions")
-        self._check_depth()
-
-    @property
-    def dim(self) -> int:
-        return self.a.dim
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.a.depth, self.b.depth)
+        norm_bound = (1.0 - self.lam) * self.a.norm_bound + self.lam * self.b.norm_bound
+        self._derive(self.a.dim, 1 + max(self.a.depth, self.b.depth), norm_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +120,8 @@ class Motion(BallBodyExpr):
     def __post_init__(self):
         if self.g.dim != self.of.dim:
             raise DimensionMismatchError("motion dimension does not match the body")
-        self._check_depth()
-
-    @property
-    def dim(self) -> int:
-        return self.of.dim
-
-    @property
-    def depth(self) -> int:
-        return self.of.depth + 1
+        norm_bound = self.of.norm_bound + float(np.linalg.norm(self.g.translation))
+        self._derive(self.of.dim, self.of.depth + 1, norm_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def dist(config: RunConfig, body_a, body_b):
             if dim == 2:
                 from .raster import ORACLE_CELL, raster_hausdorff, rasterize
 
-                extent = max(SupportEval(a).norm_bound, SupportEval(b).norm_bound) + 0.1
+                extent = max(a.norm_bound, b.norm_bound) + 0.1
                 bounds = ([-extent, -extent], [extent, extent])
                 result["oracle_value"] = raster_hausdorff(
                     rasterize(a, ORACLE_CELL, bounds), rasterize(b, ORACLE_CELL, bounds)
@@ -331,11 +331,10 @@ def surjectivity(config: RunConfig, map_doc, target):
     """Degree-based surjectivity evidence for a planar continuous map."""
 
     def run():
-        T = parse_map(_load_document(map_doc), 2)
+        T = parse_map(_load_document(map_doc), config.resolve_dim(2))
         if not T.planar:
             raise ValueError("surjectivity probing needs a planar map document")
-        y = np.asarray(json.loads(target), dtype=float)
-        return surjectivity_probe_planar(T, y, seed=config.seed).to_doc()
+        return surjectivity_probe_planar(T, json.loads(target), seed=config.seed).to_doc()
 
     _guarded(config, "surjectivity", run)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionExhaustedError
-from .geometry import RigidMotion, procrustes_fit, winding_number
+from .geometry import RigidMotion, as_vector, procrustes_fit, winding_number
 from .maps import BlackBoxMap
 
 ROOT_TOL = 1e-6  # a preimage's residual |f(x) - target| must be at most this
@@ -59,13 +59,9 @@ def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> 
         pts.append(-radius * 10.0**-k * u)
     pts = np.asarray(pts)
     images = np.asarray([f(p) for p in pts])
-    worst = 0.0
-    for i in range(len(pts)):
-        d_in = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
-        d_out = np.linalg.norm(images[i + 1 :] - images[i], axis=1)
-        if len(d_in):
-            worst = max(worst, float(np.max(np.abs(d_out - d_in))))
-    return worst
+    d_in = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    d_out = np.linalg.norm(images[:, None] - images[None], axis=2)
+    return float(np.max(np.abs(d_out - d_in)))
 
 
 def _discontinuity_probe(f: BlackBoxMap, radius: float, seed: int) -> tuple[bool, float]:
@@ -228,9 +224,10 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
     """Degree-based surjectivity evidence for a continuous planar near-isometry.
 
     `seed` seeds the distortion samples, the motion fits, the continuity
-    probe and the preimage hunt's starts.
+    probe and the preimage hunt's starts.  `target` must be a finite point
+    of the plane.
     """
-    target = np.asarray(target, dtype=float)
+    target = as_vector(target, 2)
     if not f.planar:
         raise ValueError("surjectivity probing needs a planar point map")
 

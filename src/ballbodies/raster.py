@@ -20,7 +20,6 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from .bodies import BallBodyExpr, CDual, Combine, Generators, Motion
 from .errors import EmptyRasterError, GridMismatchError
 from .geometry import Ball, minimal_enclosing_ball
-from .support import SupportEval
 
 _CHUNK = 65536
 ORACLE_CELL = 0.01  # the cell of every cross-check: `dist --oracle` and selftest criterion 11
@@ -165,7 +164,7 @@ def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
     if cell <= 0:
         raise ValueError("cell size must be positive")
     if bounds is None:
-        r = SupportEval(body).norm_bound + 2 * cell
+        r = body.norm_bound + 2 * cell
         lo = -np.ones(body.dim) * r
         hi = np.ones(body.dim) * r
     else:

@@ -458,7 +458,7 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
 def _raster_friendly_body(rng: np.random.Generator):
     while True:
         body = random_body(rng, 2)
-        if SupportEval(body).norm_bound <= 2.4:
+        if body.norm_bound <= 2.4:
             return body
 
 
@@ -484,7 +484,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
     for i in range(count):
         kb = circumball(bodies[i], net, ctx.tol)
         rb = raster_circumball(raster_of(i))
-        bound = net_error_bound(net.mesh, (SupportEval(bodies[i]).norm_bound,), (ctx.tol,)) + 4 * cell
+        bound = net_error_bound(net.mesh, (bodies[i].norm_bound,), (ctx.tol,)) + 4 * cell
         if abs(kb.radius - rb.radius) > bound:
             failures.append(f"body {i}: circumradius {kb.radius:.4f} vs raster {rb.radius:.4f}")
     # c-dual membership: kernel margins vs the rasterized dual body
@@ -571,7 +571,11 @@ def run_selftest(
     profile: str = "full",
     criteria: list[int] | None = None,
 ) -> dict:
-    """Run the acceptance criteria and return a report dictionary."""
+    """Run the acceptance criteria and return a report dictionary.
+
+    A bad profile, criterion id, tolerance or mesh raises ValueError before
+    any criterion runs.
+    """
     scale = {"full": 1.0, "quick": 0.1}.get(profile)
     if scale is None:
         raise ValueError(f"unknown profile {profile!r}")
@@ -585,6 +589,9 @@ def run_selftest(
     unknown = [cid for cid in chosen if cid not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(_CRITERIA)}")
+    if not tol > 0:  # also rejects NaN, as SupportEval does
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    ctx.net(2)  # make_sphere_net rejects a mesh outside (0, 2]
     results = [_run_recorded(cid, ctx).to_doc() for cid in chosen]
     return {
         "profile": profile,

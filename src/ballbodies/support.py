@@ -21,7 +21,6 @@ the reconstruction's distance from it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,18 +37,6 @@ GOLDEN_ITERS = 36  # golden-section steps: the bracket shrinks by 0.618^36, abou
 
 def default_mesh(dim: int) -> float:
     return DEFAULT_MESH.get(dim, 0.25)
-
-
-def _norm_bound(body: BallBodyExpr) -> float:
-    if isinstance(body, Generators):
-        return float(np.min(np.linalg.norm(body.centers, axis=1) + body.leaf.radii))
-    if isinstance(body, CDual):
-        return 1.0 + _norm_bound(body.of)
-    if isinstance(body, Combine):
-        return (1.0 - body.lam) * _norm_bound(body.a) + body.lam * _norm_bound(body.b)
-    if isinstance(body, Motion):
-        return _norm_bound(body.of) + float(np.linalg.norm(body.g.translation))
-    raise TypeError(f"not a body expression: {type(body).__name__}")
 
 
 def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
@@ -69,7 +56,11 @@ def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class SupportEval:
-    """Evaluable support oracle with a certified per-value tolerance."""
+    """Evaluable support oracle with a certified per-value tolerance.
+
+    Its dimension and norm bound are the body's, set when the body was
+    built; the oracle adds the tolerance and a memo of sweeps per net.
+    """
 
     body: BallBodyExpr
     tol: float = DEFAULT_TOL
@@ -80,10 +71,10 @@ class SupportEval:
         # nets hash by identity, and a held key keeps its net alive
         self._net_cache: dict[SphereNet, np.ndarray] = {}
 
-    @functools.cached_property
+    @property
     def norm_bound(self) -> float:
-        """A bound on |h(u)| over the sphere, computed from the body on first read."""
-        return _norm_bound(self.body)
+        """A bound on |h(u)| over the sphere, set by the body at construction."""
+        return self.body.norm_bound
 
     @property
     def dim(self) -> int:

@@ -17,8 +17,10 @@ from ballbodies.bodies import (
     point_body,
     push_motion,
 )
+from ballbodies.corpus import body_corpus, random_generators, random_motion
 from ballbodies.errors import DimensionMismatchError, DocumentError, EmptyBodyError
-from ballbodies.geometry import RigidMotion
+from ballbodies.geometry import RigidMotion, make_sphere_net
+from ballbodies.support import SupportEval, reconstruct
 
 
 def test_generators_accepts_fitting_centers():
@@ -85,6 +87,62 @@ def test_depth_bound_enforced():
         body = CDual(body)
     with pytest.raises(ValueError, match="depth"):
         CDual(body)
+
+
+def mixed_chain(rng, dim, depth):
+    """A tree `depth` nodes deep whose wrappers cycle through c-dual, combine and motion."""
+    body = random_generators(rng, dim)
+    for k in range(depth - 1):
+        if k % 3 == 0:
+            body = c_dual(body)
+        elif k % 3 == 1:
+            body = combine(float(rng.uniform(0.2, 0.8)), body, random_generators(rng, dim, max_centers=3))
+        else:
+            body = apply_motion(random_motion(rng, dim), body)
+    return body
+
+
+def reference_norm_bound(body):
+    """The norm bound by a recursive walk of the tree, in the nodes' order of operations."""
+    if isinstance(body, Generators):
+        return float(np.min(np.linalg.norm(body.centers, axis=1) + body.leaf.radii))
+    if isinstance(body, CDual):
+        return 1.0 + reference_norm_bound(body.of)
+    if isinstance(body, Combine):
+        return (1.0 - body.lam) * reference_norm_bound(body.a) + body.lam * reference_norm_bound(body.b)
+    return reference_norm_bound(body.of) + float(np.linalg.norm(body.g.translation))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_norm_bound_matches_a_recursive_walk(dim):
+    rng = np.random.default_rng(dim)
+    probes = rng.uniform(-1.0, 1.0, (6, dim))
+    distances = np.linalg.norm(probes, axis=1) + rng.uniform(0.3, 0.8, 6)
+    general = reconstruct(list(zip(probes, distances)), make_sphere_net(dim, 0.5)).body
+    assert general.radii is not None
+    bodies = body_corpus(7, dim, 40) + [general, mixed_chain(rng, dim, 16)]
+    for body in bodies:
+        assert body.norm_bound == reference_norm_bound(body)
+        assert SupportEval(body).norm_bound == body.norm_bound
+
+
+def test_dim_and_depth_of_a_mixed_deep_tree():
+    rng = np.random.default_rng(11)
+    for dim in (2, 3):
+        body = mixed_chain(rng, dim, 16)
+        assert (body.dim, body.depth) == (dim, 16)
+        assert (body.of.dim, body.of.depth) == (dim, 15)  # the chain ends with a motion
+        leaf = random_generators(rng, dim)
+        for wrap in (
+            c_dual,
+            lambda k: combine(0.5, leaf, k),
+            lambda k: apply_motion(random_motion(rng, dim), k),
+        ):
+            with pytest.raises(ValueError, match="depth exceeds 16"):
+                wrap(body)
+    side = mixed_chain(rng, 2, 4)
+    tree = combine(0.4, side, c_dual(ball_body([0.1, 0.0])))
+    assert (tree.dim, tree.depth, tree.b.depth) == (2, 5, 2)
 
 
 def test_push_motion_matches_motion_node():

@@ -113,15 +113,22 @@ def test_malformed_json_exits_parse():
     assert json.loads(result.stderr)["error"]["type"] == "JSONDecodeError"
 
 
+PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], "translation": [0, 0]})
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ("selftest", "--criteria", "a"),
-        ("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "0"),
-        ("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "-1"),
-        ("reconstruct", point_doc([0.2, -0.1]), "--grid-extent", "-1"),
-        ("--tol", "nan", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])),
-        ("--tol", "nan", "classify", '{"map": "cdual"}'),
+        (("selftest", "--criteria", "a"), "invalid literal"),
+        (("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "0"), "step > 0"),
+        (("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "-1"), "step > 0"),
+        (("reconstruct", point_doc([0.2, -0.1]), "--grid-extent", "-1"), "extent >= 0"),
+        (("--tol", "nan", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])), "tolerance must be positive"),
+        (("--tol", "nan", "classify", '{"map": "cdual"}'), "tolerance must be positive"),
+        (("--mesh", "-1", "selftest", "--criteria", "1"), "mesh must lie in"),
+        (("--tol", "nan", "selftest", "--criteria", "1"), "tolerance must be positive"),
+        (("surjectivity", PLANAR_RIGID, "--target", "5"), "expected a 1-d vector"),
+        (("surjectivity", PLANAR_RIGID, "--target", "[NaN, 0]"), "vector has non-finite entries"),
     ],
     ids=[
         "criteria-a",
@@ -130,16 +137,31 @@ def test_malformed_json_exits_parse():
         "grid-extent-negative",
         "tol-nan-dist",
         "tol-nan-classify",
+        "mesh-negative-selftest",
+        "tol-nan-selftest",
+        "scalar-target-surjectivity",
+        "nan-target-surjectivity",
     ],
 )
-def test_bad_arguments_exit_invariant(args):
+def test_bad_arguments_exit_invariant(args, message):
     result = run_cli(*args)
     assert result.exit_code == EXIT_INVARIANT, (result.output, result.exception)
-    assert json.loads(result.stderr)["error"]["type"] == "ValueError"
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
 
 
-def test_dimension_mismatch_exits_invariant():
-    result = run_cli("--dim", "3", "circ", ball_doc([0.0, 0.0]))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--dim", "3", "circ", ball_doc([0.0, 0.0])),
+        ("--dim", "3", "surjectivity", PLANAR_RIGID, "--target", "[0.5, 0]"),
+        ("surjectivity", PLANAR_RIGID, "--target", "[1, 2, 3]"),
+    ],
+    ids=["dim-flag-circ", "dim-flag-surjectivity", "target-surjectivity"],
+)
+def test_dimension_mismatch_exits_invariant(args):
+    result = run_cli(*args)
     assert result.exit_code == EXIT_INVARIANT == 3
     assert json.loads(result.stderr)["error"]["type"] == "DimensionMismatchError"
 

@@ -132,25 +132,6 @@ def test_norm_bound_bounds_support(net2):
         assert np.all(h >= -ev.norm_bound - 1e-9)
 
 
-def test_norm_bound_is_computed_on_first_read(net2, monkeypatch):
-    # an oracle that only sweeps, like a classifier's probe ball, never needs it
-    import ballbodies.support as support_module
-
-    body = random_body(np.random.default_rng(4))
-    expected = support_module._norm_bound(body)
-
-    def refuse(body):
-        raise AssertionError("norm bound computed")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(support_module, "_norm_bound", refuse)
-        ev = SupportEval(body)
-        ev.on_net(net2)
-        ev.batch(net2.directions[:3])
-    assert ev.norm_bound == expected
-    assert ev.norm_bound is ev.norm_bound  # cached
-
-
 def test_sampled_sublinearity_of_tree_support():
     rng = np.random.default_rng(5)
     body = random_body(rng)
