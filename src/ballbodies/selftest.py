@@ -589,8 +589,8 @@ def run_selftest(
     unknown = [cid for cid in chosen if cid not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(_CRITERIA)}")
-    if not tol > 0:  # also rejects NaN, as SupportEval does
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also rejects NaN, as SupportEval does
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     ctx.net(2)  # make_sphere_net rejects a mesh outside (0, 2]
     results = [_run_recorded(cid, ctx).to_doc() for cid in chosen]
     return {

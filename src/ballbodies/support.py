@@ -13,10 +13,12 @@ distance of two bodies equals the sup-norm distance of their support
 functions on the unit sphere; evaluating on a finite net gives a value
 together with a rigorous error bound from the Lipschitz constants.
 
-Reconstruction from point distances lives here too: `reconstruct` builds
-the intersection of the balls around the probes, and `reconstruct_from_grid`
-runs the whole check, from a body's distances to a square probe grid to
-the reconstruction's distance from it.
+Reconstruction from point distances lives here too.  The distance of a
+point x to a body is max over u of h(u) - <x, u>; `farthest_distance_batch`
+bounds it from above from the same net sweep, in any dimension.
+`reconstruct` builds the intersection of the balls around the probes, and
+`reconstruct_from_grid` runs the whole check, from a body's distances to a
+square probe grid to the reconstruction's distance from it.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import numpy as np
 
 from .bodies import BallBodyExpr, CDual, Combine, Generators, Motion
 from .errors import DimensionMismatchError, EmptyReconstructionError, EmptyBodyError
-from .geometry import Ball, SphereNet, as_vector, circumcenter_lp, normalize_direction
+from .geometry import Ball, SphereNet, as_points, as_vector, circumcenter_lp, normalize_direction
 from .solver import DEFAULT_TOL, support_batch
 
 DEFAULT_MESH = {2: 0.02, 3: 0.08}
-GOLDEN_ITERS = 36  # golden-section steps: the bracket shrinks by 0.618^36, about 3e-8
 
 
 def default_mesh(dim: int) -> float:
@@ -66,8 +67,8 @@ class SupportEval:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:  # also rejects NaN
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         # nets hash by identity, and a held key keeps its net alive
         self._net_cache: dict[SphereNet, np.ndarray] = {}
 
@@ -211,72 +212,53 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
 
 
 def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL) -> float:
-    """max over the body of |y - x|, the Hausdorff distance of {x} to the body.
+    """A certified upper bound on max over the body of |y - x|, the Hausdorff distance of {x} to it.
 
-    Planar only: `farthest_distance_batch` with one probe, which raises
-    ValueError for n >= 3.
+    `farthest_distance_batch` with one probe.
     """
     ev = as_eval(K, tol)
     return float(farthest_distance_batch(ev, as_vector(x, ev.dim)[None, :], net, tol)[0])
 
 
 def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Planar farthest-point distances from many probe points at once.
+    """Certified upper bounds on the farthest-point distances from many probes, in any dimension.
 
-    Runs one coarse sweep, then a vectorized golden-section refinement of
-    the angle around every cyclic local maximum of the coarse values that
-    could reach the best one: within a step of the net, h(u) - <x, u> rises
-    by at most (norm bound + |x|) times the step.  Each bracket spans 1.1
-    angular steps of the net on each side of its local maximum (the support
-    difference is locally unimodal on the circle for these bodies).
+    One memoized sweep of the body over the net, one matrix product and one
+    maximum: the value for a probe x is (max over net directions u of
+    h(u) - <x, u>, plus tol) / (1 - mesh^2 / 2).
+
+    Proof that it is never below the truth: let y* be a farthest point of the
+    body and R = |y* - x| > 0.  Every direction u has h(u) - <x, u> >=
+    <y* - x, u> = R <u*, u>, where u* = (y* - x) / R.  A net direction within
+    `mesh` of u* has <u*, u> = 1 - |u - u*|^2 / 2 >= 1 - mesh^2 / 2, and the
+    oracle's value is within tol of h(u).  No curvature bound is needed.
+    Conversely the net maximum minus tol is a certified lower bound, so the
+    value exceeds R by at most (R mesh^2 / 2 + 2 tol) / (1 - mesh^2 / 2).
+
+    Raises DimensionMismatchError for probes or a net of another dimension,
+    and ValueError for a net with mesh >= sqrt(2), where the bound is void.
     """
     ev = as_eval(K, tol)
-    if ev.dim != 2:
-        raise ValueError("farthest distances are planar only")
-    xs = np.asarray(xs, dtype=float)
-    angle = np.arctan2(net.directions[:, 1], net.directions[:, 0])
-    order = np.argsort(angle)
-    coarse = (ev.on_net(net)[None, :] - xs @ net.directions.T)[:, order]
-    best = np.max(coarse, axis=1)
-    step = 2.0 * np.pi / len(net)
-    lift = (ev.norm_bound + np.linalg.norm(xs, axis=1)) * step
-    peak = (coarse >= np.roll(coarse, 1, axis=1)) & (coarse >= np.roll(coarse, -1, axis=1))
-    probe, i = np.nonzero(peak & (coarse + lift[:, None] >= best[:, None]))
-    theta0 = angle[order][i]
-    x = xs[probe]
-
-    def phi(theta):
-        u = np.column_stack([np.cos(theta), np.sin(theta)])
-        return ev.batch(u) - np.einsum("kn,kn->k", u, x)
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = theta0 - 1.1 * step
-    b = theta0 + 1.1 * step
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = phi(c1), phi(c2)
-    for _ in range(GOLDEN_ITERS):
-        right = f1 < f2  # the maximum lies in [c1, b]; otherwise in [a, c2]
-        a = np.where(right, c1, a)
-        b = np.where(right, b, c2)
-        theta_new = np.where(right, a + invphi * (b - a), b - invphi * (b - a))
-        f_new = phi(theta_new)
-        c1_old, f1_old = c1, f1
-        c1 = np.where(right, c2, theta_new)
-        f1 = np.where(right, f2, f_new)
-        c2 = np.where(right, theta_new, c1_old)
-        f2 = np.where(right, f_new, f1_old)
-    np.maximum.at(best, probe, np.maximum(f1, f2))
-    return best
+    xs = as_points(xs)
+    if xs.shape[1] != ev.dim:
+        raise DimensionMismatchError(f"probes have dimension {xs.shape[1]}, the body {ev.dim}")
+    if net.dim != ev.dim:
+        raise DimensionMismatchError("net dimension does not match the body")
+    shrink = 1.0 - net.mesh**2 / 2.0
+    if not shrink > 0:
+        raise ValueError(f"farthest distances need a net mesh below sqrt(2), got {net.mesh}")
+    best = np.max(ev.on_net(net)[None, :] - xs @ net.directions.T, axis=1)
+    return (best + ev.tol) / shrink
 
 
 def reconstruct(distances, net: SphereNet, tol: float = DEFAULT_TOL) -> SupportEval:
     """Body oracle for the intersection of balls (x_i + d_i B) from probe data.
 
-    `distances` is a sequence of (point, distance) pairs.  When the
-    distances are true point-to-body Hausdorff distances of some body, the
-    reconstruction contains that body, and it converges to it as the probe
-    set refines a bounded region.
+    `distances` is a sequence of (point, distance) pairs.  When each
+    distance is at least the point-to-body Hausdorff distance of some body,
+    as the bounds of `farthest_distance_batch` are, every ball contains
+    that body, and so does the reconstruction.  With true distances it
+    converges to the body as the probe set refines a bounded region.
     """
     pts = []
     rads = []
@@ -311,9 +293,12 @@ class GridReconstruction(NamedTuple):
 def reconstruct_from_grid(K, step: float, extent: float, net: SphereNet, tol: float) -> GridReconstruction:
     """Rebuild a planar body from its distances to a square probe grid, and measure the result.
 
-    The grid has spacing `step` on [-extent, extent]^2.  The probe distances
-    are inflated by 2 tol, so the reconstruction provably contains the body
-    despite oracle error.
+    The grid has spacing `step` on [-extent, extent]^2.  Each probe's
+    distance is a certified upper bound from `farthest_distance_batch`, so
+    the reconstruction provably contains the body.  The distances are
+    inflated by 2 tol more, so that the reconstruction contains the body's
+    2 tol neighbourhood and the computed supports show the containment
+    despite oracle error on both sides.  Planar only, as the grid is.
     """
     ev = as_eval(K, tol)
     if ev.dim != 2:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import ballbodies
+from ballbodies.solver import DEFAULT_TOL
 from ballbodies.support import SupportEval
 from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, EXIT_RESOLUTION, main
 from ballbodies.maps import parse_map
@@ -101,10 +102,13 @@ def test_surjectivity_uses_the_seed():
 
 
 def test_reconstruct_of_a_point():
-    # the 169 probe balls meet in a disk of radius 2 tol around the point
+    # each probe radius is a certified upper bound on |x_i - p|, at most
+    # 8.9e-4 above it on this grid, so the 169 balls contain the point and
+    # meet in a small region around it
     res = report("reconstruct", point_doc([0.2, -0.1]))
     assert res["probes"] == 169
-    assert res["distance"] <= 1e-5
+    assert res["support_dominance_min"] >= -DEFAULT_TOL
+    assert res["distance"] <= 1e-4
 
 
 def test_malformed_json_exits_parse():
@@ -129,6 +133,9 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         (("--tol", "nan", "selftest", "--criteria", "1"), "tolerance must be positive"),
         (("surjectivity", PLANAR_RIGID, "--target", "5"), "expected a 1-d vector"),
         (("surjectivity", PLANAR_RIGID, "--target", "[NaN, 0]"), "vector has non-finite entries"),
+        (("--mesh", "1.5", "reconstruct", point_doc([0.2, -0.1])), "mesh below sqrt(2), got 1.5"),
+        (("--tol", "inf", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])), "positive and finite, got inf"),
+        (("--tol", "inf", "selftest", "--criteria", "1"), "positive and finite, got inf"),
     ],
     ids=[
         "criteria-a",
@@ -141,6 +148,9 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         "tol-nan-selftest",
         "scalar-target-surjectivity",
         "nan-target-surjectivity",
+        "mesh-void-reconstruct",
+        "tol-inf-dist",
+        "tol-inf-selftest",
     ],
 )
 def test_bad_arguments_exit_invariant(args, message):

@@ -24,7 +24,11 @@ from ballbodies.solver import (
 
 
 def slsqp_support(centers, radii, u) -> float:
-    """Independent oracle: maximize <u, y> with ball constraints via SLSQP."""
+    """Independent oracle: maximize <u, y> with ball constraints via SLSQP.
+
+    The problem is convex, so a few starts suffice: the centroid and the 4
+    centres farthest along u, each with two option sets.
+    """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     cons = [
@@ -39,7 +43,7 @@ def slsqp_support(centers, radii, u) -> float:
         return np.all(np.linalg.norm(y - centers, axis=1) <= radii + 1e-9)
 
     best = -np.inf
-    starts = [centers.mean(axis=0)] + list(centers)
+    starts = [centers.mean(axis=0)] + list(centers[np.argsort(centers @ u)[-4:]])
     for start in starts:
         for opts in ({"maxiter": 400, "ftol": 1e-14}, {"maxiter": 1000, "ftol": 1e-12}):
             res = minimize(
@@ -229,22 +233,15 @@ def test_empty_intersection_rejected():
 
 
 def point_reconstruction_leaf():
-    """The 169 probe balls of `reconstruct` around the point body {(0.2, -0.1)}."""
-    from ballbodies.bodies import point_body
-    from ballbodies.geometry import make_sphere_net
-    from ballbodies.support import SupportEval, default_mesh, farthest_distance_batch
-
-    net = make_sphere_net(2, default_mesh(2))
+    """The 169 probe balls of a 13 x 13 grid on [-3, 3]^2 that reach 2 tol past the point (0.2, -0.1)."""
     axis = np.arange(-3.0, 3.0 + 1e-9, 0.5)
     probes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
-    body = SupportEval(point_body(np.array([0.2, -0.1])), DEFAULT_TOL)
-    radii = farthest_distance_batch(body, probes, net, DEFAULT_TOL) + 2 * DEFAULT_TOL
-    return probes, radii
+    return probes, np.linalg.norm(probes - [0.2, -0.1], axis=1) + 2 * DEFAULT_TOL
 
 
 def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
-    # the 169 probe balls of `reconstruct` around a point body all pass within
-    # 2 tol of the point, so the maximum slack is the 2 tol inflation
+    # the 169 probe balls around a point all pass within 2 tol of it, so the
+    # maximum slack is the 2 tol inflation
     from ballbodies.geometry import make_sphere_net
     from ballbodies.support import default_mesh
 
@@ -252,7 +249,7 @@ def test_point_body_reconstruction_leaf_has_the_inflation_as_slack():
     leaf = prepare_leaf(*point_reconstruction_leaf())
     assert abs(leaf.slack - 2 * DEFAULT_TOL) <= 1e-9
     # every direction certifies, and the reconstruction contains the point
-    # and lies within the 1e-5 of the `reconstruct` command's report
+    # and lies within 1e-5 of it
     excess = support_batch(leaf, net.directions) - net.directions @ [0.2, -0.1]
     assert np.all(excess >= -DEFAULT_TOL) and np.all(excess <= 1e-5)
 

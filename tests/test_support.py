@@ -14,7 +14,7 @@ from ballbodies.bodies import (
     combine,
     point_body,
 )
-from ballbodies.errors import EmptyReconstructionError
+from ballbodies.errors import DimensionMismatchError, EmptyReconstructionError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.support import (
     SupportEval,
@@ -368,20 +368,26 @@ def test_reconstruct_rejects_missing_or_non_finite_probe_data(net2):
             reconstruct([(np.zeros(2), bad)], net2)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_farthest_distance_matches_closed_form(dim):
-    if dim == 3:
-        # n >= 3 has no certified refinement
-        with pytest.raises(ValueError, match="planar only"):
-            farthest_distance(ball_body(np.zeros(3)), np.ones(3), make_sphere_net(3, 0.5))
-        return
-    net = make_sphere_net(2, 0.02)
+    # never below the true distance R, and at most the bound's slack above it
+    net = make_sphere_net(dim, {2: 0.02, 3: 0.08, 4: 0.25}[dim])
+    shrink = 1.0 - net.mesh**2 / 2.0
     rng = np.random.default_rng(2)
     for _ in range(10):
-        x, c = rng.uniform(-2.0, 2.0, 2), rng.uniform(-0.5, 0.5, 2)
+        x, c = rng.uniform(-2.0, 2.0, dim), rng.uniform(-0.5, 0.5, dim)
         far = float(np.linalg.norm(x - c))
-        assert farthest_distance(ball_body(c), x, net) == pytest.approx(far + 1.0, abs=1e-6)
-        assert farthest_distance(point_body(c), x, net) == pytest.approx(far, abs=1e-6)
+        for body, R in ((ball_body(c), far + 1.0), (point_body(c), far)):
+            got = farthest_distance(body, x, net, TOL)
+            assert R <= got <= (R + TOL) / shrink + 1e-12
+
+
+def test_farthest_distance_rejects_a_void_net_and_probes_of_another_dimension(net2):
+    body = ball_body([0.0, 0.0])
+    with pytest.raises(ValueError, match="mesh below sqrt.2., got 1.5"):
+        farthest_distance_batch(body, np.zeros((1, 2)), make_sphere_net(2, 1.5))
+    with pytest.raises(DimensionMismatchError):
+        farthest_distance_batch(body, np.zeros((4, 3)), net2)
 
 
 def _dense_farthest(ev, x, count=20000):
@@ -405,14 +411,15 @@ def test_farthest_distance_batch_matches_dense_sweep(mesh):
     net = make_sphere_net(2, mesh)
     rng = np.random.default_rng(31)
     cases = [(SupportEval(random_body(rng)), rng.uniform(-2.0, 2.0, (6, 2))) for _ in range(4)]
-    # two near-tied local maxima: the coarse maximizer of the default net
-    # brackets the lower one, 6.8e-6 below the farthest distance
+    # two near-tied local maxima, 6.8e-6 apart: the net maximizer of the
+    # default net lies next to the lower one
     lens = Generators(np.array([[-0.640734985704592, 0.06899873812121052], [-0.487602554119013, 0.271330182868868]]))
     cases.append((SupportEval(c_dual(lens)), np.array([[-1.0, 0.5]])))
     for ev, xs in cases:
         got = farthest_distance_batch(ev, xs, net)
-        ref = np.array([_dense_farthest(ev, x) for x in xs])
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+        dense = np.array([_dense_farthest(ev, x) for x in xs])
+        assert np.all(dense <= got)
+        assert np.all(got <= (dense + 2 * ev.tol) / (1.0 - mesh**2 / 2.0))
         assert farthest_distance(ev, xs[0], net) == got[0]
 
 
