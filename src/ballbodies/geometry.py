@@ -25,7 +25,6 @@ from .errors import (
     NoConvergenceError,
 )
 
-UNIT_NORM_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
 MAX_LP_PIVOTS = 1000  # circumball LP rounds; Bland's rule ends every tie, so only rounding gets here
 DIRECTION_SLACK = 1e-6  # largest distance of a query direction from the unit sphere

@@ -92,6 +92,8 @@ def _scale_tree(body: BallBodyExpr, factor: float) -> BallBodyExpr:
 
 def scale_centers_map(dim: int, factor: float) -> BlackBoxMap:
     """Dilates generator centers; not a metric isometry (negative fixture)."""
+    if not np.isfinite(factor):
+        raise ValueError(f"factor must be finite, got {factor}")
     return BlackBoxMap(lambda body: _scale_tree(body, factor), dim, name="scale_centers")
 
 
@@ -112,6 +114,8 @@ def planar_perturbed_map(amplitude: float, seed: int) -> BlackBoxMap:
     The displacement has norm at most amplitude * sqrt(2) everywhere, so the
     map distorts distances by at most 2 * amplitude * sqrt(2).
     """
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0, 2 * np.pi)
     q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])

@@ -573,8 +573,8 @@ def run_selftest(
 ) -> dict:
     """Run the acceptance criteria and return a report dictionary.
 
-    A bad profile, criterion id, tolerance or mesh raises ValueError before
-    any criterion runs.
+    A bad profile, criterion id, seed, tolerance or mesh raises ValueError
+    before any criterion runs.
     """
     scale = {"full": 1.0, "quick": 0.1}.get(profile)
     if scale is None:
@@ -589,6 +589,8 @@ def run_selftest(
     unknown = [cid for cid in chosen if cid not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(_CRITERIA)}")
+    if seed < 0:  # NumPy's generators take no negative seed
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 < tol < math.inf:  # also rejects NaN, as SupportEval does
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     ctx.net(2)  # make_sphere_net rejects a mesh outside (0, 2]

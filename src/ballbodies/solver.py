@@ -30,13 +30,14 @@ that search, and `support_batch` serves each direction by one of three paths:
 A 2-d piece is certified when the leaf is prepared (see `ArcTable`): an
 upper bound from the piece's ball, or from the vertex's normal cone, and a
 lower bound from blending the piece's worst point toward a strictly
-interior point.  A direction whose piece misses the tolerance, and every
-direction of the other two paths, is certified on its own from its KKT
-candidate: a weak-duality upper bound from the candidate's multipliers plus
-the same blended lower bound, taken at that candidate.  Certificates are
-exact up to rounding, and to a 1e-12 feasibility pad on the constraints
-where a candidate is checked.  A prepared leaf keeps its own read-only
-copies of the centers and radii, so no caller can change it after the fact.
+interior point.  A direction whose piece misses the tolerance takes the
+pivot.  Every direction of the other two paths is certified on its own
+from its KKT candidate: a weak-duality upper bound from the candidate's
+multipliers plus the same blended lower bound, taken at that candidate.
+Certificates are exact up to rounding, and to a 1e-12 feasibility pad on
+the constraints where a candidate is checked.  A prepared leaf keeps its
+own read-only copies of the centers and radii, so no caller can change it
+after the fact.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ class ArcTable(NamedTuple):
     Piece 2q is the q-th arc, piece 2q + 1 the vertex between arc q and arc
     q + 1 (cyclically).  A direction at angle phi lies in the last piece
     whose start ``breaks[p]`` is at most phi, with phi taken in
-    [breaks[0], breaks[0] + 2 pi).  Its KKT point is ``base[p] + scale[p] u``
-    and its multipliers on the constraints ``idx[p]`` are
-    ``lam0[p] + ginv[p] @ u``.
+    [breaks[0], breaks[0] + 2 pi).  Its KKT point is ``base[p] + scale[p] u``,
+    tight on the constraints ``idx[p]``.
 
     Each piece is certified once, for every direction whose angle lies in
     the piece widened by ANGLE_PAD on both sides (which covers the rounding
@@ -129,14 +129,12 @@ class ArcTable(NamedTuple):
       disks gives lo = theta |v - z|, as on an arc.  A vertex whose cone is
       pi or wider has gap = inf.
 
-    The directions of a piece with gap > tol are certified one by one.
+    The directions of a piece with gap > tol take the pivot.
     """
 
     breaks: np.ndarray  # (2K,) nondecreasing, within 2 pi of breaks[0]
     base: np.ndarray  # (2K, 2): the arc's center, or the vertex
     scale: np.ndarray  # (2K,): the arc's radius, 0 at a vertex
-    lam0: np.ndarray  # (2K, 2): (1 / r_i, 0) on an arc, 0 at a vertex
-    ginv: np.ndarray  # (2K, 2, 2): 0 on an arc, the inverse gradients at a vertex
     idx: np.ndarray  # (2K, 2) tight constraint indices, -1 padded
     gap: np.ndarray  # (2K,): width of the piece's certified interval
     offset: np.ndarray  # (2K,): its midpoint minus <base, u>
@@ -290,14 +288,12 @@ def _certify(leaf: LeafGeometry, U, y, lam, idx, tol):
 
 
 def _pair_vertices(X, r, i, j):
-    """Both intersection points of circles i and j (2-d), with inverse gradients, per pair.
+    """Both intersection points of circles i and j (2-d), per pair.
 
     Returns ok (the pair meets properly: distinct centers, two distinct
     points, independent gradients) and, for the pairs where it holds, the
-    points (p, 2, 2) and the multiplier rows (p, 2, 2, 2): at point q of
-    pair s, ``rows[s, q] @ u`` gives the multipliers of circles i and j.
-    The points are x_i + (beta / |a|^2) a +- sqrt(rho^2 / |a|^2) a^perp,
-    a = x_j - x_i.
+    points (p, 2, 2).  They are x_i + (beta / |a|^2) a +- sqrt(rho^2 / |a|^2)
+    a^perp, a = x_j - x_i.
     """
     a = X[j] - X[i]
     aa = np.einsum("pn,pn->p", a, a)
@@ -306,14 +302,10 @@ def _pair_vertices(X, r, i, j):
     g12 = r[i] ** 2 - beta  # the gradients' Gram entry, and its determinant
     det = r[i] ** 2 * r[j] ** 2 - g12 * g12
     ok = (aa >= 1e-24) & (rho2 > 0.0) & (det > 1e-18)
-    i, j, a, aa, beta, rho2, g12, det = (v[ok] for v in (i, j, a, aa, beta, rho2, g12, det))
+    i, a, aa, beta, rho2 = (v[ok] for v in (i, a, aa, beta, rho2))
     xi0 = (beta / aa)[:, None] * a
     off = np.sqrt(rho2 / aa)[:, None] * np.column_stack([-a[:, 1], a[:, 0]])
-    xi = np.stack([xi0 + off, xi0 - off], axis=1)  # (p, 2, n): y - x_i
-    xj = xi - a[:, None, :]  # y - x_j
-    ri2, rj2, g12, det = (v[:, None, None] for v in (r[i] ** 2, r[j] ** 2, g12, det))
-    rows = np.stack([(rj2 * xi - g12 * xj) / det, (ri2 * xj - g12 * xi) / det], axis=2)
-    return ok, X[i][:, None, :] + xi, rows
+    return ok, X[i][:, None, :] + np.stack([xi0 + off, xi0 - off], axis=1)
 
 
 def _arc_intervals(X, r):
@@ -391,9 +383,6 @@ def _build_arcs(X: np.ndarray, r: np.ndarray, z: np.ndarray, slack: float) -> Ar
     K = ball.size
     base = np.repeat(X[ball], 2, axis=0)
     scale = np.repeat(r[ball], 2)
-    lam0 = np.zeros((2 * K, 2))
-    lam0[:, 0] = np.repeat(np.divide(1.0, r[ball], out=np.zeros(K), where=r[ball] > 0), 2)
-    ginv = np.zeros((2 * K, 2, 2))
     idx = np.full((2 * K, 2), -1, dtype=np.intp)
     idx[:, 0] = np.repeat(ball, 2)
 
@@ -403,7 +392,7 @@ def _build_arcs(X: np.ndarray, r: np.ndarray, z: np.ndarray, slack: float) -> Ar
     # q's tangency and the certificate decides.
     i, j = ball, np.roll(ball, -1)
     q = np.flatnonzero(i != j)
-    ok, points, rows = _pair_vertices(X, r, i[q], j[q])
+    ok, points = _pair_vertices(X, r, i[q], j[q])
     q = q[ok]
     end = X[i[q]] + r[i[q]][:, None] * np.column_stack([np.cos(hi[q]), np.sin(hi[q])])
     near = np.argmin(np.linalg.norm(points - end[:, None, :], axis=2), axis=1)
@@ -411,11 +400,9 @@ def _build_arcs(X: np.ndarray, r: np.ndarray, z: np.ndarray, slack: float) -> Ar
     vertex = 2 * q + 1
     base[vertex] = points[pick, near]
     scale[vertex] = 0.0
-    lam0[vertex] = 0.0
-    ginv[vertex] = rows[pick, near]
     idx[vertex, 1] = j[q]
     gap, offset = _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex)
-    return ArcTable(breaks, base, scale, lam0, ginv, idx, gap, offset)
+    return ArcTable(breaks, base, scale, idx, gap, offset)
 
 
 def _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex):
@@ -459,10 +446,9 @@ def _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex):
 
 
 def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
-    """Certified values by arc lookup (2-d); NaN where the certificate fails.
+    """Certified values by arc lookup (2-d); NaN in a piece certified only within more than tol.
 
-    A direction in a piece certified within tol takes the piece's value;
-    the rest are certified one by one from the piece's KKT candidate.
+    `support_batch` hands those directions to the pivot.
     """
     arcs = leaf.arcs
     b0 = arcs.breaks[0]
@@ -470,11 +456,7 @@ def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
     p = np.searchsorted(arcs.breaks, phi, side="right") - 1
     values = np.einsum("kn,kn->k", arcs.base[p], U) + arcs.offset[p]
     if arcs.gap.max() > tol:
-        rest = np.flatnonzero(arcs.gap[p] > tol)
-        p, V = p[rest], U[rest]
-        y = arcs.base[p] + arcs.scale[p][:, None] * V
-        lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], V)
-        values[rest] = _certify(leaf, V, y, lam, arcs.idx[p], tol)
+        values[arcs.gap[p] > tol] = np.nan
     return values
 
 

@@ -196,6 +196,8 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
     """
     ev = as_eval(K, tol)
     y = as_vector(y, ev.dim)
+    if net.dim != ev.dim:
+        raise DimensionMismatchError("net dimension does not match the body")
     h = ev.on_net(net)
     margin = float(np.min(h - net.directions @ y))
     body = ev.body

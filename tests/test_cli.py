@@ -136,6 +136,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         (("--mesh", "1.5", "reconstruct", point_doc([0.2, -0.1])), "mesh below sqrt(2), got 1.5"),
         (("--tol", "inf", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])), "positive and finite, got inf"),
         (("--tol", "inf", "selftest", "--criteria", "1"), "positive and finite, got inf"),
+        (("--seed", "-1", "selftest", "--criteria", "1"), "seed must be non-negative, got -1"),
     ],
     ids=[
         "criteria-a",
@@ -151,6 +152,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         "mesh-void-reconstruct",
         "tol-inf-dist",
         "tol-inf-selftest",
+        "seed-negative-selftest",
     ],
 )
 def test_bad_arguments_exit_invariant(args, message):
@@ -158,6 +160,25 @@ def test_bad_arguments_exit_invariant(args, message):
     assert result.exit_code == EXIT_INVARIANT, (result.output, result.exception)
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("classify", '{"map": "scale_centers", "factor": "nan"}'), "factor must be finite, got nan"),
+        (
+            ("surjectivity", '{"map": "planar_perturbed", "amplitude": "nan"}', "--target", "[0.5, 0]"),
+            "amplitude must be finite, got nan",
+        ),
+    ],
+    ids=["scale-centers-factor", "planar-perturbed-amplitude"],
+)
+def test_non_finite_map_parameters_exit_parse(args, message):
+    result = run_cli(*args)
+    assert result.exit_code == EXIT_PARSE, (result.output, result.exception)
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "DocumentError"
     assert message in error["message"]
 
 

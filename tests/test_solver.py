@@ -433,13 +433,14 @@ def reference_enumerate_support(leaf, U, tol):
 
 
 def assert_table_is_kkt_data(leaf):
-    """Table points are feasible, tight on their subset, and their multipliers solve u = sum lam_k (y - x_k).
+    """Table points are feasible and tight on their subset; with n >= 3 their multipliers solve u = sum lam_k (y - x_k).
 
-    In 2-d the table is the arc table, whose vertices are checked so, and
-    whose arcs are the tangencies of their balls.  For n >= 3 it is the
-    subset table: its rows run by size, then lexicographically; a row of
-    fewer than n balls gives, per direction, a point on all of its spheres
-    from its projector, and each n-subset point is checked as a vertex.
+    In 2-d the table is the arc table, whose arcs are the tangencies of the
+    balls that own them and whose vertices join consecutive arcs' circles
+    in a point of every disk.  For n >= 3 it is the subset table: its rows
+    run by size, then lexicographically; a row of fewer than n balls gives,
+    per direction, a point on all of its spheres from its projector, and
+    each n-subset point is checked as a vertex, multipliers included.
     """
     X, r = leaf.centers, leaf.radii
     n = X.shape[1]
@@ -452,14 +453,14 @@ def assert_table_is_kkt_data(leaf):
         owner = arcs.idx[0::2, 0]
         np.testing.assert_array_equal(arcs.base[0::2], X[owner])
         np.testing.assert_array_equal(arcs.scale[0::2], r[owner])
-        np.testing.assert_array_equal(arcs.lam0[0::2, 0], 1.0 / r[owner])
         np.testing.assert_array_equal(arcs.idx[0::2, 1], -1)
         vertex = arcs.idx[1::2, 1] >= 0
         assert vertex.all() or owner.size == 1  # every gap between two arcs is a vertex
         np.testing.assert_array_equal(arcs.idx[1::2][vertex, 0], owner[vertex])
         np.testing.assert_array_equal(arcs.idx[1::2][vertex, 1], np.roll(owner, -1)[vertex])
-        points, idx, ginv = arcs.base[1::2][vertex], arcs.idx[1::2][vertex], arcs.ginv[1::2][vertex]
-        assert np.all(arcs.scale[1::2][vertex] == 0.0) and np.all(arcs.lam0[1::2][vertex] == 0.0)
+        points, idx = arcs.base[1::2][vertex], arcs.idx[1::2][vertex]
+        ginv = [None] * len(points)  # the arc table keeps no multipliers
+        assert np.all(arcs.scale[1::2][vertex] == 0.0)
     else:
         table = leaf.subsets
         assert table is not None and leaf.arcs is None
@@ -485,8 +486,9 @@ def assert_table_is_kkt_data(leaf):
         tight = idx[idx >= 0]
         assert tight.size == n
         np.testing.assert_allclose(np.linalg.norm(y - X[tight], axis=1), r[tight], atol=1e-12)
-        grads = (y[None, :] - X[tight]).T  # columns
-        np.testing.assert_allclose(grads @ (ginv[:n] @ u.T), u.T, atol=1e-9)
+        if ginv is not None:
+            grads = (y[None, :] - X[tight]).T  # columns
+            np.testing.assert_allclose(grads @ (ginv[:n] @ u.T), u.T, atol=1e-9)
 
 
 def table_support(leaf, U, tol):
@@ -676,7 +678,7 @@ def test_plane_leaves_certify_without_the_active_set_loop(case, monkeypatch):
     centers, radii = PLANE_LEAVES[case] or point_reconstruction_leaf()
     leaf = prepare_leaf(centers, radii)
     dirs = np.vstack([make_sphere_net(2, 0.02).directions, breakpoint_normals(centers, radii)])
-    refuse_fallback(monkeypatch)
+    pivot_only_for_unproven_pieces(monkeypatch, leaf)
     values = support_batch(leaf, dirs)
     if case == "two-arc":
         assert sorted(leaf.arcs.idx[0::2, 0].tolist()) == [0, 0, 1, 2]
@@ -689,15 +691,26 @@ def test_plane_leaves_certify_without_the_active_set_loop(case, monkeypatch):
         assert_matches_reference(leaf, dirs, DEFAULT_TOL, same_mask=False, atol=DEFAULT_TOL)
 
 
-def per_direction_support(leaf, U, tol):
-    """The arc lookup with every direction certified on its own, by `_certify`, as the reference."""
+def piece_of(leaf, U):
+    """Each direction's arc-table piece, looked up as `_arc_support` does."""
     arcs = leaf.arcs
     b0 = arcs.breaks[0]
     phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, 2 * math.pi)
-    p = np.searchsorted(arcs.breaks, phi, side="right") - 1
-    y = arcs.base[p] + arcs.scale[p][:, None] * U
-    lam = arcs.lam0[p] + np.einsum("kcn,kn->kc", arcs.ginv[p], U)
-    return solver._certify(leaf, U, y, lam, arcs.idx[p], tol)
+    return np.searchsorted(arcs.breaks, phi, side="right") - 1
+
+
+def pivot_only_for_unproven_pieces(monkeypatch, leaf, tol=DEFAULT_TOL):
+    """Let the pivot serve only directions of `leaf` in pieces whose gap exceeds tol; returns the batches it saw."""
+    seen = []
+    pivot = solver._pivot_support
+
+    def spy(other, U, tol_):
+        assert other is leaf and np.all(leaf.arcs.gap[piece_of(leaf, U)] > tol)
+        seen.append(U)
+        return pivot(other, U, tol_)
+
+    monkeypatch.setattr(solver, "_pivot_support", spy)
+    return seen
 
 
 def random_plane_leaves():
@@ -715,7 +728,7 @@ def directions_at_breaks(leaf):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def test_piece_certificates_agree_with_the_per_direction_certificate():
+def test_piece_values_agree_with_the_pivot():
     cases = [PLANE_LEAVES[case] or point_reconstruction_leaf() for case in PLANE_LEAVES]
     theta = np.linspace(0.0, 2 * math.pi, 20000, endpoint=False)
     dense = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -724,11 +737,9 @@ def test_piece_certificates_agree_with_the_per_direction_certificate():
         assert leaf.arcs.gap.shape == leaf.arcs.breaks.shape
         assert np.all(leaf.arcs.gap >= 0.0)
         dirs = np.vstack([dense, breakpoint_normals(centers, radii), directions_at_breaks(leaf)])
-        values = _arc_support(leaf, dirs, DEFAULT_TOL)
-        ref = per_direction_support(leaf, dirs, DEFAULT_TOL)
-        assert np.all(np.isfinite(values[np.isfinite(ref)]))
-        both = np.isfinite(values) & np.isfinite(ref)
-        assert np.max(np.abs(values[both] - ref[both])) <= DEFAULT_TOL
+        values = support_batch(leaf, dirs)
+        ref = solver._pivot_support(leaf, dirs, DEFAULT_TOL)
+        assert np.max(np.abs(values - ref)) <= DEFAULT_TOL
 
 
 def test_generic_plane_leaves_sweep_without_per_direction_certificates(monkeypatch):
@@ -747,18 +758,9 @@ def test_generic_plane_leaves_sweep_without_per_direction_certificates(monkeypat
         np.testing.assert_array_equal(support_batch(leaf, net), before)
 
 
-def test_pieces_that_cannot_be_proven_certify_direction_by_direction(monkeypatch):
-    seen = []
-    certify = solver._certify
-
-    def spy(leaf, U, *args):
-        seen.append(U.shape[0])
-        return certify(leaf, U, *args)
-
-    monkeypatch.setattr(solver, "_certify", spy)
-    refuse_fallback(monkeypatch)
+def test_pieces_that_cannot_be_proven_take_the_pivot(monkeypatch):
     # the 169-ball leaf has arcs too short for their ends to be placed within
-    # tol; a direction in the middle of one takes the per-direction certificate
+    # tol; a direction in the middle of one takes the pivot
     leaf = prepare_leaf(*point_reconstruction_leaf())
     arcs = leaf.arcs
     ends = np.append(arcs.breaks[1:], arcs.breaks[0] + 2 * math.pi)
@@ -766,19 +768,27 @@ def test_pieces_that_cannot_be_proven_certify_direction_by_direction(monkeypatch
     assert unproven.size > 0
     mid = 0.5 * (arcs.breaks + ends)[unproven]
     dirs = np.column_stack([np.cos(mid), np.sin(mid)])
-    values = support_batch(leaf, dirs)
-    assert seen == [unproven.size]
-    np.testing.assert_array_equal(values, per_direction_support(leaf, dirs, DEFAULT_TOL))
-    # a tolerance below a generic leaf's piece gaps: the pieces over it go
-    # direction by direction, and the values stay within the gaps
+    np.testing.assert_array_equal(piece_of(leaf, dirs), unproven)
+    with monkeypatch.context() as patch:
+        seen = pivot_only_for_unproven_pieces(patch, leaf)
+        values = support_batch(leaf, dirs)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], dirs)
+    centers, radii = point_reconstruction_leaf()
+    for u, v in zip(dirs, values):
+        assert v == pytest.approx(plane_vertex_support(centers, radii, u), abs=DEFAULT_TOL)
+    # a tolerance below a generic leaf's piece gaps: the pieces over it take
+    # the pivot, and the values stay within the gaps
     leaf = prepare_leaf(np.random.default_rng(5).uniform(-0.4, 0.4, size=(5, 2)))
     tight = 1e-15
     assert np.any(leaf.arcs.gap > tight) and np.any(leaf.arcs.gap <= tight)
     dirs = unit_dirs(2, 2000, 5)
-    seen.clear()
+    expected = support_batch(leaf, dirs)
+    seen = pivot_only_for_unproven_pieces(monkeypatch, leaf, tight)
     values = support_batch(leaf, dirs, tight)
-    assert 0 < seen[0] < dirs.shape[0]
-    assert np.max(np.abs(values - support_batch(leaf, dirs))) <= leaf.arcs.gap.max()
+    assert len(seen) == 1 and 0 < seen[0].shape[0] < dirs.shape[0]
+    np.testing.assert_array_equal(seen[0], dirs[leaf.arcs.gap[piece_of(leaf, dirs)] > tight])
+    assert np.max(np.abs(values - expected)) <= leaf.arcs.gap.max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -295,6 +295,11 @@ def test_contains_rejects_far_points(net2):
     assert res.margin < 0
 
 
+def test_contains_rejects_a_net_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="net dimension"):
+        contains_point(ball_body([0.0, 0.0]), [0.0, 0.0], make_sphere_net(3, 0.5))
+
+
 def test_exact_and_net_membership_agree(net2):
     rng = np.random.default_rng(13)
     gen = Generators(rng.uniform(-0.5, 0.5, (3, 2)))
