@@ -82,6 +82,10 @@ class RunConfig:
     oracle: bool
     output_path: str | None
 
+    def __post_init__(self):
+        if self.seed < 0:  # NumPy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
     def resolve_dim(self, inferred: int | None) -> int:
         """--dim or the documents' dimension, which must agree; 2 when neither is set (inferred None)."""
         if None not in (self.dimension, inferred) and self.dimension != inferred:
@@ -136,7 +140,7 @@ def _emit(config: RunConfig, command: str, result: dict) -> None:
         click.echo(text, nl=False)
 
 
-def _fail(config: RunConfig, command: str, exc: Exception) -> None:
+def _fail(command: str, exc: Exception) -> None:
     for types, code in _ERROR_EXITS:
         if isinstance(exc, types):
             payload = {
@@ -156,7 +160,7 @@ def _guarded(config: RunConfig, command: str, fn) -> None:
     except SystemExit:
         raise
     except Exception as exc:  # mapped to the documented exit codes
-        _fail(config, command, exc)
+        _fail(command, exc)
 
 
 @click.group()
@@ -170,7 +174,10 @@ def _guarded(config: RunConfig, command: str, fn) -> None:
 @click.pass_context
 def main(ctx, dim, mesh, tol, seed, oracle, out):
     """Numerics for intersections of unit balls and their metric isometries."""
-    ctx.obj = RunConfig(dim, mesh, tol, seed, oracle, out)
+    try:
+        ctx.obj = RunConfig(dim, mesh, tol, seed, oracle, out)
+    except ValueError as exc:
+        _fail(ctx.invoked_subcommand, exc)
 
 
 @main.command()
@@ -363,7 +370,7 @@ def selftest(config: RunConfig, profile, criteria):
     try:
         report = run()
     except Exception as exc:
-        _fail(config, "selftest", exc)
+        _fail("selftest", exc)
         return
     _emit(config, "selftest", report)
     if report["failed"]:

@@ -1,13 +1,15 @@
-"""Executable isometry analysis: distance-defect probing, normal-form
+"""Executable isometry analysis: distance-defect screening, normal-form
 classification of black-box isometries, and the geodesic midpoint check.
 
 A metric isometry of the ball-body space is, in normal form, a rigid motion
-applied either directly or after c-duality.  The classifier recovers that
-form in three stages: (1) map a point and a unit ball on each of 0 and
-+-PROBE_OFFSET e_i and see which family collapses to near-points, (2) fit
-the rigid motion, which any n + 1 affinely independent points fix, to the
-fitted centers of the collapsed images, and (3) certify the fit by
-measuring residual distances on random test bodies.
+applied either directly or after c-duality.  The classifier maps a point
+and a unit ball on each of 0 and +-PROBE_OFFSET e_i once, and sweeps each
+distinct image once on the configured net.  Screening compares the images'
+distances with the probes' own, which have closed forms.  Then it recovers
+the normal form in three stages: (1) see which family collapses to
+near-points, (2) fit the rigid motion, which any n + 1 affinely independent
+points fix, to the fitted centers of the collapsed images, and (3) certify
+the fit by measuring residual distances on random test bodies.
 
 Stages 1 and 2 need no linear program.  Under a true isometry every probe
 image is a point or a unit ball, whose support h(u) = <z, u> + rho is affine
@@ -17,21 +19,18 @@ objective at the fitted center, an upper bound on the LP optimum, so the
 collapse test is never looser than with the LP.  The circumball LP serves
 only the geodesic midpoint check.
 
-The screening tolerance, the collapse radius, the probe points, the probe
-net and the number of test bodies are the module constants below.  So every
-probe and test body the classifier maps depends only on the dimension, and
-the test bodies on the seed too.  Each is built once per dimension (and
-seed) and kept read-only, arrays included, so a map that writes into its
-input raises instead of changing later calls.  Support values are never
-kept: every call evaluates fresh oracles, so results do not depend on what
-ran before.
+The screening tolerance, the collapse radius, the probe points and the
+number of test bodies are the module constants below.  So every probe and
+test body the classifier maps depends only on the dimension, and the test
+bodies on the seed too.  Each is built once per dimension (and seed) and
+kept read-only, arrays included, so a map that writes into its input raises
+instead of changing later calls.  Support values are never kept: every call
+evaluates fresh oracles, so results do not depend on what ran before.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -42,12 +41,11 @@ from .errors import AmbiguousClassificationError, NotIsometryError
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import SupportEval, as_eval, circumball, default_mesh, hausdorff
+from .support import as_eval, circumball, default_mesh, hausdorff, net_error_bound
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
 PROBE_OFFSET = 2.0  # the probes sit on 0 and +-PROBE_OFFSET e_i
-PROBE_MESH = 0.2  # ball fits of points and unit balls are exact on coarse nets
 N_TEST_BODIES = 20  # stage 3's residual bodies
 CACHE_SIZE = 16  # distinct (dimension, seed) values kept per built input
 
@@ -81,59 +79,44 @@ def _image(T: BlackBoxMap, body: BallBodyExpr, what: str) -> BallBodyExpr:
         raise NotIsometryError(f"map evaluation failed on a {what}: {exc}") from exc
 
 
-def _defect_details(
-    T: BlackBoxMap,
-    probes: Sequence[tuple[BallBodyExpr, BallBodyExpr]],
-    net: SphereNet,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """(worst upper endpoint, worst certified lower endpoint) of the distance defect.
-
-    The map runs once per distinct probe, and every distinct body, probe or
-    image, gets one `SupportEval` for the whole call (both keyed by
-    identity).  Its `on_net` memo then serves every pair the body appears
-    in, so a constant map sweeps its single image once.  Each pair runs the
-    same arithmetic as `hausdorff` on fresh oracles, so the result is
-    bitwise the same.
-    """
-    images: dict[int, BallBodyExpr] = {}
-    for body in itertools.chain.from_iterable(probes):
-        if id(body) not in images:
-            images[id(body)] = _image(T, body, "probe")
-    evals: dict[int, SupportEval] = {}
-
-    def oracle(body: BallBodyExpr) -> SupportEval:
-        if id(body) not in evals:
-            evals[id(body)] = as_eval(body, tol)
-        return evals[id(body)]
-
-    upper = 0.0
-    lower = 0.0
-    for k, l in probes:
-        before = hausdorff(oracle(k), oracle(l), net, tol)
-        after = hausdorff(oracle(images[id(k)]), oracle(images[id(l)]), net, tol)
-        shift = abs(after.value - before.value)
-        bound = after.error_bound + before.error_bound
-        upper = max(upper, shift + bound)
-        lower = max(lower, shift - bound)
-    return upper, max(lower, 0.0)
-
-
-def isometry_defect(
-    T: BlackBoxMap,
-    probes: Sequence[tuple[BallBodyExpr, BallBodyExpr]],
-    net: SphereNet,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Worst certified bound on |d(TK, TL) - d(K, L)| over the probe pairs."""
-    return _defect_details(T, probes, net, tol)[0]
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...], tuple[BallBodyExpr, ...]]:
-    """The points 0 and +-PROBE_OFFSET e_i, and a point and a unit-ball probe on each, read-only."""
+def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
+    """The 2n + 1 points 0 and +-PROBE_OFFSET e_i, and the 4n + 2 probes on
+    them, the point probes before the unit-ball probes, read-only."""
     points = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
-    return _read_only((points, tuple(map(point_body, points)), tuple(map(ball_body, points))))
+    return _read_only((points, tuple(map(point_body, points)) + tuple(map(ball_body, points))))
+
+
+def _probe_distances(points: np.ndarray) -> np.ndarray:
+    """The Hausdorff distances between the probes on `points`, in closed form.
+
+    Rows and columns follow `_probes`.  Two points or two unit balls lie
+    |x - y| apart, and a point and a unit ball |x - y| + 1.
+    """
+    centers = np.vstack([points, points])
+    is_ball = np.repeat([0.0, 1.0], len(points))
+    return np.linalg.norm(centers[:, None] - centers, axis=-1) + np.abs(is_ball[:, None] - is_ball)
+
+
+def _screening(
+    images: list[BallBodyExpr], sweeps: np.ndarray, distances: np.ndarray, net: SphereNet, tol: float
+) -> tuple[float, float]:
+    """(worst upper endpoint, worst certified lower endpoint) of the distance
+    defect |d(TK, TL) - d(K, L)| over the pairs of probes.
+
+    d(K, L) is exact.  d(TK, TL) is the sup-norm distance of the images'
+    sweeps, the value `hausdorff` computes, within its error bound for the
+    pair.  The diagonal, a zero shift within the least bound of its row,
+    changes neither maximum.
+    """
+    k = len(images)
+    after = np.zeros((k, k))
+    for i in range(k - 1):  # one row at a time: no (k, k, N) array
+        after[i, i + 1 :] = np.max(np.abs(sweeps[i + 1 :] - sweeps[i]), axis=1)
+    shift = np.abs(after + after.T - distances)
+    norm_bounds = np.array([image.norm_bound for image in images])
+    bound = net_error_bound(net.mesh, (np.maximum.outer(norm_bounds, norm_bounds),), (tol, tol))
+    return float(np.max(shift + bound)), max(float(np.max(shift - bound)), 0.0)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -143,26 +126,23 @@ def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
     return _read_only(tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES)))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _probe_net(dim: int) -> SphereNet:
-    """The net of the ball fits, read-only."""
-    return _read_only(make_sphere_net(dim, PROBE_MESH))
-
-
-def _ball_fits(
-    bodies: list[BallBodyExpr], net: SphereNet, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares ball fits h(u) ~ <z, u> + rho of each body's support on the net.
+def _ball_fits(sweeps: np.ndarray, net: SphereNet) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares ball fits h(u) ~ <z, u> + rho of support sweeps on the net, one body per row.
 
     Returns the centers z, shape (k, n), and the radii max_u (h(u) - <z, u>)
     clamped at 0, shape (k,): each radius encloses its body to net
-    resolution, and it is exact for points and balls.
+    resolution, and it is exact for points and balls.  Raises ValueError
+    when the net's directions do not span R^n, so that the fit is not unique.
     """
-    h = np.column_stack([as_eval(body, tol).on_net(net) for body in bodies])  # (N, k)
     design = np.hstack([net.directions, np.ones((len(net), 1))])
-    coef, *_ = np.linalg.lstsq(design, h, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, sweeps.T, rcond=None)
+    if rank < net.dim + 1:
+        raise ValueError(
+            f"the net's {len(net)} directions do not span R^{net.dim}: "
+            f"ball fits need rank {net.dim + 1}, got {rank}"
+        )
     centers = coef[:-1].T
-    radii = np.max(h - net.directions @ centers.T, axis=0)
+    radii = np.max(sweeps - centers @ net.directions.T, axis=1)
     return centers, np.maximum(radii, 0.0)
 
 
@@ -171,9 +151,9 @@ class ClassifierConfig:
     """Settings of `classify_isometry`: the dimension, the net and oracle
     tolerance of every distance, and the seed of the stage-3 test bodies.
 
-    The dimension fixes the screening pairs, the probes and the probe net,
-    and with the seed the test bodies.  Each is built on first use, once
-    per distinct value, so fields set after construction take effect.
+    The dimension fixes the probes, and with the seed the test bodies.
+    Each is built on first use, once per distinct value, so fields set
+    after construction take effect.
     """
 
     dimension: int = 2
@@ -192,7 +172,7 @@ class IsometryClassification:
     motion: RigidMotion
     residual: float
     residual_bound: float
-    isometry_defect: float
+    isometry_defect: float  # certified upper bound on |d(TK, TL) - d(K, L)| over the probe pairs
     fit_rms: float
     stage1_point_radius: float
     stage1_ball_radius: float
@@ -213,53 +193,41 @@ class IsometryClassification:
         }
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _screening_pairs(dim: int) -> tuple[tuple[BallBodyExpr, BallBodyExpr], ...]:
-    """Every pair of five point and ball probes, read-only."""
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    e2 = np.zeros(dim)
-    e2[1] = 1.0
-    probes = [
-        point_body(np.zeros(dim)),
-        point_body(2.0 * e1),
-        point_body(-1.5 * e2),
-        ball_body(np.zeros(dim)),
-        ball_body(1.5 * e2),
-    ]
-    return _read_only(tuple(itertools.combinations(probes, 2)))
-
-
 def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClassification:
     """Recover the normal form of a black-box isometry of the ball-body space.
 
     Raises NotIsometryError when the map fails distance screening, fails on
     any input, or when neither probe family collapses to points (impossible
-    for a true isometry), and AmbiguousClassificationError when both do.
+    for a true isometry), AmbiguousClassificationError when both do, and
+    ValueError when the net's directions do not span the space.
 
-    The probes, test bodies and probe net come from `config`'s dimension
-    and seed and are built once per distinct value (see
-    `ClassifierConfig`); they are read-only, so `T` must build its images
-    rather than write into its input.  Support values are computed afresh
-    on every call.
+    The probes and test bodies come from `config`'s dimension and seed and
+    are built once per distinct value (see `ClassifierConfig`); they are
+    read-only, so `T` must build its images rather than write into its
+    input.  Support values are computed afresh on every call.
     """
     net = config.net
     dim = config.dimension
-    defect, defect_lower = _defect_details(T, _screening_pairs(dim), net, config.tol)
+    sources, probes = _probes(dim)
+    images = [_image(T, probe, "probe") for probe in probes]
+    rows: dict[int, np.ndarray] = {}
+    for image in images:  # keyed by identity: a constant map's one image is swept once
+        if id(image) not in rows:
+            rows[id(image)] = as_eval(image, config.tol).on_net(net)
+    sweeps = np.vstack([rows[id(image)] for image in images])
+
+    defect, defect_lower = _screening(images, sweeps, _probe_distances(sources), net, config.tol)
     if defect_lower > DEFECT_TOL:
         raise NotIsometryError(
             f"distance defect is at least {defect_lower:.3f}, beyond the screening "
             f"tolerance {DEFECT_TOL} (worst-case endpoint {defect:.3f})"
         )
 
-    probe_net = _probe_net(dim)
-
     # stage 1: which family (points / unit balls) maps to near-points?
-    sources, points, balls = _probes(dim)
-    point_z, point_radii = _ball_fits([_image(T, p, "point probe") for p in points], probe_net, config.tol)
-    ball_z, ball_radii = _ball_fits([_image(T, b, "ball probe") for b in balls], probe_net, config.tol)
-    point_r = float(np.max(point_radii))
-    ball_r = float(np.max(ball_radii))
+    centers, radii = _ball_fits(sweeps, net)
+    k = len(sources)
+    point_r = float(np.max(radii[:k]))
+    ball_r = float(np.max(radii[k:]))
     points_collapse = point_r <= POINT_RADIUS_TOL
     balls_collapse = ball_r <= POINT_RADIUS_TOL
     if points_collapse and balls_collapse:
@@ -274,7 +242,7 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     kind = "identity" if points_collapse else "cdual"
 
     # stage 2: rigid motion through the fitted centers of the collapsed family
-    targets = point_z if kind == "identity" else ball_z
+    targets = centers[:k] if kind == "identity" else centers[k:]
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form

@@ -137,6 +137,9 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         (("--tol", "inf", "dist", point_doc([0.2, -0.1]), ball_doc([0.0, 0.0])), "positive and finite, got inf"),
         (("--tol", "inf", "selftest", "--criteria", "1"), "positive and finite, got inf"),
         (("--seed", "-1", "selftest", "--criteria", "1"), "seed must be non-negative, got -1"),
+        (("--seed", "-1", "classify", '{"map": "cdual"}'), "seed must be non-negative, got -1"),
+        (("--seed", "-1", "surjectivity", PLANAR_RIGID, "--target", "[0.5, 0]"), "seed must be non-negative, got -1"),
+        (("--mesh", "1.5", "classify", '{"map": "cdual"}'), "do not span R^2: ball fits need rank 3, got 2"),
     ],
     ids=[
         "criteria-a",
@@ -153,6 +156,9 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         "tol-inf-dist",
         "tol-inf-selftest",
         "seed-negative-selftest",
+        "seed-negative-classify",
+        "seed-negative-surjectivity",
+        "mesh-void-classify",
     ],
 )
 def test_bad_arguments_exit_invariant(args, message):
@@ -198,9 +204,10 @@ def test_dimension_mismatch_exits_invariant(args):
 
 
 def test_a_map_failing_after_screening_exits_premise():
-    # on a coarse net scaling passes screening, then cannot scale a stage-3
-    # test body: that failure, too, shows the map is not an isometry
-    result = run_cli("--dim", "3", "--mesh", "0.3", "classify", '{"map": "scale_centers", "factor": 2.0}')
+    # scaling by 1.12 moves no probe distance by more than 0.48 < DEFECT_TOL,
+    # so it passes screening whatever the bound; it then cannot scale a
+    # stage-3 test body: that failure, too, shows the map is not an isometry
+    result = run_cli("--dim", "3", "classify", '{"map": "scale_centers", "factor": 1.12}')
     assert result.exit_code == EXIT_PREMISE == 4
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "NotIsometryError"

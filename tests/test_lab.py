@@ -1,6 +1,6 @@
 """Isometry screening, normal-form classification, geodesic midpoint checks."""
 
-import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from ballbodies.bodies import (
     Generators,
     apply_motion,
     ball_body,
+    body_to_doc,
     c_dual,
     combine,
     point_body,
@@ -23,16 +24,15 @@ from ballbodies.lab import (
     DEFECT_TOL,
     N_TEST_BODIES,
     POINT_RADIUS_TOL,
-    PROBE_MESH,
     PROBE_OFFSET,
     ClassifierConfig,
     _ball_fits,
-    _defect_details,
-    _screening_pairs,
+    _probe_distances,
+    _probes,
+    _screening,
     _test_bodies,
     classify_isometry,
     geodesic_midpoint_check,
-    isometry_defect,
 )
 from ballbodies.maps import (
     BlackBoxMap,
@@ -42,7 +42,7 @@ from ballbodies.maps import (
     motion_map,
     scale_centers_map,
 )
-from ballbodies.support import circumball, hausdorff
+from ballbodies.support import SupportEval, as_eval, circumball, default_mesh, hausdorff
 
 
 @pytest.fixture(scope="module")
@@ -70,43 +70,70 @@ def test_no_lp_fixture_refuses_the_circumball_lp(no_lp, net2):
         circumball(ball_body(np.zeros(2)), net2)
 
 
-def probe_pairs(dim=2):
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    return [
-        (point_body(np.zeros(dim)), point_body(2 * e1)),
-        (point_body(np.zeros(dim)), ball_body(2 * e1)),
-        (ball_body(np.zeros(dim)), ball_body(-e1)),
-    ]
+def probe_points(dim):
+    return np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
 
 
-def test_defect_of_identity_and_cdual(net2):
-    rng = np.random.default_rng(0)
-    ident = motion_map(RigidMotion.identity(2))
-    dual = cdual_map(2)
-    pairs = probe_pairs() + [(random_body(rng, 2), random_body(rng, 2))]
-    bound = 4 * (2 * 6.0 * net2.mesh + 4e-6)
-    assert isometry_defect(ident, pairs, net2) <= bound
-    assert isometry_defect(dual, pairs, net2) <= bound
+def fresh_probes(dim):
+    """The 4n + 2 probes, built afresh: point probes, then unit-ball probes on the same points."""
+    points = probe_points(dim)
+    return [point_body(x) for x in points] + [ball_body(x) for x in points]
 
 
-def test_defect_of_constant_map_is_large(net2):
-    const = constant_map(point_body(np.zeros(2)))
-    d = isometry_defect(const, probe_pairs(), net2)
-    assert d >= 1.5  # roughly the probe diameter
+def closed_form_distance(dim, i, j):
+    """d(probe i, probe j) in the order of `fresh_probes`, from the geometry of points and unit balls."""
+    points = probe_points(dim)
+    k = len(points)
+    gap = np.linalg.norm(points[i % k] - points[j % k])
+    return gap + 1.0 if (i < k) != (j < k) else gap
 
 
-def pairwise_defect(T, probes, net, tol=1e-6):
-    """The screening defect with the map and fresh oracles on every pair, as the reference."""
+def pairwise_defect(T, dim, net, tol=1e-6):
+    """The screening defect from `hausdorff` on each pair of images against the closed forms: the reference."""
+    images = [T(probe) for probe in fresh_probes(dim)]
     upper = lower = 0.0
-    for k, l in probes:
-        before = hausdorff(k, l, net, tol)
-        after = hausdorff(T(k), T(l), net, tol)
-        shift = abs(after.value - before.value)
-        bound = after.error_bound + before.error_bound
-        upper = max(upper, shift + bound)
-        lower = max(lower, shift - bound)
-    return upper, max(lower, 0.0)
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            after = hausdorff(images[i], images[j], net, tol)
+            shift = abs(after.value - closed_form_distance(dim, i, j))
+            upper = max(upper, shift + after.error_bound)
+            lower = max(lower, shift - after.error_bound)
+    return upper, lower
+
+
+def sweeps(bodies, net, tol=1e-6):
+    """Each body's support on the net, one row per body."""
+    return np.vstack([as_eval(body, tol).on_net(net) for body in bodies])
+
+
+def screening_lower(exc) -> float:
+    return float(re.search(r"distance defect is at least (\S+),", str(exc)).group(1))
+
+
+def test_defect_of_identity_and_cdual(config2):
+    # both are isometries, so each pair's defect is within twice its net bound
+    bound = 2 * (2 * 6.0 * config2.net.mesh + 4e-6)
+    assert classify_isometry(motion_map(RigidMotion.identity(2)), config2).isometry_defect <= bound
+    assert classify_isometry(cdual_map(2), config2).isometry_defect <= bound
+
+
+def test_defect_of_constant_map_is_large(config2):
+    with pytest.raises(NotIsometryError) as info:
+        classify_isometry(constant_map(point_body(np.zeros(2))), config2)
+    assert screening_lower(info.value) >= 1.5  # roughly the probe diameter
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probe_distances_lie_in_the_certified_hausdorff_interval(dim):
+    net = make_sphere_net(dim, default_mesh(dim))
+    points, probes = _probes(dim)
+    assert len(probes) == 4 * dim + 2
+    distances = _probe_distances(points)
+    for i, k in enumerate(probes):
+        for j, l in enumerate(probes):
+            assert distances[i, j] == closed_form_distance(dim, i, j)
+            res = hausdorff(k, l, net)
+            assert res.lower <= distances[i, j] <= res.upper
 
 
 def counting(T):
@@ -123,7 +150,7 @@ def three_center_leaf(dim):
     return Generators(np.random.default_rng(dim).uniform(-0.4, 0.4, size=(3, dim)))
 
 
-def test_screening_maps_each_probe_once_and_matches_pairwise_defect(net2):
+def test_screening_maps_each_probe_once_and_matches_pairwise_defect(config2):
     rng = np.random.default_rng(12)
     maps = [
         motion_map(random_motion(rng, 2)),
@@ -131,17 +158,35 @@ def test_screening_maps_each_probe_once_and_matches_pairwise_defect(net2):
         constant_map(three_center_leaf(2)),
         scale_centers_map(2, 2.0),
     ]
-    probes = _screening_pairs(2)
     for T in maps:
         counted, calls = counting(T)
-        assert _defect_details(counted, probes, net2) == pairwise_defect(T, probes, net2)
-        assert len(calls) == 5
-        assert len({id(body) for body in calls}) == 5
-        assert isometry_defect(counted, probes, net2) == pairwise_defect(T, probes, net2)[0]
+        upper, lower = pairwise_defect(T, 2, config2.net)
+        if lower > DEFECT_TOL:
+            with pytest.raises(NotIsometryError) as info:
+                classify_isometry(counted, config2)
+            assert f"at least {lower:.3f}," in str(info.value)
+            assert f"(worst-case endpoint {upper:.3f})" in str(info.value)
+            assert len(calls) == 10
+        else:
+            assert classify_isometry(counted, config2).isometry_defect == upper
+            assert len(calls) == 10 + N_TEST_BODIES
+        assert len({id(body) for body in calls[:10]}) == 10
+
+
+@pytest.mark.parametrize("d", [0.0, 4.0, 10.0])
+def test_screening_of_one_pair_matches_hausdorff(net2, d):
+    # the pair's bound is hausdorff's, from the larger of the two norm bounds
+    images = [point_body(np.zeros(2)), ball_body(np.array([3.0, 0.0]))]
+    assert images[0].norm_bound != images[1].norm_bound
+    res = hausdorff(*images, net2)
+    shift = abs(res.value - d)
+    got = _screening(images, sweeps(images, net2), np.array([[0.0, d], [d, 0.0]]), net2, 1e-6)
+    assert got == (shift + res.error_bound, max(shift - res.error_bound, 0.0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
+    # the probes' own distances are closed forms, so no probe is swept
     solve = support_module.support_batch
     body = three_center_leaf(dim)
     leaves = []
@@ -151,10 +196,20 @@ def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
         return solve(leaf, dirs, tol)
 
     monkeypatch.setattr(support_module, "support_batch", counted)
-    net = make_sphere_net(dim, 0.3)
-    isometry_defect(constant_map(body), _screening_pairs(dim), net)
-    assert sum(leaf is body.leaf for leaf in leaves) == 1
-    assert len(leaves) == 6  # five probes and the one image
+    config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.3))
+    with pytest.raises(NotIsometryError, match="distance defect"):
+        classify_isometry(constant_map(body), config)
+    assert len(leaves) == 1 and leaves[0] is body.leaf
+
+
+def test_a_net_that_does_not_span_raises():
+    # two antipodal directions cannot pin down a center; four can
+    T = motion_map(RigidMotion(np.eye(2), np.array([0.3, 0.1])))
+    with pytest.raises(ValueError, match="do not span R\\^2: ball fits need rank 3, got 2"):
+        classify_isometry(T, ClassifierConfig(dimension=2, net=make_sphere_net(2, 1.5)))
+    result = classify_isometry(T, ClassifierConfig(dimension=2, net=make_sphere_net(2, 1.4)))
+    assert result.kind == "identity"
+    assert np.max(np.abs(result.motion.translation - [0.3, 0.1])) <= 1e-12
 
 
 def test_classify_planted_motion(config2, no_lp):
@@ -209,28 +264,19 @@ def test_classify_planted_reflection_3d(no_lp):
 
 
 def rebuilt_classification(T, config):
-    """The classifier with every probe, test body and net built afresh on each call: the reference."""
+    """The classifier with every probe, test body and oracle built afresh on each call: the reference."""
     dim, net, tol = config.dimension, config.net, config.tol
-    e1, e2 = np.eye(dim)[:2]
-    screening = [
-        point_body(np.zeros(dim)),
-        point_body(2.0 * e1),
-        point_body(-1.5 * e2),
-        ball_body(np.zeros(dim)),
-        ball_body(1.5 * e2),
-    ]
-    defect, defect_lower = _defect_details(T, list(itertools.combinations(screening, 2)), net, tol)
+    defect, defect_lower = pairwise_defect(T, dim, net, tol)
     if defect_lower > DEFECT_TOL:
         raise NotIsometryError(
             f"distance defect is at least {defect_lower:.3f}, beyond the screening "
             f"tolerance {DEFECT_TOL} (worst-case endpoint {defect:.3f})"
         )
 
-    probe_net = make_sphere_net(dim, PROBE_MESH)
-    sources = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
-    point_z, point_radii = _ball_fits([T(point_body(x)) for x in sources], probe_net, tol)
-    ball_z, ball_radii = _ball_fits([T(ball_body(x)) for x in sources], probe_net, tol)
-    point_r, ball_r = float(np.max(point_radii)), float(np.max(ball_radii))
+    sources = probe_points(dim)
+    centers, radii = _ball_fits(sweeps([T(probe) for probe in fresh_probes(dim)], net, tol), net)
+    k = len(sources)
+    point_r, ball_r = float(np.max(radii[:k])), float(np.max(radii[k:]))
     if point_r <= POINT_RADIUS_TOL and ball_r <= POINT_RADIUS_TOL:
         raise AmbiguousClassificationError(
             f"both probe families collapse to near-points (radii {point_r:.2e}, {ball_r:.2e})"
@@ -241,8 +287,7 @@ def rebuilt_classification(T, config):
             f"(radii {point_r:.2e}, {ball_r:.2e}); the map cannot be an isometry"
         )
     kind = "identity" if point_r <= POINT_RADIUS_TOL else "cdual"
-    targets = point_z if kind == "identity" else ball_z
-    motion, fit_rms = procrustes_fit(sources, targets)
+    motion, fit_rms = procrustes_fit(sources, centers[:k] if kind == "identity" else centers[k:])
     rng = np.random.default_rng(config.seed)
     residual = residual_bound = 0.0
     for _ in range(N_TEST_BODIES):
@@ -294,17 +339,27 @@ def test_classification_matches_a_per_call_rebuild_bit_for_bit(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_stages_one_and_two_map_a_point_and_a_ball_on_each_probe_point(dim):
-    # 5 screening probes, then the 2n + 1 probe points 0 and +-2 e_i, each
-    # as a point and as a unit ball; stage 2 maps nothing
+def test_stages_one_and_two_map_a_point_and_a_ball_on_each_probe_point(monkeypatch, dim):
+    # the 2n + 1 probe points 0 and +-2 e_i, each as a point and as a unit
+    # ball, serve screening and stage 1; stage 2 maps nothing, and every
+    # sweep is on the configured net
     g = random_motion(np.random.default_rng(47), dim)
     T, calls = counting(compose_maps([cdual_map(dim), motion_map(g)]))
     config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.5))
+    on_net = SupportEval.on_net
+    nets = []
+
+    def recording(self, net):
+        nets.append(net)
+        return on_net(self, net)
+
+    monkeypatch.setattr(SupportEval, "on_net", recording)
     assert classify_isometry(T, config).details["n_correspondences"] == 2 * dim + 1
     stage3 = {id(body) for body in _test_bodies(dim, config.seed)}
     before = next(i for i, body in enumerate(calls) if id(body) in stage3)
-    assert before == 5 + 2 * (2 * dim + 1)
+    assert before == 2 * (2 * dim + 1)
     assert len(calls) == before + N_TEST_BODIES
+    assert nets and all(net is config.net for net in nets)
 
 
 def test_classify_planted_4d_reflection_after_duality(no_lp):
@@ -339,12 +394,20 @@ def test_second_classification_prepares_no_leaf(monkeypatch, config2):
 @pytest.mark.parametrize("name, value", [("seed", 5)])
 def test_config_fields_set_after_construction_take_effect(net2, name, value):
     T = compose_maps([cdual_map(2), motion_map(random_motion(np.random.default_rng(45), 2))])
+
+    def stage3_inputs(config):
+        """The documents of the bodies the map receives after the 10 probes."""
+        recorded, calls = counting(T)
+        classify_isometry(recorded, config)
+        return [body_to_doc(body) for body in calls[10:]]
+
     config = ClassifierConfig(dimension=2, net=net2)
-    default = classify_isometry(T, config).to_doc()
+    default = stage3_inputs(config)
     setattr(config, name, value)
     fresh = ClassifierConfig(dimension=2, net=net2, **{name: value})
     assert classify_isometry(T, config).to_doc() == classify_isometry(T, fresh).to_doc()
-    assert classify_isometry(T, config).to_doc() != default
+    assert stage3_inputs(config) == stage3_inputs(fresh)
+    assert stage3_inputs(config) != default
 
 
 def first_centers(body):
@@ -353,7 +416,7 @@ def first_centers(body):
     return body.centers
 
 
-@pytest.mark.parametrize("writes_from", [0, 5, 15])  # screening, stage 1, stage 3 in 2-d
+@pytest.mark.parametrize("writes_from", [0, 10])  # the probes, stage 3 in 2-d
 def test_a_map_writing_into_its_input_raises_and_later_calls_are_unaffected(config2, writes_from):
     T = motion_map(random_motion(np.random.default_rng(46), 2))
     before = classify_isometry(T, config2).to_doc()
@@ -381,10 +444,10 @@ def test_ball_fits_exact_for_points_and_unit_balls(dim):
     net = make_sphere_net(dim, 0.2)
     points = [point_body(x) for x in xs] + [c_dual(ball_body(x)) for x in xs]
     balls = [ball_body(x) for x in xs] + [apply_motion(g, c_dual(point_body(x))) for x in xs]
-    centers, radii = _ball_fits(points, net, 1e-9)
+    centers, radii = _ball_fits(sweeps(points, net, 1e-9), net)
     assert np.max(np.abs(centers - np.vstack([xs, xs]))) <= 1e-12
     assert np.max(radii) <= 1e-12
-    centers, radii = _ball_fits(balls, net, 1e-9)
+    centers, radii = _ball_fits(sweeps(balls, net, 1e-9), net)
     assert np.max(np.abs(centers - np.vstack([xs, g.apply(xs)]))) <= 1e-12
     np.testing.assert_allclose(radii, 1.0, atol=1e-12)
 
@@ -395,7 +458,7 @@ def test_ball_fit_radius_bounds_circumball_lp():
     for dim in (2, 3):
         net = make_sphere_net(dim, 0.2)
         bodies = [random_body(rng, dim) for _ in range(8)]
-        _, radii = _ball_fits(bodies, net, 1e-9)
+        _, radii = _ball_fits(sweeps(bodies, net, 1e-9), net)
         for body, r in zip(bodies, radii):
             assert r >= circumball(body, net, 1e-9).radius - 1e-7
 
