@@ -11,7 +11,7 @@ tree of four node kinds:
 Trees are immutable and hash by identity.  Each node sets its dimension,
 its depth and its norm bound (a bound on |h(u)| over the unit sphere) once,
 at construction, from its own data and its children's values.  The matching
-JSON document format (one object per node) is::
+JSON document format (one object per node; other keys are ignored) is::
 
     {"type": "generators", "centers": [[...], ...]}
     {"type": "cdual", "of": <body>}
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DocumentError, EmptyBodyError
+from .errors import DimensionMismatchError, DocumentError
 from .geometry import RigidMotion, as_points
 from .solver import LeafGeometry, prepare_leaf
 
 MAX_TREE_DEPTH = 16
-BOUNDARY_SLACK = 1e-9
 
 
 class BallBodyExpr:
@@ -53,27 +52,19 @@ class Generators(BallBodyExpr):
     """Intersection of balls about `centers`.
 
     Unit radii denote a body in the modeled class; general radii support
-    internal distance-constraint intersections (not serializable).  Center
-    sets whose minimal enclosing ball exceeds radius 1 - 1e-9 are rejected
-    unless flagged ``boundary`` (such bodies degenerate toward a point).
+    internal distance-constraint intersections (not serializable).  Every
+    leaf that `prepare_leaf` finds nonempty is a body, down to one point.
     `centers` and `radii` are the leaf's read-only copies of the inputs.
     """
 
     centers: np.ndarray
     radii: np.ndarray | None = None
-    boundary: bool = False
 
     def __post_init__(self):
         leaf = prepare_leaf(as_points(self.centers), self.radii)
         object.__setattr__(self, "centers", leaf.centers)
         if self.radii is not None:
             object.__setattr__(self, "radii", leaf.radii)
-        if self.radii is None and leaf.meb_radius is not None:
-            if leaf.meb_radius > 1.0 - BOUNDARY_SLACK and not self.boundary:
-                raise EmptyBodyError(
-                    f"centers need a ball of radius {leaf.meb_radius:.12f}; "
-                    "pass boundary=True to accept a near-degenerate body"
-                )
         object.__setattr__(self, "_leaf", leaf)
         norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
         self._derive(leaf.dim, 1, norm_bound)
@@ -155,7 +146,7 @@ def push_motion(g: RigidMotion, gen: Generators) -> Generators:
     """Equivalent generator form of a moved generator body (unit radii only)."""
     if gen.radii is not None:
         raise ValueError("push_motion applies to unit-radius generator bodies")
-    return Generators(g.apply(gen.centers), boundary=gen.boundary)
+    return Generators(g.apply(gen.centers))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +166,7 @@ def parse_body(doc, _depth: int = 0) -> BallBodyExpr:
             centers = doc["centers"]
             if not isinstance(centers, list) or not centers:
                 raise DocumentError("generators.centers must be a nonempty list")
-            return Generators(np.asarray(centers, dtype=float), boundary=bool(doc.get("boundary", False)))
+            return Generators(np.asarray(centers, dtype=float))
         if kind == "cdual":
             return CDual(parse_body(doc["of"], _depth + 1))
         if kind == "combine":
@@ -202,10 +193,7 @@ def body_to_doc(body: BallBodyExpr) -> dict:
     if isinstance(body, Generators):
         if body.radii is not None:
             raise ValueError("general-radius intersections have no document form")
-        doc = {"type": "generators", "centers": body.centers.tolist()}
-        if body.boundary:
-            doc["boundary"] = True
-        return doc
+        return {"type": "generators", "centers": body.centers.tolist()}
     if isinstance(body, CDual):
         return {"type": "cdual", "of": body_to_doc(body.of)}
     if isinstance(body, Combine):

@@ -65,13 +65,14 @@ def normalize_direction(u, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ball:
-    """A Euclidean ball given by center and radius."""
+    """A Euclidean ball given by center and radius; `center` is a read-only copy."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "center", np.array(as_vector(self.center)))
+        self.center.flags.writeable = False
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
@@ -87,21 +88,22 @@ class Ball:
 class RigidMotion:
     """Orthogonal matrix plus translation, acting as ``x -> Q x + t``.
 
-    Reflections (det Q = -1) are allowed.
+    Reflections (det Q = -1) are allowed.  Both arrays are read-only copies.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=float)
-        t = as_vector(self.translation)
+        q = np.array(self.rotation, dtype=float)
+        t = np.array(as_vector(self.translation))
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("rotation must be a square matrix")
         if q.shape[0] != t.shape[0]:
             raise DimensionMismatchError("rotation and translation dimensions differ")
         if not np.allclose(q.T @ q, np.eye(q.shape[0]), atol=ORTHOGONALITY_TOL, rtol=0.0):
             raise ValueError("rotation matrix is not orthogonal within 1e-9")
+        q.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
@@ -136,7 +138,7 @@ class SphereNet:
     direction.  For nets from `make_sphere_net` this is proven by the grid's
     construction (see there), not estimated by sampling.  Directions come
     in exact antipodal pairs, so evaluating a support function on the net
-    and on its negation sees the same vectors.
+    and on its negation sees the same vectors.  `directions` is read-only.
     """
 
     directions: np.ndarray
@@ -144,7 +146,7 @@ class SphereNet:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=float)
+        dirs = np.array(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[0] == 0:
             raise ValueError("directions must be a nonempty (m, n) array")
         norms = np.linalg.norm(dirs, axis=1)
@@ -152,6 +154,7 @@ class SphereNet:
             raise ValueError("net directions must have unit norm within 1e-12")
         if self.mesh <= 0:
             raise ValueError("mesh must be positive")
+        dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "dim", dirs.shape[1])
 

@@ -22,16 +22,16 @@ only the geodesic midpoint check.
 The screening tolerance, the collapse radius, the probe points and the
 number of test bodies are the module constants below.  So every probe and
 test body the classifier maps depends only on the dimension, and the test
-bodies on the seed too.  Each is built once per dimension (and seed) and
-kept read-only, arrays included, so a map that writes into its input raises
-instead of changing later calls.  Support values are never kept: every call
-evaluates fresh oracles, so results do not depend on what ran before.
+bodies on the seed too.  Each is built once per dimension (and seed); body
+trees are read-only from construction, so a map that writes into its input
+raises instead of changing later calls.  Support values are never kept:
+every call evaluates fresh oracles, so no result depends on earlier calls.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,23 +48,6 @@ DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
 PROBE_OFFSET = 2.0  # the probes sit on 0 and +-PROBE_OFFSET e_i
 N_TEST_BODIES = 20  # stage 3's residual bodies
 CACHE_SIZE = 16  # distinct (dimension, seed) values kept per built input
-
-
-def _read_only(obj):
-    """`obj`, with every array reachable through tuples and attributes made read-only.
-
-    Body nodes, motions and nets are dataclasses; a body's leaf is
-    read-only already.
-    """
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif isinstance(obj, tuple):
-        for item in obj:
-            _read_only(item)
-    elif is_dataclass(obj):
-        for value in vars(obj).values():
-            _read_only(value)
-    return obj
 
 
 def _image(T: BlackBoxMap, body: BallBodyExpr, what: str) -> BallBodyExpr:
@@ -84,7 +67,8 @@ def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
     """The 2n + 1 points 0 and +-PROBE_OFFSET e_i, and the 4n + 2 probes on
     them, the point probes before the unit-ball probes, read-only."""
     points = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
-    return _read_only((points, tuple(map(point_body, points)) + tuple(map(ball_body, points))))
+    points.flags.writeable = False
+    return points, tuple(map(point_body, points)) + tuple(map(ball_body, points))
 
 
 def _probe_distances(points: np.ndarray) -> np.ndarray:
@@ -121,9 +105,9 @@ def _screening(
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
-    """Stage 3's random test bodies, read-only."""
+    """Stage 3's random test bodies."""
     rng = np.random.default_rng(seed)
-    return _read_only(tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES)))
+    return tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES))
 
 
 def _ball_fits(sweeps: np.ndarray, net: SphereNet) -> tuple[np.ndarray, np.ndarray]:
@@ -308,6 +292,7 @@ def geodesic_midpoint_check(
     endpoints have circumradius >= POINT_RADIUS_TOL, the midpoint must too; a
     midpoint collapse is reported as a verdict, never silently.
     """
+    K0, K1, K2 = (as_eval(k, tol) for k in (K0, K1, K2))  # one sweep each, shared by the memo
     r01 = hausdorff(K0, K1, net, tol)
     r12 = hausdorff(K1, K2, net, tol)
     r02 = hausdorff(K0, K2, net, tol)

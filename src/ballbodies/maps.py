@@ -79,7 +79,7 @@ def constant_map(body: BallBodyExpr) -> BlackBoxMap:
 
 def _scale_tree(body: BallBodyExpr, factor: float) -> BallBodyExpr:
     if isinstance(body, Generators):
-        return Generators(body.centers * factor, radii=body.radii, boundary=body.boundary)
+        return Generators(body.centers * factor, radii=body.radii)
     if isinstance(body, CDual):
         return CDual(_scale_tree(body.of, factor))
     if isinstance(body, Combine):

@@ -3,7 +3,9 @@
 The leaf problem is ``max <u, y> over y with |y - x_i| <= r_i for all i``.
 Optima are KKT points whose tight constraints number at most the ambient
 dimension.  `prepare_leaf` builds, once per leaf, the direction-free part of
-that search, and `support_batch` serves each direction by one of three paths:
+that search.  `support_batch` serves a leaf of one ball by its closed form, a
+point-like one by `_point_support`, and each direction of any other leaf by
+one of three paths:
 
 * 2-d, any m: arc lookup.  The boundary of a plane ball polygon is a cyclic
   sequence of circular arcs, each owning an interval of outer-normal angles,
@@ -29,15 +31,15 @@ that search, and `support_batch` serves each direction by one of three paths:
 
 A 2-d piece is certified when the leaf is prepared (see `ArcTable`): an
 upper bound from the piece's ball, or from the vertex's normal cone, and a
-lower bound from blending the piece's worst point toward a strictly
-interior point.  A direction whose piece misses the tolerance takes the
-pivot.  Every direction of the other two paths is certified on its own
-from its KKT candidate: a weak-duality upper bound from the candidate's
-multipliers plus the same blended lower bound, taken at that candidate.
-Certificates are exact up to rounding, and to a 1e-12 feasibility pad on
-the constraints where a candidate is checked.  A prepared leaf keeps its
-own read-only copies of the centers and radii, so no caller can change it
-after the fact.
+lower bound from blending the piece's worst point toward the interior
+point, whose slack exceeds POINT_SLACK.  A direction whose piece misses the
+tolerance takes the pivot.  Every direction of the other two paths is
+certified on its own from its KKT candidate: a weak-duality upper bound
+from the candidate's multipliers plus the same blended lower bound, taken
+at that candidate.  Certificates are exact up to rounding, and to a 1e-12
+feasibility pad on the constraints where a candidate is checked.  A
+prepared leaf keeps its own read-only copies of the centers and radii, so
+no caller can change it after the fact.
 """
 
 from __future__ import annotations
@@ -147,18 +149,16 @@ class LeafGeometry:
     `support_batch` serves a leaf of m >= 2 balls that is not point-like by
     one of three paths (see the module docstring), and `prepare_leaf` fixes
     which one by the table it stores: `arcs` for the 2-d arc lookup (None
-    only when rounding leaves no arc, as for a body that is one point),
-    with every piece's certificate already computed from `interior` and
-    `slack`; `subsets` for the subset table when n >= 3 and m <=
-    ENUM_MAX_CENTERS.  A leaf with neither takes the pivot, which builds
-    the subset table of each sub-leaf as it goes.
+    only when rounding leaves no arc), with every piece's certificate
+    already computed from `interior` and `slack`; `subsets` for the subset
+    table when n >= 3 and m <= ENUM_MAX_CENTERS.  A leaf with neither takes
+    the pivot, which builds the subset table of each sub-leaf as it goes.
     """
 
     centers: np.ndarray  # (m, n)
     radii: np.ndarray  # (m,)
     interior: np.ndarray  # the maximum-slack point
     slack: float  # min_i (r_i - |interior - x_i|), clamped at 0
-    meb_radius: float | None  # r_0 - slack, set when all radii are equal
     subsets: SubsetTable | None = None
     arcs: ArcTable | None = None
 
@@ -172,8 +172,8 @@ class LeafGeometry:
 
     @property
     def point_like(self) -> bool:
-        """True when the body is a single point up to solver precision."""
-        return self.meb_radius is not None and self.slack <= POINT_SLACK
+        """True when the slack is at most POINT_SLACK, whatever the radii (see `_point_support`)."""
+        return self.slack <= POINT_SLACK
 
 
 def prepare_leaf(centers, radii=None) -> LeafGeometry:
@@ -199,16 +199,14 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
         if np.any(r < 0):
             raise EmptyBodyError("negative constraint radius")
 
-    c = float(r.max())
-    z, _ = enclosing_ball(X, c - r)
+    z = enclosing_ball(X, r.max() - r)[0] if m > 1 else X[0].copy()
     slack = float((r - np.linalg.norm(X - z, axis=1)).min())
     if slack < -FEAS_PAD:
         raise EmptyBodyError(
             f"the m={m} balls in dimension n={n} have empty intersection: "
             f"their maximum-slack point has slack {slack:.3e}"
         )
-    meb_radius = c - slack if (r == c).all() else None
-    leaf = LeafGeometry(X, r, z, max(slack, 0.0), meb_radius)
+    leaf = LeafGeometry(X, r, z, max(slack, 0.0))
     if m >= 2 and not leaf.point_like:
         if n == 2:
             leaf = replace(leaf, arcs=_build_arcs(X, r, z, leaf.slack))
@@ -253,7 +251,7 @@ def _blend(viol, slack):
     theta (r_j - slack) = r_j.
     """
     viol = np.maximum(viol, 0.0)
-    return viol / (viol + slack) if slack > 0.0 else (viol > 0.0).astype(float)
+    return viol / (viol + slack)
 
 
 def _feasible_lower(X, r, u_arr, y, interior, slack):
@@ -638,8 +636,33 @@ def _pivot_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _point_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
+    """Values of a point-like leaf, proven within tol; NoConvergenceError where they are not.
+
+    With z* the maximum-slack point, s* its slack and R = max r_i, the body
+    holds B(z*, s*) and lies in B(z*, rho), rho^2 = s* (2 R - s*): z* = sum
+    mu_i x_i over the centers active there, so each y in the body has |y -
+    z*|^2 = sum mu_i (|y - x_i|^2 - (r_i - s*)^2) <= rho^2.  Shrinking the
+    balls by the slack s_z of the computed z keeps z* and puts z within
+    sqrt(2 R (s* - s_z)) of it.  With a rounding pad = 8 eps (max |x_i| + R)
+    on the stored slack s, h(u) - <z, u> lies in [s - pad - e, sqrt(2 R (s +
+    pad)) + e], e = 2 sqrt(R pad), and so does the value returned.
+    """
+    X, r = leaf.centers, leaf.radii
+    s, R = leaf.slack, float(r.max())
+    pad = 8.0 * np.finfo(float).eps * (float(np.linalg.norm(X, axis=1).max()) + R)
+    e = 2.0 * np.sqrt(R * pad)
+    rho = np.sqrt(2.0 * R * (s + pad)) + e
+    if rho - s + pad + e > tol:
+        raise NoConvergenceError(
+            f"support solve failed to certify tolerance {tol} in dimension n={leaf.dim} with m={leaf.m} "
+            f"balls: a point-like leaf, slack {s:.3g}, within rho = {rho:.3g} of its interior point"
+        )
+    return U @ leaf.interior + 0.5 * (s + np.sqrt(s * (2.0 * R - s)))
+
+
 def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Support values of the leaf body for unit direction rows of `dirs`."""
+    """Support values of the leaf body for unit direction rows of `dirs`, each within `tol`."""
     U = np.ascontiguousarray(np.asarray(dirs, dtype=float))
     if U.ndim == 1:
         U = U[None, :]
@@ -651,7 +674,7 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
     if m == 1:
         return U @ X[0] + r[0]
     if leaf.point_like:
-        return U @ leaf.interior
+        return _point_support(leaf, U, tol)
 
     if leaf.arcs is not None:
         values = _arc_support(leaf, U, tol)

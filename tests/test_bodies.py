@@ -1,5 +1,7 @@
 """Expression-tree construction, invariants, and the document format."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ballbodies.bodies import (
 from ballbodies.corpus import body_corpus, random_generators, random_motion
 from ballbodies.errors import DimensionMismatchError, DocumentError, EmptyBodyError
 from ballbodies.geometry import RigidMotion, make_sphere_net
-from ballbodies.support import SupportEval, reconstruct
+from ballbodies.support import SupportEval, default_mesh, reconstruct
 
 
 def test_generators_accepts_fitting_centers():
@@ -57,12 +59,24 @@ def test_generators_rejects_non_finite_radii(recwarn, bad):
     assert not recwarn.list
 
 
-def test_generators_boundary_flag():
-    centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(EmptyBodyError, match="boundary"):
-        Generators(centers)
-    g = Generators(centers, boundary=True)
+def test_generators_accepts_a_tangent_pair_as_a_point():
+    g = Generators(np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert g.leaf.point_like
+    np.testing.assert_array_equal(g.leaf.interior, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_unit_leaf_that_needs_a_radius_near_one_certifies_on_the_default_net(dim):
+    # centers 1 - 5e-10 from a point they surround: slack 5e-10, a sliver body
+    corners = np.vstack([np.eye(dim), -np.ones(dim) / math.sqrt(dim)])
+    corners /= np.linalg.norm(corners, axis=1, keepdims=True)
+    z = np.full(dim, 0.3)
+    g = Generators(z + (1.0 - 5e-10) * corners)
+    assert g.leaf.slack == pytest.approx(5e-10, abs=1e-15) and not g.leaf.point_like
+    net = make_sphere_net(dim, default_mesh(dim))
+    reach = SupportEval(g).on_net(net) - net.directions @ g.leaf.interior
+    rho = math.sqrt(g.leaf.slack * (2.0 - g.leaf.slack))
+    assert np.all(reach >= g.leaf.slack - 1e-6) and np.all(reach <= rho + 1e-6)
 
 
 def test_combine_validates_lambda_and_dims():

@@ -1,6 +1,7 @@
 """Command-line front end: reports against closed forms, exit codes, SciPy-free commands."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,19 @@ def test_circ_of_ball():
     res = report("circ", ball_doc(c))
     np.testing.assert_allclose(res["center"], c, atol=1e-6)
     assert res["radius"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_support_of_a_thin_lens_is_certified_or_exits_resolution():
+    # unit disks about -+c e_1 meet in a lens of height sqrt(1 - c^2) = 1.41e-7
+    c = 0.99999999999999
+    doc = {"type": "generators", "centers": [[-c, 0.0], [c, 0.0]]}
+    height = math.sqrt(1.0 - c * c)
+    for body in (doc, {**doc, "boundary": True}):  # a key the format does not define is ignored
+        res = report("support", json.dumps(body), "-u", "[0, 1]")
+        assert abs(res["value"] - height) <= res["tolerance"] == DEFAULT_TOL
+    result = run_cli("--tol", "1e-9", "support", json.dumps(doc), "-u", "[0, 1]")
+    assert result.exit_code == EXIT_RESOLUTION, (result.output, result.exception)
+    assert "point-like leaf" in json.loads(result.stderr)["error"]["message"]
 
 
 def test_circumball_failure_exits_resolution(monkeypatch):

@@ -1,0 +1,55 @@
+"""Budgets on the shape of the package source, read from its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "ballbodies"
+SETTABLE_VALUES_BUDGET = 45
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value: ast.expr) -> bool:
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords
+    )
+
+
+def settable_values(tree: ast.AST) -> list[str]:
+    """Every function parameter with a default, and every dataclass field with a
+    default or a default factory, except fields set with ``field(init=False)``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults) :]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{getattr(node, 'name', 'lambda')}({a.arg})" for a in named]
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found += [
+                f"{node.name}.{ast.unparse(item.target)}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None and not _init_false(item.value)
+            ]
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in settable_values(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(found) <= SETTABLE_VALUES_BUDGET, (
+        f"{len(found)} settable values, over the budget of {SETTABLE_VALUES_BUDGET}. ROADMAP aim 2: "
+        "no option that no caller sets; an option comes back only when two non-test callers need "
+        "different values.\n" + "\n".join(found)
+    )

@@ -113,6 +113,23 @@ def test_net_mesh_range_is_the_sphere_diameter(n):
             make_sphere_net(n, mesh)
 
 
+def test_net_motion_and_ball_arrays_are_read_only_copies():
+    # a sweep memoized per net would go stale if its directions could change
+    dirs = make_sphere_net(2, 0.3).directions.copy()
+    q, t, c = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.5, 0.2]), np.array([0.1, 0.3])
+    net, g, ball = SphereNet(dirs, 0.3), RigidMotion(q, t), Ball(c, 1.0)
+    ev = SupportEval(ball_body([0.3, 0.1]))
+    sweep = ev.on_net(net).copy()
+    for array in (net.directions, g.rotation, g.translation, ball.center):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = -array
+    for array in (dirs, q, t, c):
+        assert array.flags.writeable
+        array[:] = -array  # the caller's arrays stay its own
+    np.testing.assert_array_equal(ev.on_net(net), sweep)
+    np.testing.assert_array_equal(ev.batch(net.directions), sweep)
+
+
 def test_net_deterministic():
     for n in (3, 4):
         a = make_sphere_net(n, 0.25)

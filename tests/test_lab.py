@@ -524,3 +524,25 @@ def test_lemma_holds_over_random_segments(net2):
         if check.verdict == "midpoint-collapse":
             violations += 1
     assert violations == 0
+
+
+def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2):
+    rng = np.random.default_rng(8)
+    k0 = Generators(rng.uniform(-0.4, 0.4, size=(3, 2)))
+    k2 = Generators(rng.uniform(-0.4, 0.4, size=(2, 2)))
+    k1 = combine(0.4, k0, k2)
+    pairs = [hausdorff(a, b, net2) for a, b in ((k0, k1), (k1, k2), (k0, k2))]
+    radii = tuple(circumball(k, net2).radius for k in (k0, k1, k2))
+    solve = support_module.support_batch
+    leaves = []
+
+    def counted(leaf, dirs, tol=1e-6):
+        leaves.append(leaf)
+        return solve(leaf, dirs, tol)
+
+    monkeypatch.setattr(support_module, "support_batch", counted)
+    check = geodesic_midpoint_check(k0, k1, k2, net2)
+    assert len(leaves) == 4  # k0's leaf and k2's, each for itself and for k1
+    assert (check.d01, check.d12, check.d02) == tuple(res.value for res in pairs)
+    assert check.additivity_tol == sum(res.error_bound for res in pairs)
+    assert check.radii == radii

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from ballbodies.errors import EmptyBodyError, NoConvergenceError
-from ballbodies.geometry import minimal_enclosing_ball
+from ballbodies.geometry import make_sphere_net, minimal_enclosing_ball
 from ballbodies import solver
 from ballbodies.solver import (
     DEFAULT_TOL,
@@ -197,8 +197,69 @@ def test_singleton_leaf_matches_enclosing_ball_path(dim):
         meb = minimal_enclosing_ball(center)
         np.testing.assert_array_equal(leaf.interior, meb.center)
         assert leaf.slack == radius - meb.radius
-        assert leaf.meb_radius == meb.radius
         assert leaf.point_like == (radius == 0.0)
+
+
+def test_one_ball_leaf_skips_the_enclosing_ball(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-ball leaf needs no enclosing ball")
+
+    monkeypatch.setattr(solver, "enclosing_ball", refuse)
+    leaf = prepare_leaf(np.array([[0.3, -0.2, 0.5]]), radii=np.array([0.7]))
+    np.testing.assert_array_equal(leaf.interior, [0.3, -0.2, 0.5])
+    assert leaf.slack == 0.7 and not leaf.point_like
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (0.5, 1.5), (2.0, 0.0)])
+def test_tangent_pairs_of_any_radii_are_exact_points(dim, radii):
+    # balls that touch in one point p: every value is <p, u>, whatever the radii
+    e = np.eye(dim)[0]
+    r = np.array(radii)
+    leaf = prepare_leaf(np.array([0.2 * e, (0.2 + r.sum()) * e]), r)
+    assert leaf.point_like and leaf.slack == 0.0
+    np.testing.assert_allclose(leaf.interior, (0.2 + r[0]) * e, atol=1e-15)
+    dirs = unit_dirs(dim, 50, 1)
+    np.testing.assert_array_equal(support_batch(leaf, dirs), dirs @ leaf.interior)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_thin_lens_is_within_tol_of_its_height_or_raises(dim):
+    # centers 2 - 2e-14 apart: slack 1e-14, height sqrt(1 - (1 - 1e-14)^2) = 1.41e-7
+    c = 1.0 - 1e-14
+    e = np.eye(dim)[-1]
+    leaf = prepare_leaf(np.array([-c * np.eye(dim)[0], c * np.eye(dim)[0]]))
+    assert leaf.point_like
+    height = math.sqrt((1.0 - c) * (1.0 + c))
+    assert support_batch(leaf, e)[0] == pytest.approx(height, abs=DEFAULT_TOL)
+    with pytest.raises(NoConvergenceError, match=rf"1e-09 in dimension n={dim} with m=2 balls: a point-like leaf, slack"):
+        support_batch(leaf, e, 1e-9)
+
+
+def test_thin_leaves_of_any_radii_lie_within_the_slack_radius():
+    # the maximum-slack point z0 lies between the first two centers, so every
+    # value h(u) - <z, u> is at most rho = sqrt(s (2 max r - s)); equal radii
+    # on the first two make a lens as wide as rho
+    rng = np.random.default_rng(0)
+    ratios = []
+    for dim in (2, 3):
+        dirs = make_sphere_net(dim, 0.05 if dim == 2 else 0.1).directions
+        for k in range(80):
+            m = int(rng.integers(dim + 1, dim + 4))
+            E = rng.normal(size=(m, dim))
+            E /= np.linalg.norm(E, axis=1, keepdims=True)
+            E[1] = -E[0]
+            z0, d, s = rng.uniform(-1.0, 1.0, dim), rng.uniform(0.5, 2.0, m), 10.0 ** rng.uniform(-6, -3)
+            if k % 2:
+                d[:2] = 2.0
+            extra = np.concatenate([[1.0, 1.0], rng.uniform(1.0, 4.0, m - 2)])  # the rest are not tight
+            leaf = prepare_leaf(z0 + d[:, None] * E, d + s * extra)
+            assert leaf.slack == pytest.approx(s, abs=1e-12) and not leaf.point_like
+            rho = math.sqrt(leaf.slack * (2.0 * leaf.radii.max() - leaf.slack))
+            reach = np.max(support_batch(leaf, dirs) - dirs @ leaf.interior)
+            assert reach <= rho + DEFAULT_TOL  # the values are within tol
+            ratios.append(reach / rho)
+    assert len(ratios) == 160 and max(ratios) > 0.999
 
 
 def test_no_convergence_names_leaf_direction_and_gap():
