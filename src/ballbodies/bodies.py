@@ -9,8 +9,14 @@ tree of four node kinds:
 * ``Motion(g, of)``           -- the image under a rigid motion
 
 Trees are immutable and hash by identity.  Each node sets its dimension,
-its depth and its norm bound (a bound on |h(u)| over the unit sphere) once,
-at construction, from its own data and its children's values.  The matching
+its depth, its norm bound (a bound on |h(u)| over the unit sphere) and its
+curvature interval once, at construction, from its own data and its
+children's values.  The curvature interval [lo, hi] bounds h + h'' along
+every great circle (the radius of curvature of each plane projection of
+the body, as a measure): an intersection of balls of radii at most R is a
+Minkowski summand of R B (Schneider, *Convex Bodies*, section 3.2), so a
+leaf has [0, max r_i], and each node maps its children's intervals as it
+maps their supports.  The matching
 JSON document format (one object per node; other keys are ignored) is::
 
     {"type": "generators", "centers": [[...], ...]}
@@ -38,13 +44,15 @@ class BallBodyExpr:
     dim: int
     depth: int
     norm_bound: float  # bounds |h(u)| over the unit sphere
+    curvature: tuple[float, float]  # (lo, hi) bounds h + h'' along every great circle
 
-    def _derive(self, dim: int, depth: int, norm_bound: float) -> None:
+    def _derive(self, dim: int, depth: int, norm_bound: float, curvature: tuple[float, float]) -> None:
         if depth > MAX_TREE_DEPTH:
             raise ValueError(f"expression depth exceeds {MAX_TREE_DEPTH}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "norm_bound", norm_bound)
+        object.__setattr__(self, "curvature", curvature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +75,7 @@ class Generators(BallBodyExpr):
             object.__setattr__(self, "radii", leaf.radii)
         object.__setattr__(self, "_leaf", leaf)
         norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
-        self._derive(leaf.dim, 1, norm_bound)
+        self._derive(leaf.dim, 1, norm_bound, (0.0, float(leaf.radii.max())))
 
     @property
     def leaf(self) -> LeafGeometry:
@@ -81,7 +89,8 @@ class CDual(BallBodyExpr):
     of: BallBodyExpr
 
     def __post_init__(self):
-        self._derive(self.of.dim, self.of.depth + 1, 1.0 + self.of.norm_bound)
+        lo, hi = self.of.curvature  # h'(u) = 1 - h(-u)
+        self._derive(self.of.dim, self.of.depth + 1, 1.0 + self.of.norm_bound, (1.0 - hi, 1.0 - lo))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +106,11 @@ class Combine(BallBodyExpr):
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.a.dim != self.b.dim:
             raise DimensionMismatchError("combined bodies have different dimensions")
-        norm_bound = (1.0 - self.lam) * self.a.norm_bound + self.lam * self.b.norm_bound
-        self._derive(self.a.dim, 1 + max(self.a.depth, self.b.depth), norm_bound)
+        mu = 1.0 - self.lam
+        norm_bound = mu * self.a.norm_bound + self.lam * self.b.norm_bound
+        (lo_a, hi_a), (lo_b, hi_b) = self.a.curvature, self.b.curvature
+        curvature = (mu * lo_a + self.lam * lo_b, mu * hi_a + self.lam * hi_b)
+        self._derive(self.a.dim, 1 + max(self.a.depth, self.b.depth), norm_bound, curvature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +124,7 @@ class Motion(BallBodyExpr):
         if self.g.dim != self.of.dim:
             raise DimensionMismatchError("motion dimension does not match the body")
         norm_bound = self.of.norm_bound + float(np.linalg.norm(self.g.translation))
-        self._derive(self.of.dim, self.of.depth + 1, norm_bound)
+        self._derive(self.of.dim, self.of.depth + 1, norm_bound, self.of.curvature)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,20 @@ def _probe_distances(points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(centers[:, None] - centers, axis=-1) + np.abs(is_ball[:, None] - is_ball)
 
 
+def _pair_bounds(images: list[BallBodyExpr], net: SphereNet, tol: float) -> np.ndarray:
+    """`net_error_bound` of each pair of images, as a (k, k) matrix.
+
+    Each pair's own norm bounds and curvature intervals go in.  The
+    diagonal, no pair, is 0.
+    """
+    norm_bounds = np.array([image.norm_bound for image in images])
+    lo, hi = np.array([image.curvature for image in images]).T
+    curvatures = ((lo[:, None], hi[:, None]), (lo, hi))
+    bound = net_error_bound(net.mesh, (norm_bounds[:, None], norm_bounds), curvatures, (tol, tol))
+    np.fill_diagonal(bound, 0.0)
+    return bound
+
+
 def _screening(
     images: list[BallBodyExpr], sweeps: np.ndarray, distances: np.ndarray, net: SphereNet, tol: float
 ) -> tuple[float, float]:
@@ -90,17 +104,22 @@ def _screening(
 
     d(K, L) is exact.  d(TK, TL) is the sup-norm distance of the images'
     sweeps, the value `hausdorff` computes, within its error bound for the
-    pair.  The diagonal, a zero shift within the least bound of its row,
-    changes neither maximum.
+    pair.  The diagonal, a zero shift with a zero bound, changes neither
+    maximum.
     """
     k = len(images)
     after = np.zeros((k, k))
     for i in range(k - 1):  # one row at a time: no (k, k, N) array
         after[i, i + 1 :] = np.max(np.abs(sweeps[i + 1 :] - sweeps[i]), axis=1)
-    shift = np.abs(after + after.T - distances)
-    norm_bounds = np.array([image.norm_bound for image in images])
-    bound = net_error_bound(net.mesh, (np.maximum.outer(norm_bounds, norm_bounds),), (tol, tol))
+    after += after.T
+    shift = np.abs(after - distances)
+    bound = _pair_bounds(images, net, tol)
     return float(np.max(shift + bound)), max(float(np.max(shift - bound)), 0.0)
+
+
+def screening_bound(dim: int, net: SphereNet, tol: float) -> float:
+    """The largest error bound screening charges a pair of probe images under the identity."""
+    return float(np.max(_pair_bounds(_probes(dim)[1], net, tol)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)

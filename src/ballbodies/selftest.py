@@ -23,7 +23,7 @@ from .bodies import apply_motion, ball_body, c_dual, combine, point_body
 from .corpus import body_corpus, body_pairs, random_body, random_generators, random_motion
 from .errors import NotIsometryError
 from .geometry import RigidMotion, make_sphere_net
-from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check
+from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check, screening_bound
 from .maps import (
     cdual_map,
     compose_maps,
@@ -256,17 +256,12 @@ def _compact_body(rng: np.random.Generator, dim: int):
 
 def criterion_7(ctx: SelftestContext) -> CriterionResult:
     net = ctx.net(2)
-    typical_eb = net_error_bound(net.mesh, (4.0, 4.0), (ctx.tol, ctx.tol))
-    if typical_eb >= 0.1:
-        return CriterionResult(
-            7, CRITERIA_NAMES[7], "vacuous",
-            {"reason": f"net error bound {typical_eb:.3f} exceeds the 0.1 distance target"},
-        )
     count = ctx.count(10)
     rng = np.random.default_rng(ctx.seed + 701)
     improved = 0
     failures = []
     deltas = []
+    worst_eb = 0.0  # the comparisons' own net error bounds
     for i in range(count):
         body = _compact_body(rng, 2)
         ev = SupportEval(body, ctx.tol)
@@ -276,11 +271,17 @@ def criterion_7(ctx: SelftestContext) -> CriterionResult:
             if rec.dominance_min < -ctx.tol:
                 failures.append(f"body {i} step {step}: reconstruction misses by {rec.dominance_min:.2e}")
             dists[step] = rec.distance.value
+            worst_eb = max(worst_eb, rec.distance.error_bound)
         deltas.append(dists)
         if dists[0.5] > 0.1:
             failures.append(f"body {i}: distance {dists[0.5]:.4f} > 0.1 at step 0.5")
         if dists[0.25] < dists[0.5]:
             improved += 1
+    if worst_eb >= 0.1:
+        return CriterionResult(
+            7, CRITERIA_NAMES[7], "vacuous",
+            {"reason": f"net error bound {worst_eb:.3f} exceeds the 0.1 distance target"},
+        )
     if improved < math.ceil(0.9 * count):
         failures.append(f"refinement improved only {improved}/{count} cases")
     status = "pass" if not failures else "fail"
@@ -289,7 +290,7 @@ def criterion_7(ctx: SelftestContext) -> CriterionResult:
         {"bodies": count, "improved": improved,
          "max_distance_coarse": _fmt(max(d[0.5] for d in deltas)),
          "max_distance_fine": _fmt(max(d[0.25] for d in deltas)),
-         "failures": failures[:5]},
+         "error_bound": _fmt(worst_eb), "failures": failures[:5]},
     )
 
 
@@ -346,8 +347,8 @@ def criterion_8(ctx: SelftestContext) -> CriterionResult:
 
 
 def criterion_9(ctx: SelftestContext) -> CriterionResult:
-    screening_eb = net_error_bound(ctx.net(2).mesh, (4.5, 4.5), (ctx.tol, ctx.tol))
-    if 2 * screening_eb >= 1.0:
+    screening_eb = screening_bound(2, ctx.net(2), ctx.tol)
+    if screening_eb >= 1.0:
         return CriterionResult(
             9, CRITERIA_NAMES[9], "vacuous",
             {"reason": f"screening bound {screening_eb:.3f} cannot separate defects below 1"},
@@ -484,7 +485,8 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
     for i in range(count):
         kb = circumball(bodies[i], net, ctx.tol)
         rb = raster_circumball(raster_of(i))
-        bound = net_error_bound(net.mesh, (bodies[i].norm_bound,), (ctx.tol,)) + 4 * cell
+        # the Lipschitz form: the raster has no curvature interval
+        bound = net_error_bound(net.mesh, (bodies[i].norm_bound,), None, (ctx.tol,)) + 4 * cell
         if abs(kb.radius - rb.radius) > bound:
             failures.append(f"body {i}: circumradius {kb.radius:.4f} vs raster {rb.radius:.4f}")
     # c-dual membership: kernel margins vs the rasterized dual body

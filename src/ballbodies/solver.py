@@ -201,6 +201,10 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
 
     z = enclosing_ball(X, r.max() - r)[0] if m > 1 else X[0].copy()
     slack = float((r - np.linalg.norm(X - z, axis=1)).min())
+    if m > 1 and slack <= POINT_SLACK:  # again about x_0, so that rounding scales with the leaf
+        z = enclosing_ball(X - X[0], r.max() - r)[0]
+        slack = float((r - np.linalg.norm(X - X[0] - z, axis=1)).min())
+        z += X[0]
     if slack < -FEAS_PAD:
         raise EmptyBodyError(
             f"the m={m} balls in dimension n={n} have empty intersection: "
@@ -644,14 +648,17 @@ def _point_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
     mu_i x_i over the centers active there, so each y in the body has |y -
     z*|^2 = sum mu_i (|y - x_i|^2 - (r_i - s*)^2) <= rho^2.  Shrinking the
     balls by the slack s_z of the computed z keeps z* and puts z within
-    sqrt(2 R (s* - s_z)) of it.  With a rounding pad = 8 eps (max |x_i| + R)
-    on the stored slack s, h(u) - <z, u> lies in [s - pad - e, sqrt(2 R (s +
-    pad)) + e], e = 2 sqrt(R pad), and so does the value returned.
+    sqrt(2 R (s* - s_z)) of it.  `prepare_leaf` computes z and s relative to
+    x_0 for such a leaf, so a rounding pad = 8 eps (max |x_i - x_0| + R) on
+    s covers the leaf's own size, and adding x_0 back moves z by at most
+    eps |z|.  So h(u) - <z, u> lies in [s - pad - e, sqrt(2 R (s + pad)) +
+    e], e = 2 sqrt(R pad) + eps |z|, and so does the value returned.
     """
     X, r = leaf.centers, leaf.radii
     s, R = leaf.slack, float(r.max())
-    pad = 8.0 * np.finfo(float).eps * (float(np.linalg.norm(X, axis=1).max()) + R)
-    e = 2.0 * np.sqrt(R * pad)
+    eps = np.finfo(float).eps
+    pad = 8.0 * eps * (float(np.linalg.norm(X - X[0], axis=1).max()) + R)
+    e = 2.0 * np.sqrt(R * pad) + eps * float(np.linalg.norm(leaf.interior))
     rho = np.sqrt(2.0 * R * (s + pad)) + e
     if rho - s + pad + e > tol:
         raise NoConvergenceError(

@@ -11,7 +11,13 @@ so the only numerical work happens at generator leaves, where the certified
 solver guarantees each value within the oracle tolerance.  The Hausdorff
 distance of two bodies equals the sup-norm distance of their support
 functions on the unit sphere; evaluating on a finite net gives a value
-together with a rigorous error bound from the Lipschitz constants.
+together with a rigorous error bound, `net_error_bound`.  That bound is
+second order in the mesh: each node carries an interval for h + h'' (see
+`bodies`), so the support difference f bends by a known amount along every
+great circle, and a net point within `mesh` of the maximizer of |f| sees
+all of sup |f| but (sup |f| + rho) mesh^2 / 2.  The bound depends on the
+bodies' norm bounds and curvature intervals, the mesh and the oracle
+tolerances only, not on the values swept.
 
 Reconstruction from point distances lives here too.  The distance of a
 point x to a body is max over u of h(u) - <x, u>; `farthest_distance_batch`
@@ -23,6 +29,7 @@ square probe grid to the reconstruction's distance from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,11 +40,27 @@ from .errors import DimensionMismatchError, EmptyReconstructionError, EmptyBodyE
 from .geometry import Ball, SphereNet, as_points, as_vector, circumcenter_lp, normalize_direction
 from .solver import DEFAULT_TOL, support_batch
 
-DEFAULT_MESH = {2: 0.02, 3: 0.08}
+DEFAULT_MESH = {2: 0.02, 3: 0.2}  # 4-d and above: 0.3; see `default_mesh`
 
 
 def default_mesh(dim: int) -> float:
-    return DEFAULT_MESH.get(dim, 0.25)
+    """The covering radius of the default net in dimension `dim`.
+
+    3-d takes 0.2 (384 directions) and 4-d 0.3 (1728).  For unit-radius
+    bodies this loosens no Hausdorff bound against the Lipschitz slack
+    2 nb mesh + 4 tol at the former meshes 0.08 and 0.25 (nb the larger
+    norm bound).  Every node's curvature interval lies in [0, 1] and its
+    norm bound is at least 1, so rho <= 1 <= nb, and the two norm bounds
+    sum to at most 2 nb.  So with q = mesh^2 / 2 the curvature slack of
+    `net_error_bound` is at most 3 nb q + 4 tol:
+
+        mesh 0.2:  0.06 nb + 4 tol   <=  0.16 nb + 4 tol  (mesh 0.08)
+        mesh 0.3:  0.135 nb + 4 tol  <=  0.5 nb + 4 tol   (mesh 0.25)
+
+    2-d keeps 0.02, because reconstruction's farthest-distance slack
+    R mesh^2 / 2 needs it.
+    """
+    return DEFAULT_MESH.get(dim, 0.3)
 
 
 def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
@@ -59,8 +82,9 @@ def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
 class SupportEval:
     """Evaluable support oracle with a certified per-value tolerance.
 
-    Its dimension and norm bound are the body's, set when the body was
-    built; the oracle adds the tolerance and a memo of sweeps per net.
+    Its dimension, norm bound and curvature interval are the body's, set
+    when the body was built; the oracle adds the tolerance and a memo of
+    sweeps per net.
     """
 
     body: BallBodyExpr
@@ -76,6 +100,11 @@ class SupportEval:
     def norm_bound(self) -> float:
         """A bound on |h(u)| over the sphere, set by the body at construction."""
         return self.body.norm_bound
+
+    @property
+    def curvature(self) -> tuple[float, float]:
+        """An interval for h + h'' along every great circle, set by the body at construction."""
+        return self.body.curvature
 
     @property
     def dim(self) -> int:
@@ -113,7 +142,12 @@ def as_eval(body, tol: float = DEFAULT_TOL) -> SupportEval:
 
 
 class HausdorffResult(NamedTuple):
-    """Certified distance: the true value lies in [value - lower_slack, value + error_bound]."""
+    """Certified distance: the true value lies in [value - lower_slack, value + error_bound].
+
+    `value` is the net maximum of the computed support difference, and
+    `error_bound` is the two bodies' `net_error_bound`, the smaller of the
+    Lipschitz slack and the curvature slack.
+    """
 
     value: float
     error_bound: float
@@ -128,23 +162,51 @@ class HausdorffResult(NamedTuple):
         return max(self.value - self.lower_slack, 0.0)
 
 
-def net_error_bound(mesh: float, norm_bounds, tols) -> float:
+def net_error_bound(mesh: float, norm_bounds, curvatures, tols):
     """How far the sup over the sphere of a support difference can exceed its max over a net.
 
-    Each support function is Lipschitz with its body's norm bound, so
-    within the covering radius `mesh` of the net the difference moves by at
-    most 2 max(norm_bounds) mesh; the oracle tolerances add 2 sum(tols).
-    Every net error bound and every vacuity gate built on one comes from
-    here.
+    f is the difference of the supports of two bodies K and T, with norm
+    bounds `norm_bounds`, curvature intervals `curvatures` ((lo, hi) per
+    body, or None when unknown) and oracle tolerances `tols`.  The bound
+    needs no swept value, so it is the same for every pair of bodies with
+    these sizes.  For many pairs at once, the norm bounds and curvature
+    ends are NumPy arrays, and so is the bound.  Returns the smaller of two
+    slacks; with q = mesh^2 / 2:
+
+    * Lipschitz: 2 max(norm_bounds) mesh + 2 sum(tols).  Each support is
+      Lipschitz with its body's norm bound.
+    * curvature: (sum(norm_bounds) + rho) q + 2 sum(tols), with
+      rho = max(hi_K - lo_T, hi_T - lo_K), so that |f + f''| <= rho along
+      every great circle.  Proof: f is C^1, as h + h'' is bounded.  Let |f|
+      peak at u* with f(u*) = f* > 0 (else take -f); f* <= sum(norm_bounds).
+      Follow a great circle from u* by the angle phi.  g(phi) = f - f* cos
+      phi has g(0) = g'(0) = 0 and |g + g''| <= rho, so |g(phi)| <= rho
+      (1 - cos phi) for phi <= pi.  A net point within chord `mesh` has
+      1 - cos phi <= q, so f there is at least f* - (f* + rho) q, and the
+      net maximum of the computed |f| is at least f* - (sum(norm_bounds) +
+      rho) q - sum(tols).
+
+    For unit-radius bodies the curvature slack at the default meshes is
+    below the Lipschitz slack at the former ones; `default_mesh` has the
+    proof.  Every net error bound and every vacuity gate built on one comes
+    from here.
     """
-    return 2.0 * max(norm_bounds) * mesh + 2.0 * sum(tols)
+    # builtins for scalars: a ufunc call costs more than hausdorff's arithmetic
+    larger, smaller = (np.maximum, np.minimum) if isinstance(norm_bounds[0], np.ndarray) else (max, min)
+    tol_slack = 2.0 * sum(tols)
+    lipschitz = 2.0 * functools.reduce(larger, norm_bounds) * mesh + tol_slack
+    if curvatures is None:
+        return lipschitz
+    (lo_k, hi_k), (lo_t, hi_t) = curvatures
+    rho = larger(hi_k - lo_t, hi_t - lo_k)
+    return smaller(lipschitz, (sum(norm_bounds) + rho) * mesh**2 / 2.0 + tol_slack)
 
 
 def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult:
     """Hausdorff distance via the sup-norm of support differences on a net.
 
     The reported value is the max over net directions; the truth exceeds it
-    by at most the Lipschitz gap of the net plus the oracle tolerances.
+    by at most `net_error_bound` of the two bodies, second order in the mesh.
     """
     ek, et = as_eval(K, tol), as_eval(T, tol)
     if ek.dim != et.dim:
@@ -154,7 +216,9 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
     hk = ek.on_net(net)
     ht = et.on_net(net)
     value = float(np.max(np.abs(hk - ht)))
-    error = net_error_bound(net.mesh, (ek.norm_bound, et.norm_bound), (ek.tol, et.tol))
+    error = net_error_bound(
+        net.mesh, (ek.norm_bound, et.norm_bound), (ek.curvature, et.curvature), (ek.tol, et.tol)
+    )
     return HausdorffResult(value, error, 2.0 * (ek.tol + et.tol))
 
 

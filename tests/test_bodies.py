@@ -140,6 +140,56 @@ def test_norm_bound_matches_a_recursive_walk(dim):
         assert SupportEval(body).norm_bound == body.norm_bound
 
 
+def test_curvature_interval_rule_of_each_node_kind():
+    leaf = Generators(np.array([[0.0, 0.0], [0.5, 0.0]]), radii=np.array([0.8, 1.7]))
+    assert leaf.curvature == (0.0, 1.7)  # a summand of (max r) B
+    assert ball_body(np.zeros(2)).curvature == (0.0, 1.0)
+    assert point_body(np.zeros(2)).curvature == (0.0, 1.0)  # a unit ball's [0, 1], flipped
+    dual = CDual(leaf)
+    assert dual.curvature == (1.0 - 1.7, 1.0 - 0.0)
+    mixed = combine(0.25, leaf, dual)
+    assert mixed.curvature == (0.75 * 0.0 + 0.25 * (1.0 - 1.7), 0.75 * 1.7 + 0.25 * 1.0)
+    g = RigidMotion(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([3.0, -2.0]))
+    assert apply_motion(g, mixed).curvature == mixed.curvature
+
+
+def reference_curvature(body):
+    """The curvature interval by a recursive walk of the tree."""
+    if isinstance(body, Generators):
+        return (0.0, float(np.max(body.leaf.radii)))
+    if isinstance(body, CDual):
+        lo, hi = reference_curvature(body.of)
+        return (1.0 - hi, 1.0 - lo)
+    if isinstance(body, Combine):
+        (lo_a, hi_a), (lo_b, hi_b) = reference_curvature(body.a), reference_curvature(body.b)
+        mu = 1.0 - body.lam
+        return (mu * lo_a + body.lam * lo_b, mu * hi_a + body.lam * hi_b)
+    return reference_curvature(body.of)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_curvature_matches_a_recursive_walk(dim):
+    rng = np.random.default_rng(dim + 20)
+    bodies = body_corpus(8, dim, 40) + [mixed_chain(rng, dim, 16)]
+    for body in bodies:
+        assert body.curvature == reference_curvature(body)
+        assert SupportEval(body).curvature == body.curvature
+
+
+def test_curvature_interval_bounds_h_plus_h_second_derivative():
+    # second differences of the support on a circle, within the interval up to
+    # the oracle's error over the step squared and the step's smoothing
+    step = 0.05
+    phi = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    dirs = [np.column_stack([np.cos(phi + s), np.sin(phi + s)]) for s in (-step, 0.0, step)]
+    slack = 4e-6 / step**2 + 0.01
+    for body in body_corpus(9, 2, 40):
+        below, at, above = (SupportEval(body).batch(d) for d in dirs)
+        curvature = at + (below + above - 2.0 * at) / step**2
+        lo, hi = body.curvature
+        assert lo - slack <= curvature.min() and curvature.max() <= hi + slack
+
+
 def test_dim_and_depth_of_a_mixed_deep_tree():
     rng = np.random.default_rng(11)
     for dim in (2, 3):

@@ -53,3 +53,33 @@ def test_settable_values_do_not_grow():
         "no option that no caller sets; an option comes back only when two non-test callers need "
         "different values.\n" + "\n".join(found)
     )
+
+
+def _numeric_literals(node: ast.AST) -> list[str]:
+    return [
+        ast.unparse(n)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, (int, float)) and not isinstance(n.value, bool)
+    ]
+
+
+def test_no_net_error_bound_takes_a_hand_set_norm_bound_or_curvature():
+    # ROADMAP aim 3: vacuity gates come from the bodies the code compares, not from hand-edited numbers
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    (definition,) = [
+        node for node in ast.walk(trees["support.py"]) if getattr(node, "name", None) == "net_error_bound"
+    ]
+    params = [a.arg for a in definition.args.args]
+    checked = {"norm_bounds", "curvatures"} & set(params)
+    assert checked, params
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "net_error_bound":
+                continue
+            args = [a for a, p in zip(node.args, params) if p in checked]
+            args += [kw.value for kw in node.keywords if kw.arg in checked]
+            found += [f"{name}:{node.lineno}: {lit}" for arg in args for lit in _numeric_literals(arg)]
+    assert not found, "net_error_bound called with literal norm bounds or curvatures:\n" + "\n".join(found)

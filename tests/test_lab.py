@@ -33,6 +33,7 @@ from ballbodies.lab import (
     _test_bodies,
     classify_isometry,
     geodesic_midpoint_check,
+    screening_bound,
 )
 from ballbodies.maps import (
     BlackBoxMap,
@@ -42,7 +43,7 @@ from ballbodies.maps import (
     motion_map,
     scale_centers_map,
 )
-from ballbodies.support import SupportEval, as_eval, circumball, default_mesh, hausdorff
+from ballbodies.support import SupportEval, as_eval, circumball, default_mesh, hausdorff, net_error_bound
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +375,35 @@ def test_classify_planted_4d_reflection_after_duality(no_lp):
     assert np.linalg.det(result.motion.rotation) < 0
     assert np.max(np.abs(result.motion.rotation - q)) <= 1e-9
     assert np.max(np.abs(result.motion.translation - g.translation)) <= 1e-9
+
+
+def test_planted_3d_cdual_motion_has_a_residual_bound_below_the_former_default(no_lp):
+    # the former default: the Lipschitz slack on the 0.08 net (1944 directions)
+    T = compose_maps([cdual_map(3), motion_map(random_motion(np.random.default_rng(49), 3))])
+    config = ClassifierConfig(dimension=3)
+    result = classify_isometry(T, config)
+    assert result.kind == "cdual"
+    tols = (config.tol, config.tol)
+    former = max(
+        net_error_bound(0.08, (T(body).norm_bound, apply_motion(result.motion, c_dual(body)).norm_bound), None, tols)
+        for body in _test_bodies(3, config.seed)
+    )
+    assert result.residual_bound < former / 3
+    assert result.residual <= result.residual_bound
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_screening_bound_is_the_largest_pair_bound_of_the_probes(dim):
+    net = make_sphere_net(dim, default_mesh(dim))
+    _, probes = _probes(dim)
+    tols = (1e-6, 1e-6)
+    worst = max(
+        net_error_bound(net.mesh, (k.norm_bound, l.norm_bound), (k.curvature, l.curvature), tols)
+        for i, k in enumerate(probes)
+        for j, l in enumerate(probes)
+        if i < j
+    )
+    assert screening_bound(dim, net, 1e-6) == worst
 
 
 def test_second_classification_prepares_no_leaf(monkeypatch, config2):

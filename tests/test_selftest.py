@@ -44,3 +44,16 @@ def test_cli_writes_the_report_and_exits_one(crashing_first):
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError, match="unknown criteria"):
         run_selftest(profile="quick", criteria=[13])
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_reconstruction_criterion_passes_at_the_default_mesh(profile):
+    # its gate reads the compared bodies' own error bounds, about 1e-3 here
+    (result,) = run_selftest(profile=profile, criteria=[7])["criteria"]
+    assert result["status"] == "pass", result["details"]
+
+
+def test_classifier_criterion_is_not_vacuous_at_a_coarse_mesh():
+    # screening carries one pair bound, on the images only
+    (result,) = run_selftest(profile="quick", criteria=[9], net_mesh=0.08)["criteria"]
+    assert result["status"] == "pass", result["details"]

@@ -223,6 +223,16 @@ def test_tangent_pairs_of_any_radii_are_exact_points(dim, radii):
     np.testing.assert_array_equal(support_batch(leaf, dirs), dirs @ leaf.interior)
 
 
+@pytest.mark.parametrize("offset", [20.0, 100.0])
+def test_tangent_pairs_far_from_the_origin_certify(offset):
+    # the slack and its rounding pad are taken about the first center, so they scale with the leaf
+    p = np.array([offset, 0.0])
+    leaf = prepare_leaf(np.array([p - [1.0, 0.0], p + [1.0, 0.0]]))
+    assert leaf.point_like
+    dirs = unit_dirs(2, 50, 2)
+    np.testing.assert_allclose(support_batch(leaf, dirs), dirs @ p, rtol=0, atol=DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_thin_lens_is_within_tol_of_its_height_or_raises(dim):
     # centers 2 - 2e-14 apart: slack 1e-14, height sqrt(1 - (1 - 1e-14)^2) = 1.41e-7

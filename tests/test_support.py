@@ -14,6 +14,7 @@ from ballbodies.bodies import (
     combine,
     point_body,
 )
+from ballbodies.corpus import body_pairs
 from ballbodies.errors import DimensionMismatchError, EmptyReconstructionError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.support import (
@@ -22,7 +23,9 @@ from ballbodies.support import (
     contains_point,
     farthest_distance,
     farthest_distance_batch,
+    default_mesh,
     hausdorff,
+    net_error_bound,
     reconstruct,
     support_value,
 )
@@ -186,6 +189,51 @@ def test_hausdorff_certifies_interval(net2):
     res = hausdorff(point_body(x), point_body(y), net2)
     truth = float(np.linalg.norm(x - y))
     assert res.value - res.lower_slack <= truth <= res.value + res.error_bound
+
+
+def test_net_error_bound_is_the_smaller_slack():
+    nb, tol = (2.0, 3.0), (1e-6, 1e-6)
+    curvatures = ((0.0, 1.0), (-0.5, 1.7))  # rho = max(1 + 0.5, 1.7 - 0) = 1.7
+    curvature = (2.0 + 3.0 + 1.7) * 0.2**2 / 2.0 + 4e-6
+    assert net_error_bound(0.2, nb, curvatures, tol) == pytest.approx(curvature, rel=1e-15)
+    lipschitz = 2.0 * 3.0 * 0.02 + 4e-6
+    assert net_error_bound(0.02, nb, None, tol) == lipschitz
+    assert net_error_bound(1.9, nb, curvatures, tol) == 2.0 * 3.0 * 1.9 + 4e-6  # coarse: (5 + 1.7) 1.805 > 11.4
+    assert net_error_bound(0.02, (2.0,), None, (1e-6,)) == 2.0 * 2.0 * 0.02 + 2e-6
+
+
+def test_net_error_bound_per_pair_matches_the_scalar_bound():
+    rng = np.random.default_rng(13)
+    nb_k, nb_t = rng.uniform(1.0, 4.0, (2, 50))
+    lo_k, lo_t = rng.uniform(-1.0, 0.5, (2, 50))
+    hi_k, hi_t = lo_k + rng.uniform(0.0, 2.0, 50), lo_t + rng.uniform(0.0, 2.0, 50)
+    got = net_error_bound(0.3, (nb_k, nb_t), ((lo_k, hi_k), (lo_t, hi_t)), (TOL, TOL))
+    for p in range(50):
+        curvatures = ((lo_k[p], hi_k[p]), (lo_t[p], hi_t[p]))
+        assert got[p] == net_error_bound(0.3, (nb_k[p], nb_t[p]), curvatures, (TOL, TOL))
+
+
+FINE_MESH = {2: 0.002, 3: 0.05, 4: 0.15}
+
+
+@pytest.mark.parametrize("dim, count", [(2, 30), (3, 20), (4, 12)])
+def test_no_fine_net_value_exceeds_the_default_nets_upper_end(dim, count):
+    net = make_sphere_net(dim, default_mesh(dim))
+    fine = make_sphere_net(dim, FINE_MESH[dim])
+    for k, t in body_pairs(200 + dim, dim, count):
+        res = hausdorff(k, t, net)
+        assert res.error_bound < net_error_bound(net.mesh, (k.norm_bound, t.norm_bound), None, (TOL, TOL))
+        assert hausdorff(k, t, fine).value <= res.upper
+
+
+@pytest.mark.parametrize("dim, old_mesh", [(3, 0.08), (4, 0.25)])
+def test_default_bound_is_below_the_lipschitz_bound_at_the_former_mesh(dim, old_mesh):
+    # every body of body_pairs has unit radii
+    net = make_sphere_net(dim, default_mesh(dim))
+    assert len(net) == {3: 384, 4: 1728}[dim]
+    for k, t in body_pairs(300 + dim, dim, 30 if dim == 3 else 10):
+        former = 2.0 * max(k.norm_bound, t.norm_bound) * old_mesh + 4 * TOL
+        assert hausdorff(k, t, net).error_bound <= former
 
 
 def test_cdual_is_isometry(net2):
