@@ -15,8 +15,8 @@ children's values.  The curvature interval [lo, hi] bounds h + h'' along
 every great circle (the radius of curvature of each plane projection of
 the body, as a measure): an intersection of balls of radii at most R is a
 Minkowski summand of R B (Schneider, *Convex Bodies*, section 3.2), so a
-leaf has [0, max r_i], and each node maps its children's intervals as it
-maps their supports.  The matching
+leaf has [0, max r_i], a one-ball leaf exactly [r, r], and each node maps
+its children's intervals as it maps their supports.  The matching
 JSON document format (one object per node; other keys are ignored) is::
 
     {"type": "generators", "centers": [[...], ...]}
@@ -75,7 +75,8 @@ class Generators(BallBodyExpr):
             object.__setattr__(self, "radii", leaf.radii)
         object.__setattr__(self, "_leaf", leaf)
         norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
-        self._derive(leaf.dim, 1, norm_bound, (0.0, float(leaf.radii.max())))
+        r = float(leaf.radii.max())
+        self._derive(leaf.dim, 1, norm_bound, (r, r) if leaf.m == 1 else (0.0, r))
 
     @property
     def leaf(self) -> LeafGeometry:

@@ -200,10 +200,8 @@ def dist(config: RunConfig, body_a, body_b):
             if dim == 2:
                 from .raster import ORACLE_CELL, raster_hausdorff, rasterize
 
-                extent = max(a.norm_bound, b.norm_bound) + 0.1
-                bounds = ([-extent, -extent], [extent, extent])
                 result["oracle_value"] = raster_hausdorff(
-                    rasterize(a, ORACLE_CELL, bounds), rasterize(b, ORACLE_CELL, bounds)
+                    rasterize(a, ORACLE_CELL), rasterize(b, ORACLE_CELL)
                 )
             else:
                 result["oracle_value"] = None

@@ -159,17 +159,16 @@ def _cell_count(lo: np.ndarray, hi: np.ndarray, cell: float) -> np.ndarray:
     return np.ceil(steps - 64 * np.finfo(float).eps * np.abs(steps)).astype(int) + 1
 
 
-def rasterize(body: BallBodyExpr, cell: float, bounds=None) -> RasterBody:
-    """Occupancy raster of the body; bounds default to its norm bound plus margin."""
+def rasterize(body: BallBodyExpr, cell: float) -> RasterBody:
+    """Occupancy raster of the body on the window +-(norm bound + 2 cell).
+
+    The body lies in B(0, norm bound), so the window holds it with two
+    cells to spare on every side.
+    """
     if cell <= 0:
         raise ValueError("cell size must be positive")
-    if bounds is None:
-        r = body.norm_bound + 2 * cell
-        lo = -np.ones(body.dim) * r
-        hi = np.ones(body.dim) * r
-    else:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
+    hi = np.full(body.dim, body.norm_bound + 2 * cell)
+    lo = -hi
     counts = np.maximum(_cell_count(lo, hi, cell), 2)
     # snap the origin to the global lattice so all rasters at one cell align
     origin = np.floor(lo / cell) * cell

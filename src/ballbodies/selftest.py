@@ -5,9 +5,9 @@ configured resolution makes the claim's certified bounds wider than the
 structural gap being tested, so neither pass nor fail would be meaningful.
 Counts scale with the profile ("full" runs the shipped sizes, "quick" a
 small deterministic subset used for demos and byte-determinism checks).
-The one resolution setting is the 2-d net mesh: nets in 3-d use four
-times it, at most 0.6, and the raster cross-checks use the cell
-`raster.ORACLE_CELL`.
+The one resolution setting is the net mesh: unset, each dimension takes
+the package's default net (`support.default_mesh`), as every command
+does, and the raster cross-checks use the cell `raster.ORACLE_CELL`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .support import (
     SupportEval,
     circumball,
     contains_point,
+    default_mesh,
     hausdorff,
     net_error_bound,
     reconstruct_from_grid,
@@ -77,7 +78,7 @@ class CriterionResult:
 class SelftestContext:
     seed: int = 0
     tol: float = DEFAULT_TOL
-    mesh2: float = 0.02
+    mesh: float | None = None  # None: the default mesh of each dimension
     scale: float = 1.0
 
     def __post_init__(self):
@@ -85,7 +86,7 @@ class SelftestContext:
 
     def net(self, dim: int):
         if dim not in self._nets:
-            mesh = self.mesh2 if dim == 2 else min(4.0 * self.mesh2, 0.6)
+            mesh = self.mesh if self.mesh is not None else default_mesh(dim)
             self._nets[dim] = make_sphere_net(dim, mesh)
         return self._nets[dim]
 
@@ -457,6 +458,7 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
 
 
 def _raster_friendly_body(rng: np.random.Generator):
+    # a raster spans its norm bound: larger bodies would double the criterion's time
     while True:
         body = random_body(rng, 2)
         if body.norm_bound <= 2.4:
@@ -474,7 +476,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
 
     def raster_of(i):
         if i not in rasters:
-            rasters[i] = rasterize(bodies[i], cell, bounds=([-4.0, -4.0], [4.0, 4.0]))
+            rasters[i] = rasterize(bodies[i], cell)
         return rasters[i]
 
     for i in range(0, count - 1, 2):
@@ -492,7 +494,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
     # c-dual membership: kernel margins vs the rasterized dual body
     for i in range(0, count, 3):
         dual = c_dual(bodies[i])
-        r = rasterize(dual, cell, bounds=([-4.0, -4.0], [4.0, 4.0]))
+        r = rasterize(dual, cell)
         pts = rng.uniform(-2.0, 2.0, (40, 2))
         res = [contains_point(dual, p, net, ctx.tol) for p in pts]
         in_raster = r.contains_points(pts)
@@ -518,7 +520,7 @@ def criterion_12(ctx: SelftestContext) -> CriterionResult:
     import json
 
     def mini_report():
-        mini = SelftestContext(seed=ctx.seed, tol=ctx.tol, mesh2=ctx.mesh2, scale=0.04)
+        mini = SelftestContext(seed=ctx.seed, tol=ctx.tol, mesh=ctx.mesh, scale=0.04)
         results = [run_criterion(cid, mini) for cid in (1, 2, 5)]
         return json.dumps([r.to_doc() for r in results], sort_keys=True)
 
@@ -575,18 +577,14 @@ def run_selftest(
 ) -> dict:
     """Run the acceptance criteria and return a report dictionary.
 
-    A bad profile, criterion id, seed, tolerance or mesh raises ValueError
-    before any criterion runs.
+    `net_mesh` is the covering radius of the nets in every dimension;
+    None takes `support.default_mesh` of each.  A bad profile, criterion
+    id, seed, tolerance or mesh raises ValueError before any criterion runs.
     """
     scale = {"full": 1.0, "quick": 0.1}.get(profile)
     if scale is None:
         raise ValueError(f"unknown profile {profile!r}")
-    ctx = SelftestContext(
-        seed=seed,
-        tol=tol,
-        mesh2=net_mesh if net_mesh is not None else 0.02,
-        scale=scale,
-    )
+    ctx = SelftestContext(seed=seed, tol=tol, mesh=net_mesh, scale=scale)
     chosen = sorted(criteria) if criteria else sorted(_CRITERIA)
     unknown = [cid for cid in chosen if cid not in _CRITERIA]
     if unknown:

@@ -143,8 +143,9 @@ def test_norm_bound_matches_a_recursive_walk(dim):
 def test_curvature_interval_rule_of_each_node_kind():
     leaf = Generators(np.array([[0.0, 0.0], [0.5, 0.0]]), radii=np.array([0.8, 1.7]))
     assert leaf.curvature == (0.0, 1.7)  # a summand of (max r) B
-    assert ball_body(np.zeros(2)).curvature == (0.0, 1.0)
-    assert point_body(np.zeros(2)).curvature == (0.0, 1.0)  # a unit ball's [0, 1], flipped
+    assert ball_body(np.zeros(2)).curvature == (1.0, 1.0)  # one ball: h + h'' = r exactly
+    assert Generators(np.zeros((1, 2)), radii=np.array([0.8])).curvature == (0.8, 0.8)
+    assert point_body(np.zeros(2)).curvature == (0.0, 0.0)  # a unit ball's [1, 1], flipped
     dual = CDual(leaf)
     assert dual.curvature == (1.0 - 1.7, 1.0 - 0.0)
     mixed = combine(0.25, leaf, dual)
@@ -156,7 +157,8 @@ def test_curvature_interval_rule_of_each_node_kind():
 def reference_curvature(body):
     """The curvature interval by a recursive walk of the tree."""
     if isinstance(body, Generators):
-        return (0.0, float(np.max(body.leaf.radii)))
+        r = float(np.max(body.leaf.radii))
+        return (r, r) if len(body.centers) == 1 else (0.0, r)
     if isinstance(body, CDual):
         lo, hi = reference_curvature(body.of)
         return (1.0 - hi, 1.0 - lo)

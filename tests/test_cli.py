@@ -16,6 +16,7 @@ from ballbodies.support import SupportEval
 from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, EXIT_RESOLUTION, main
 from ballbodies.maps import parse_map
 from ballbodies.planar import surjectivity_probe_planar
+from ballbodies.raster import ORACLE_CELL
 
 
 def ball_doc(c) -> str:
@@ -45,6 +46,19 @@ def test_dist_point_to_ball(dim):
     x, y = rng.uniform(-0.5, 0.5, dim), rng.uniform(-0.5, 0.5, dim)
     res = report("dist", point_doc(x), ball_doc(y))
     assert abs(res["value"] - (1.0 + np.linalg.norm(x - y))) <= res["error_bound"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dist_oracle_agrees_with_the_kernel_in_the_plane(dim):
+    rng = np.random.default_rng(dim + 10)
+    lens = json.dumps({"type": "generators", "centers": rng.uniform(-0.4, 0.4, (2, dim)).tolist()})
+    result = run_cli("--oracle", "dist", lens, point_doc(rng.uniform(-0.5, 0.5, dim)))
+    assert result.exit_code == 0, (result.output, result.exception)
+    res = json.loads(result.output)["result"]
+    if dim == 2:
+        assert abs(res["oracle_value"] - res["value"]) <= res["error_bound"] + 4 * ORACLE_CELL
+    else:
+        assert res["oracle_value"] is None
 
 
 def test_support_of_ball():

@@ -16,12 +16,14 @@ from ballbodies.bodies import (
 from ballbodies.errors import EmptyRasterError, GridMismatchError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.raster import (
+    ORACLE_CELL,
     RasterBody,
     raster_cdual,
     raster_circumball,
     raster_hausdorff,
     rasterize,
 )
+from ballbodies.selftest import SelftestContext, _raster_friendly_body
 from ballbodies.support import hausdorff
 
 
@@ -49,11 +51,6 @@ def test_point_like_cdual_rasters_to_its_nearest_cell():
     for r in (rasterize(c_dual(ball_body(center)), cell), raster_cdual(disk)):
         assert r.count == 1
         assert np.linalg.norm(r.points()[0] - center) <= cell
-
-
-def test_empty_raster_names_cell_and_grid():
-    with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(11, 11\)"):
-        rasterize(ball_body([0.0, 0.0]), cell=0.1, bounds=([5.0, 5.0], [6.0, 6.0]))
 
 
 def test_empty_cdual_raster_names_cell_and_grid():
@@ -85,8 +82,8 @@ def test_lens_area_matches_circular_segment_formula():
 
 
 def test_raster_hausdorff_identity_and_translates():
-    a = rasterize(ball_body([0.0, 0.0]), cell=0.02, bounds=([-3, -3], [3, 3]))
-    b = rasterize(ball_body([0.8, 0.0]), cell=0.02, bounds=([-3, -3], [3, 3]))
+    a = rasterize(ball_body([0.0, 0.0]), cell=0.02)
+    b = rasterize(ball_body([0.8, 0.0]), cell=0.02)
     assert raster_hausdorff(a, a) == 0.0
     assert raster_hausdorff(a, b) == pytest.approx(0.8, abs=0.04)
 
@@ -94,8 +91,8 @@ def test_raster_hausdorff_identity_and_translates():
 def test_raster_hausdorff_point_vs_ball():
     x = np.array([0.4, 0.1])
     y = np.array([-0.3, 0.5])
-    a = rasterize(point_body(x), cell=0.02, bounds=([-3, -3], [3, 3]))
-    b = rasterize(ball_body(y), cell=0.02, bounds=([-3, -3], [3, 3]))
+    a = rasterize(point_body(x), cell=0.02)
+    b = rasterize(ball_body(y), cell=0.02)
     expected = 1.0 + float(np.linalg.norm(x - y))
     assert raster_hausdorff(a, b) == pytest.approx(expected, abs=0.04)
 
@@ -152,8 +149,19 @@ def test_kernel_and_raster_hausdorff_agree(net2):
         k = Generators(centers)
         t = ball_body(rng.uniform(-0.5, 0.5, 2))
         res = hausdorff(k, t, net2)
-        bounds = ([-4, -4], [4, 4])
-        rv = raster_hausdorff(
-            rasterize(k, cell, bounds=bounds), rasterize(t, cell, bounds=bounds)
-        )
+        rv = raster_hausdorff(rasterize(k, cell), rasterize(t, cell))
         assert abs(res.value - rv) <= res.error_bound + 4 * cell
+
+
+def test_oracle_rasters_leave_two_empty_cells_at_every_window_edge():
+    # the quick selftest's criterion 11 bodies and c-duals: the window spans
+    # the norm bound plus two cells, and the body lies within the norm bound
+    rng = np.random.default_rng(1101)
+    ctx = SelftestContext(scale=0.1)
+    bodies = [_raster_friendly_body(rng) for _ in range(ctx.count(30))]
+    for body in bodies + [c_dual(b) for b in bodies[::3]]:
+        mask = rasterize(body, ORACLE_CELL).mask
+        assert mask.any()
+        for axis in range(2):
+            edges = np.take(mask, [0, 1, -2, -1], axis=axis)
+            assert not edges.any()

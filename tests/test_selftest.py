@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from ballbodies import selftest
 from ballbodies.cli import main
 from ballbodies.errors import EmptyRasterError
-from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, run_selftest
+from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, SelftestContext, run_selftest
+from ballbodies.support import default_mesh
 
 
 @pytest.fixture
@@ -57,3 +58,10 @@ def test_classifier_criterion_is_not_vacuous_at_a_coarse_mesh():
     # screening carries one pair bound, on the images only
     (result,) = run_selftest(profile="quick", criteria=[9], net_mesh=0.08)["criteria"]
     assert result["status"] == "pass", result["details"]
+
+
+def test_selftest_nets_are_the_shipped_nets():
+    net = SelftestContext().net(3)
+    assert net.mesh == default_mesh(3) and len(net) == 384
+    coarse = SelftestContext(mesh=0.08)  # one mesh in every dimension
+    assert coarse.net(2).mesh == coarse.net(3).mesh == 0.08

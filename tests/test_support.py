@@ -202,6 +202,15 @@ def test_net_error_bound_is_the_smaller_slack():
     assert net_error_bound(0.02, (2.0,), None, (1e-6,)) == 2.0 * 2.0 * 0.02 + 2e-6
 
 
+def test_two_unit_balls_or_two_points_carry_no_curvature_spread():
+    # a one-ball leaf has h + h'' = 1 exactly and its c-dual, a point, 0: rho = 0
+    net = make_sphere_net(3, default_mesh(3))
+    for make in (ball_body, point_body):
+        k, t = make([0.3, -0.2, 0.1]), make([-0.5, 0.4, 0.0])
+        expected = (k.norm_bound + t.norm_bound) * net.mesh**2 / 2.0 + 4 * TOL
+        assert hausdorff(k, t, net).error_bound == pytest.approx(expected, rel=1e-15)
+
+
 def test_net_error_bound_per_pair_matches_the_scalar_bound():
     rng = np.random.default_rng(13)
     nb_k, nb_t = rng.uniform(1.0, 4.0, (2, 50))
