@@ -2,11 +2,12 @@
 
 Bodies are rasterized on a square grid by evaluating the set definition
 directly: generator leaves test the ball inequalities, c-duals test the
-distance-to-every-occupied-point rule, Minkowski combinations test against
-the convex hull of the scaled vertex sums, and motions pull the query grid
-back through the inverse map.  A body smaller than one cell (a near-point)
-occupies the single cell of least violation.  Everything is O(cells) per
-node and is meant for validation in the plane, not for performance.
+distance-to-every-occupied-point rule against their child's raster,
+Minkowski combinations test against the convex hull of the scaled vertex
+sums, and motions pull the query grid back through the inverse map.  A body
+smaller than one cell (a near-point) occupies the single cell of least
+violation.  Everything is O(cells) per node and is meant for validation in
+the plane, not for performance.
 """
 
 from __future__ import annotations
@@ -78,24 +79,29 @@ def _extreme_points(pts: np.ndarray) -> np.ndarray:
         return pts
 
 
+def _ball_violation(centers: np.ndarray, radii, pts: np.ndarray) -> np.ndarray:
+    """Per point, max_i (|p - x_i| - r_i) less 1e-12: the largest violated ball inequality."""
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        d = np.linalg.norm(pts[sl, None, :] - centers[None, :, :], axis=2)
+        out[sl] = np.max(d - radii, axis=1) - 1e-12
+    return out
+
+
 def _violation(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray:
     """Per point, the largest violated membership inequality; <= 0 means inside.
 
     Every inequality is 1-Lipschitz in the point and holds on the body, so
     the violation never exceeds the distance from the point to the body.
+    The body is a leaf, a combination, or one motion of either: `rasterize`
+    rewrites every other motion and takes c-duals to `raster_cdual`.
     """
     if isinstance(body, Generators):
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            d = np.linalg.norm(pts[sl, None, :] - body.centers[None, :, :], axis=2)
-            out[sl] = np.max(d - body.leaf.radii, axis=1) - 1e-12
-        return out
+        return _ball_violation(body.centers, body.leaf.radii, pts)
     if isinstance(body, Motion):
         inv = body.g.inverse()
         return _violation(body.of, inv.apply(pts), cell)
-    if isinstance(body, CDual):
-        return _cdual_violation(_extreme_points(rasterize(body.of, cell).points()), pts)
     if isinstance(body, Combine):
         ra = rasterize(body.a, cell)
         rb = rasterize(body.b, cell)
@@ -121,17 +127,7 @@ def _violation(body: BallBodyExpr, pts: np.ndarray, cell: float) -> np.ndarray:
     raise TypeError(f"not a body expression: {type(body).__name__}")
 
 
-def _cdual_violation(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance to the farthest vertex minus 1: the c-dual's membership rule."""
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        d = np.linalg.norm(pts[sl, None, :] - verts[None, :, :], axis=2)
-        out[sl] = np.max(d, axis=1) - 1.0 - 1e-12
-    return out
-
-
-def _occupancy(violation: np.ndarray, shape: tuple, cell: float, empty_message: str) -> np.ndarray:
+def _occupancy(violation: np.ndarray, shape: tuple, cell: float) -> np.ndarray:
     """Cells whose center is inside; for a body smaller than a cell, its nearest cell.
 
     A nonempty body inside the grid lies within half a cell diagonal of some
@@ -143,40 +139,50 @@ def _occupancy(violation: np.ndarray, shape: tuple, cell: float, empty_message: 
         j = int(np.argmin(violation))
         if violation[j] > 0.5 * cell * np.sqrt(len(shape)):
             raise EmptyRasterError(
-                f"{empty_message} at cell={cell} on a grid of shape {shape}; refine the grid"
+                f"no cells inside at cell={cell} on a grid of shape {shape}; refine the grid"
             )
         mask[j] = True
     return mask.reshape(shape)
 
 
-def _cell_count(lo: np.ndarray, hi: np.ndarray, cell: float) -> np.ndarray:
-    """Grid points per axis: ceil((hi - lo) / cell) + 1, with the quotient's rounding ignored.
+def _grid(lo: np.ndarray, hi: np.ndarray, cell: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The lattice window over [lo, hi]: its origin, its shape and its (N, dim) cell centers.
 
-    A span of a whole number of cells must not gain a cell from a few ulps
-    of error in lo or hi, or the grid shape would ride on their last bits.
+    The origin snaps down to the global lattice, so all rasters at one cell
+    align.  Neither it nor the count of ceil((hi - lo) / cell) + 1 points per
+    axis rides on a few ulps of error in lo or hi.
     """
+    fuzz = 64 * np.finfo(float).eps
+    first = lo / cell
+    origin = np.floor(first + fuzz * np.abs(first)) * cell
     steps = (hi - lo) / cell
-    return np.ceil(steps - 64 * np.finfo(float).eps * np.abs(steps)).astype(int) + 1
+    shape = tuple(int(n) + 1 for n in np.ceil(steps - fuzz * np.abs(steps)))
+    axes = [origin[d] + cell * np.arange(n) for d, n in enumerate(shape)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    return origin, shape, pts
 
 
 def rasterize(body: BallBodyExpr, cell: float) -> RasterBody:
-    """Occupancy raster of the body on the window +-(norm bound + 2 cell).
+    """Occupancy raster of the body, on a window that holds it with two cells to spare.
 
-    The body lies in B(0, norm bound), so the window holds it with two
-    cells to spare on every side.
+    A motion above a motion or a c-dual is rewritten first, g(hK) = (gh)K
+    and g(K^c) = (gK)^c.  A c-dual is then `raster_cdual` of its child's
+    raster, on the window of a unit ball.  Every other body lies in
+    B(0, norm bound) and takes the window +-(norm bound + 2 cell).
     """
     if cell <= 0:
         raise ValueError("cell size must be positive")
+    while isinstance(body, Motion) and isinstance(body.of, (Motion, CDual)):
+        inner = body.of
+        if isinstance(inner, Motion):
+            body = Motion(body.g.compose(inner.g), inner.of)
+        else:
+            body = CDual(Motion(body.g, inner.of))
+    if isinstance(body, CDual):
+        return raster_cdual(rasterize(body.of, cell))
     hi = np.full(body.dim, body.norm_bound + 2 * cell)
-    lo = -hi
-    counts = np.maximum(_cell_count(lo, hi, cell), 2)
-    # snap the origin to the global lattice so all rasters at one cell align
-    origin = np.floor(lo / cell) * cell
-    axes = [origin[d] + cell * np.arange(counts[d]) for d in range(body.dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, body.dim)
-    mask = _occupancy(_violation(body, pts, cell), grid.shape[:-1], cell, "no cells inside")
-    return RasterBody(origin, cell, mask)
+    origin, shape, pts = _grid(-hi, hi, cell)
+    return RasterBody(origin, cell, _occupancy(_violation(body, pts, cell), shape, cell))
 
 
 def _check_same_grid(a: RasterBody, b: RasterBody):
@@ -204,19 +210,19 @@ def raster_hausdorff(a: RasterBody, b: RasterBody) -> float:
 
 
 def raster_cdual(r: RasterBody) -> RasterBody:
-    """Raster of the c-dual: cells within distance 1 of every occupied cell."""
+    """Raster of the c-dual: cells within max(1, R_v) of every vertex of the raster.
+
+    R_v and c are the radius and center of the vertices' enclosing ball.  The
+    set lies in B(c, 1) by the convexity of |p - x| in x, hence the window
+    c +-(1 + 2 cell).  A body's c-dual is never empty, so R_v > 1 only where
+    the raster sticks out of its body (a combination's padded hull); the set
+    is then c alone, marked by its nearest cell.
+    """
     verts = _extreme_points(r.points())
     meb = minimal_enclosing_ball(verts)
-    lo = meb.center - 1.0 - 2 * r.cell
-    hi = meb.center + 1.0 + 2 * r.cell
-    counts = _cell_count(lo, hi, r.cell)
-    origin = np.floor(lo / r.cell) * r.cell
-    axes = [origin[d] + r.cell * np.arange(counts[d]) for d in range(r.dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, r.dim)
-    violation = _cdual_violation(verts, pts)
-    mask = _occupancy(violation, grid.shape[:-1], r.cell, "c-dual raster came out empty")
-    return RasterBody(origin, r.cell, mask)
+    origin, shape, pts = _grid(meb.center - 1.0 - 2 * r.cell, meb.center + 1.0 + 2 * r.cell, r.cell)
+    violation = _ball_violation(verts, max(1.0, meb.radius), pts)
+    return RasterBody(origin, r.cell, _occupancy(violation, shape, r.cell))
 
 
 def raster_circumball(r: RasterBody) -> Ball:

@@ -35,7 +35,7 @@ from .maps import (
     scale_centers_map,
 )
 from .planar import ROOT_TOL, surjectivity_probe_planar
-from .raster import ORACLE_CELL, raster_circumball, raster_hausdorff, rasterize
+from .raster import ORACLE_CELL, raster_cdual, raster_circumball, raster_hausdorff, rasterize
 from .solver import DEFAULT_TOL
 from .support import (
     SupportEval,
@@ -457,21 +457,13 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _raster_friendly_body(rng: np.random.Generator):
-    # a raster spans its norm bound: larger bodies would double the criterion's time
-    while True:
-        body = random_body(rng, 2)
-        if body.norm_bound <= 2.4:
-            return body
-
-
 def criterion_11(ctx: SelftestContext) -> CriterionResult:
     net = ctx.net(2)
     cell = ORACLE_CELL
     count = ctx.count(30)
     rng = np.random.default_rng(ctx.seed + 1101)
     failures = []
-    bodies = [_raster_friendly_body(rng) for _ in range(count)]
+    bodies = [random_body(rng, 2) for _ in range(count)]
     rasters = {}
 
     def raster_of(i):
@@ -493,8 +485,8 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
             failures.append(f"body {i}: circumradius {kb.radius:.4f} vs raster {rb.radius:.4f}")
     # c-dual membership: kernel margins vs the rasterized dual body
     for i in range(0, count, 3):
-        dual = c_dual(bodies[i])
-        r = rasterize(dual, cell)
+        dual = SupportEval(c_dual(bodies[i]), ctx.tol)
+        r = raster_cdual(raster_of(i))
         pts = rng.uniform(-2.0, 2.0, (40, 2))
         res = [contains_point(dual, p, net, ctx.tol) for p in pts]
         in_raster = r.contains_points(pts)

@@ -13,17 +13,19 @@ from ballbodies.bodies import (
     combine,
     point_body,
 )
+from ballbodies.corpus import random_body
 from ballbodies.errors import EmptyRasterError, GridMismatchError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.raster import (
     ORACLE_CELL,
     RasterBody,
+    _occupancy,
     raster_cdual,
     raster_circumball,
     raster_hausdorff,
     rasterize,
 )
-from ballbodies.selftest import SelftestContext, _raster_friendly_body
+from ballbodies.selftest import SelftestContext
 from ballbodies.support import hausdorff
 
 
@@ -47,18 +49,32 @@ def test_point_like_cdual_rasters_to_its_nearest_cell():
     # the c-dual of a unit disk is its center; off the lattice, no cell center is inside
     center = np.array([0.3037, 0.2041])
     cell = 0.01
-    disk = rasterize(ball_body(center), cell)
-    for r in (rasterize(c_dual(ball_body(center)), cell), raster_cdual(disk)):
-        assert r.count == 1
-        assert np.linalg.norm(r.points()[0] - center) <= cell
+    r = rasterize(c_dual(ball_body(center)), cell)
+    assert r.count == 1
+    assert np.linalg.norm(r.points()[0] - center) <= cell
+
+
+def test_cdual_of_a_padded_unit_ball_raster_is_its_center():
+    # a combination of two unit balls is a unit ball, but its raster is padded
+    # outward, so no point lies within 1 of every vertex of it
+    lam = 0.17805319515305462
+    a = np.array([-0.46598466210354256, 0.09947048535239156])
+    b = np.array([-0.37167932428025563, -0.025476444424017752])
+    r = rasterize(c_dual(combine(lam, ball_body(a), ball_body(b))), ORACLE_CELL)
+    assert r.count == 1
+    assert np.linalg.norm(r.points()[0] - ((1 - lam) * a + lam * b)) <= ORACLE_CELL
 
 
 def test_empty_cdual_raster_names_cell_and_grid():
-    # two occupied cells 3.9 apart: no point lies within 1 of both
+    # two occupied cells 3.9 apart: no point lies within 1 of both, so the
+    # rule keeps their midpoint alone
     mask = np.zeros((40, 3), dtype=bool)
     mask[0, 1] = mask[-1, 1] = True
+    r = raster_cdual(RasterBody(np.zeros(2), 0.1, mask))
+    assert r.mask.shape == (25, 25) and r.count == 1
+    np.testing.assert_allclose(r.points()[0], [1.95, 0.1], atol=0.05 * math.sqrt(2))
     with pytest.raises(EmptyRasterError, match=r"cell=0\.1 on a grid of shape \(25, 25\)"):
-        raster_cdual(RasterBody(np.zeros(2), 0.1, mask))
+        _occupancy(np.ones(625), (25, 25), 0.1)
 
 
 def test_cdual_grid_shape_does_not_ride_on_the_last_bits_of_the_center():
@@ -113,10 +129,16 @@ def test_raster_cdual_involution_up_to_band():
 
 
 def test_raster_cdual_matches_kernel(net2):
-    lens = Generators(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    rd = raster_cdual(rasterize(lens, cell=0.01))
-    kd = rasterize(c_dual(lens), cell=0.01)
-    assert raster_hausdorff(rd, kd) <= 4 * 0.01
+    # motions above the c-dual are rasterized as c-duals of the moved lens
+    dual = c_dual(Generators(np.array([[0.0, 0.0], [1.0, 0.0]])))
+    g = RigidMotion(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.3, -0.2]))
+    h = RigidMotion(np.array([[0.6, 0.8], [0.8, -0.6]]), np.array([-0.4, 0.1]))
+    ball = ball_body([0.2, 0.3])
+    rb = rasterize(ball, ORACLE_CELL)
+    for body in (dual, apply_motion(g, dual), apply_motion(h, apply_motion(g, dual))):
+        res = hausdorff(body, ball, net2)
+        rv = raster_hausdorff(rasterize(body, ORACLE_CELL), rb)
+        assert abs(res.value - rv) <= res.error_bound + 4 * ORACLE_CELL
 
 
 def test_motion_and_combine_rasters(net2):
@@ -155,10 +177,10 @@ def test_kernel_and_raster_hausdorff_agree(net2):
 
 def test_oracle_rasters_leave_two_empty_cells_at_every_window_edge():
     # the quick selftest's criterion 11 bodies and c-duals: the window spans
-    # the norm bound plus two cells, and the body lies within the norm bound
+    # the norm bound, or a c-dual's unit ball, plus two cells
     rng = np.random.default_rng(1101)
     ctx = SelftestContext(scale=0.1)
-    bodies = [_raster_friendly_body(rng) for _ in range(ctx.count(30))]
+    bodies = [random_body(rng, 2) for _ in range(ctx.count(30))]
     for body in bodies + [c_dual(b) for b in bodies[::3]]:
         mask = rasterize(body, ORACLE_CELL).mask
         assert mask.any()
