@@ -137,8 +137,8 @@ class SphereNet:
     Every unit vector lies within Euclidean distance `mesh` of some listed
     direction.  For nets from `make_sphere_net` this is proven by the grid's
     construction (see there), not estimated by sampling.  Directions come
-    in exact antipodal pairs, so evaluating a support function on the net
-    and on its negation sees the same vectors.  `directions` is read-only.
+    in exact antipodal pairs, ordered [half; -half], so one sweep holds
+    every width h(u) + h(-u).  `directions` is read-only.
     """
 
     directions: np.ndarray
@@ -154,6 +154,8 @@ class SphereNet:
             raise ValueError("net directions must have unit norm within 1e-12")
         if self.mesh <= 0:
             raise ValueError("mesh must be positive")
+        if len(dirs) % 2 or not np.array_equal(dirs[len(dirs) // 2 :], -dirs[: len(dirs) // 2]):
+            raise ValueError("net directions must be [half; -half]: the second half negates the first")
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "dim", dirs.shape[1])

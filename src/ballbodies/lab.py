@@ -11,13 +11,13 @@ near-points, (2) fit the rigid motion, which any n + 1 affinely independent
 points fix, to the fitted centers of the collapsed images, and (3) certify
 the fit by measuring residual distances on random test bodies.
 
-Stages 1 and 2 need no linear program.  Under a true isometry every probe
-image is a point or a unit ball, whose support h(u) = <z, u> + rho is affine
-in u, so one least-squares fit over all images recovers every center
-exactly.  The reported radius max_u (h(u) - <z, u>) is the circumball LP's
-objective at the fitted center, an upper bound on the LP optimum, so the
-collapse test is never looser than with the LP.  The circumball LP serves
-only the geodesic midpoint check.
+No decision here needs a linear program.  Under a true isometry every
+probe image is a point or a unit ball, whose support h(u) = <z, u> + rho is
+affine in u, so one least-squares fit over all images recovers every center
+exactly.  Whether a body is a near-point is read off its sweep: the farthest
+distance from the fitted center bounds the circumradius from above
+(`_ball_fits`), half the largest width from below.  Stage 1 collapses on the
+upper ends; the geodesic midpoint check reads both.
 
 The screening tolerance, the collapse radius, the probe points and the
 number of test bodies are the module constants below.  So every probe and
@@ -37,11 +37,11 @@ import numpy as np
 
 from .bodies import BallBodyExpr, apply_motion, ball_body, c_dual, point_body
 from .corpus import random_body
-from .errors import AmbiguousClassificationError, NotIsometryError
+from .errors import AmbiguousClassificationError, DimensionMismatchError, NotIsometryError
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import as_eval, circumball, default_mesh, hausdorff, net_error_bound
+from .support import as_eval, default_mesh, hausdorff, net_error_bound
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
@@ -129,13 +129,15 @@ def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
     return tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES))
 
 
-def _ball_fits(sweeps: np.ndarray, net: SphereNet) -> tuple[np.ndarray, np.ndarray]:
+def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares ball fits h(u) ~ <z, u> + rho of support sweeps on the net, one body per row.
 
-    Returns the centers z, shape (k, n), and the radii max_u (h(u) - <z, u>)
-    clamped at 0, shape (k,): each radius encloses its body to net
-    resolution, and it is exact for points and balls.  Raises ValueError
-    when the net's directions do not span R^n, so that the fit is not unique.
+    Returns the centers z, shape (k, n), exact for points and balls, and
+    certified upper ends of the circumradii, shape (k,): the farthest
+    distance from z, at most (max_u (h(u) - <z, u>) + tol) / (1 - mesh^2 / 2)
+    by `support.farthest_distance_batch`'s proof, clamped at 0.  Raises
+    ValueError when the net's directions do not span R^n, so that the fit
+    is not unique, and for a mesh >= sqrt(2), where the bound is void.
     """
     design = np.hstack([net.directions, np.ones((len(net), 1))])
     coef, _, rank, _ = np.linalg.lstsq(design, sweeps.T, rcond=None)
@@ -144,9 +146,12 @@ def _ball_fits(sweeps: np.ndarray, net: SphereNet) -> tuple[np.ndarray, np.ndarr
             f"the net's {len(net)} directions do not span R^{net.dim}: "
             f"ball fits need rank {net.dim + 1}, got {rank}"
         )
+    shrink = 1.0 - net.mesh**2 / 2.0
+    if not shrink > 0:
+        raise ValueError(f"farthest distances need a net mesh below sqrt(2), got {net.mesh}")
     centers = coef[:-1].T
-    radii = np.max(sweeps - centers @ net.directions.T, axis=1)
-    return centers, np.maximum(radii, 0.0)
+    reach = np.max(sweeps - centers @ net.directions.T, axis=1)
+    return centers, np.maximum((reach + tol) / shrink, 0.0)
 
 
 @dataclass
@@ -167,6 +172,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.net is None:
             self.net = make_sphere_net(self.dimension, default_mesh(self.dimension))
+        if self.net.dim != self.dimension:
+            raise DimensionMismatchError(f"net dimension {self.net.dim} is not the classifier's {self.dimension}")
 
 
 @dataclass
@@ -177,7 +184,7 @@ class IsometryClassification:
     residual_bound: float
     isometry_defect: float  # certified upper bound on |d(TK, TL) - d(K, L)| over the probe pairs
     fit_rms: float
-    stage1_point_radius: float
+    stage1_point_radius: float  # certified upper ends of the circumradii: see `_ball_fits`
     stage1_ball_radius: float
     details: dict = field(default_factory=dict)
 
@@ -227,7 +234,7 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
         )
 
     # stage 1: which family (points / unit balls) maps to near-points?
-    centers, radii = _ball_fits(sweeps, net)
+    centers, radii = _ball_fits(sweeps, net, config.tol)
     k = len(sources)
     point_r = float(np.max(radii[:k]))
     ball_r = float(np.max(radii[k:]))
@@ -283,7 +290,7 @@ class GeodesicCheck:
     d02: float
     additivity_gap: float
     additivity_tol: float
-    radii: tuple[float, float, float]
+    radii: tuple[tuple[float, float], ...]  # (lower, upper) end of each body's circumradius
     additive: bool
     verdict: str  # "geodesic-ok" | "not-a-geodesic-triple" | "midpoint-collapse"
 
@@ -292,7 +299,7 @@ class GeodesicCheck:
             "distances": [self.d01, self.d12, self.d02],
             "additivity_gap": self.additivity_gap,
             "additivity_tol": self.additivity_tol,
-            "circumradii": list(self.radii),
+            "radius_bounds": [list(ends) for ends in self.radii],
             "additive": self.additive,
             "verdict": self.verdict,
         }
@@ -309,7 +316,9 @@ def geodesic_midpoint_check(
 
     When d(K0,K1) + d(K1,K2) = d(K0,K2) within certified bounds and both
     endpoints have circumradius >= POINT_RADIUS_TOL, the midpoint must too; a
-    midpoint collapse is reported as a verdict, never silently.
+    midpoint collapse is reported as a verdict, never silently.  Radius ends
+    come from the distances' sweeps: half the largest width h(u) + h(-u), less
+    tol, below (no thinner ball holds the body), and `_ball_fits` above.
     """
     K0, K1, K2 = (as_eval(k, tol) for k in (K0, K1, K2))  # one sweep each, shared by the memo
     r01 = hausdorff(K0, K1, net, tol)
@@ -318,10 +327,14 @@ def geodesic_midpoint_check(
     gap = abs(r01.value + r12.value - r02.value)
     gap_tol = r01.error_bound + r12.error_bound + r02.error_bound
     additive = gap <= gap_tol
-    radii = tuple(circumball(k, net, tol).radius for k in (K0, K1, K2))
+    sweeps = np.vstack([k.on_net(net) for k in (K0, K1, K2)])
+    tols = np.array([k.tol for k in (K0, K1, K2)])
+    widths = np.max(sweeps.reshape(3, 2, -1).sum(axis=1), axis=1)  # the net is [half; -half]
+    lower, upper = np.maximum(widths / 2.0 - tols, 0.0), _ball_fits(sweeps, net, tols)[1]
+    radii = tuple(zip(lower.tolist(), upper.tolist()))
     if not additive:
         verdict = "not-a-geodesic-triple"
-    elif radii[0] >= POINT_RADIUS_TOL and radii[2] >= POINT_RADIUS_TOL and radii[1] < POINT_RADIUS_TOL:
+    elif lower[0] >= POINT_RADIUS_TOL and lower[2] >= POINT_RADIUS_TOL and upper[1] < POINT_RADIUS_TOL:
         verdict = "midpoint-collapse"
     else:
         verdict = "geodesic-ok"

@@ -199,12 +199,10 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
         if np.any(r < 0):
             raise EmptyBodyError("negative constraint radius")
 
-    z = enclosing_ball(X, r.max() - r)[0] if m > 1 else X[0].copy()
-    slack = float((r - np.linalg.norm(X - z, axis=1)).min())
-    if m > 1 and slack <= POINT_SLACK:  # again about x_0, so that rounding scales with the leaf
-        z = enclosing_ball(X - X[0], r.max() - r)[0]
-        slack = float((r - np.linalg.norm(X - X[0] - z, axis=1)).min())
-        z += X[0]
+    # about x_0, so that rounding scales with the leaf, not with its distance from the origin
+    z = enclosing_ball(X - X[0], r.max() - r)[0] if m > 1 else np.zeros(n)
+    slack = float((r - np.linalg.norm(X - X[0] - z, axis=1)).min())
+    z += X[0]
     if slack < -FEAS_PAD:
         raise EmptyBodyError(
             f"the m={m} balls in dimension n={n} have empty intersection: "

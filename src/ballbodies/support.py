@@ -233,7 +233,8 @@ def circumball(K, net: SphereNet, tol: float = DEFAULT_TOL) -> Ball:
     Solves min over (z, rho) of max over net directions of h(u) - <z, u>,
     a linear program, by `geometry.circumcenter_lp`.  The radius never
     exceeds the true circumradius by more than the oracle tolerance.
-    Raises NoConvergenceError when the LP cannot be certified.
+    Raises NoConvergenceError when the LP cannot be certified.  Its callers
+    are `circ` and selftest criteria 6 and 11; `lab` solves no LP.
     """
     ev = as_eval(K, tol)
     if net.dim != ev.dim:

@@ -139,6 +139,20 @@ def test_reconstruct_of_a_point():
     assert res["distance"] <= 1e-4
 
 
+def test_geodesic_check_claims_no_collapse_in_the_band_above_the_point_radius():
+    # the midpoint is a ball of radius 9.995e-4, just below the 1e-3 point
+    # radius; on a 0.8 net its upper end is (9.995e-4 + tol) / 0.68 = 1.47e-3,
+    # so it is not certified a near-point and no collapse is claimed
+    point, ball = json.loads(point_doc([0.5, 0.0])), json.loads(ball_doc([0.5, 0.0]))
+    middle = json.dumps({"type": "combine", "lambda": 0.0009995, "a": point, "b": ball})
+    result = run_cli("--mesh", "0.8", "geodesic-check", ball_doc([0.0, 0.0]), middle, ball_doc([1.0, 0.0]))
+    assert result.exit_code == 0, (result.output, result.stderr, result.exception)
+    check = json.loads(result.output)["result"]
+    assert check["verdict"] == "geodesic-ok"
+    lower, upper = check["radius_bounds"][1]
+    assert lower <= 9.995e-4 <= 1e-3 < upper == pytest.approx((9.995e-4 + DEFAULT_TOL) / 0.68, rel=1e-9)
+
+
 def test_malformed_json_exits_parse():
     result = run_cli("support", "{not json", "--direction", "[1, 0]")
     assert result.exit_code == EXIT_PARSE == 2
@@ -168,6 +182,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         (("--seed", "-1", "classify", '{"map": "cdual"}'), "seed must be non-negative, got -1"),
         (("--seed", "-1", "surjectivity", PLANAR_RIGID, "--target", "[0.5, 0]"), "seed must be non-negative, got -1"),
         (("--mesh", "1.5", "classify", '{"map": "cdual"}'), "do not span R^2: ball fits need rank 3, got 2"),
+        (("--dim", "3", "--mesh", "1.5", "geodesic-check", *[ball_doc([0, 0, 0])] * 3), "mesh below sqrt(2), got 1.5"),
     ],
     ids=[
         "criteria-a",
@@ -187,6 +202,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         "seed-negative-classify",
         "seed-negative-surjectivity",
         "mesh-void-classify",
+        "mesh-void-geodesic-check",
     ],
 )
 def test_bad_arguments_exit_invariant(args, message):

@@ -531,3 +531,12 @@ def test_winding_refinement_invariance(degree, count):
         coarse = winding_number(curve_samples(fn, count))
         fine = winding_number(curve_samples(fn, 2 * count))
         assert coarse == fine == degree
+
+
+def test_net_second_half_must_negate_the_first():
+    dirs = make_sphere_net(2, 0.3).directions
+    swapped = dirs[np.r_[1, 0, 2 : len(dirs)]]  # the first half reordered, the second not
+    for bad in (swapped, dirs[:-1], np.vstack([dirs[:2], dirs[:2]])):
+        with pytest.raises(ValueError, match=r"must be \[half; -half\]"):
+            SphereNet(bad, 0.3)
+    assert len(SphereNet(dirs, 0.3)) == len(dirs)

@@ -18,7 +18,7 @@ from ballbodies.bodies import (
     point_body,
 )
 from ballbodies.corpus import random_body, random_motion
-from ballbodies.errors import AmbiguousClassificationError, NotIsometryError
+from ballbodies.errors import AmbiguousClassificationError, DimensionMismatchError, NotIsometryError
 from ballbodies.geometry import RigidMotion, make_sphere_net, procrustes_fit
 from ballbodies.lab import (
     DEFECT_TOL,
@@ -43,7 +43,16 @@ from ballbodies.maps import (
     motion_map,
     scale_centers_map,
 )
-from ballbodies.support import SupportEval, as_eval, circumball, default_mesh, hausdorff, net_error_bound
+from ballbodies.selftest import run_selftest
+from ballbodies.support import (
+    SupportEval,
+    as_eval,
+    circumball,
+    default_mesh,
+    farthest_distance,
+    hausdorff,
+    net_error_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +67,7 @@ def config2(net2):
 
 @pytest.fixture
 def no_lp(monkeypatch):
-    """Fail any linear program: classification must not need one."""
+    """Fail any linear program: classification and the geodesic check must not need one."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the classifier solved a linear program")
@@ -203,6 +212,12 @@ def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
     assert len(leaves) == 1 and leaves[0] is body.leaf
 
 
+def test_config_rejects_a_net_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="net dimension 2 is not the classifier's 3"):
+        ClassifierConfig(dimension=3, net=make_sphere_net(2, 0.02))
+    assert ClassifierConfig(dimension=3).net.dim == 3
+
+
 def test_a_net_that_does_not_span_raises():
     # two antipodal directions cannot pin down a center; four can
     T = motion_map(RigidMotion(np.eye(2), np.array([0.3, 0.1])))
@@ -275,7 +290,7 @@ def rebuilt_classification(T, config):
         )
 
     sources = probe_points(dim)
-    centers, radii = _ball_fits(sweeps([T(probe) for probe in fresh_probes(dim)], net, tol), net)
+    centers, radii = _ball_fits(sweeps([T(probe) for probe in fresh_probes(dim)], net, tol), net, tol)
     k = len(sources)
     point_r, ball_r = float(np.max(radii[:k])), float(np.max(radii[k:]))
     if point_r <= POINT_RADIUS_TOL and ball_r <= POINT_RADIUS_TOL:
@@ -474,23 +489,40 @@ def test_ball_fits_exact_for_points_and_unit_balls(dim):
     net = make_sphere_net(dim, 0.2)
     points = [point_body(x) for x in xs] + [c_dual(ball_body(x)) for x in xs]
     balls = [ball_body(x) for x in xs] + [apply_motion(g, c_dual(point_body(x))) for x in xs]
-    centers, radii = _ball_fits(sweeps(points, net, 1e-9), net)
+    shrink = 1.0 - net.mesh**2 / 2.0  # the upper end is (r + tol) / (1 - mesh^2 / 2)
+    centers, radii = _ball_fits(sweeps(points, net, 1e-9), net, 1e-9)
     assert np.max(np.abs(centers - np.vstack([xs, xs]))) <= 1e-12
-    assert np.max(radii) <= 1e-12
-    centers, radii = _ball_fits(sweeps(balls, net, 1e-9), net)
+    np.testing.assert_allclose(radii, 1e-9 / shrink, rtol=0, atol=1e-12)
+    centers, radii = _ball_fits(sweeps(balls, net, 1e-9), net, 1e-9)
     assert np.max(np.abs(centers - np.vstack([xs, g.apply(xs)]))) <= 1e-12
-    np.testing.assert_allclose(radii, 1.0, atol=1e-12)
+    np.testing.assert_allclose(radii, (1.0 + 1e-9) / shrink, rtol=0, atol=1e-12)
 
 
 def test_ball_fit_radius_bounds_circumball_lp():
-    # the fitted radius is the LP objective at a feasible center, never below the optimum
+    # the upper end exceeds the LP objective at a feasible center, never below the optimum
     rng = np.random.default_rng(9)
     for dim in (2, 3):
         net = make_sphere_net(dim, 0.2)
         bodies = [random_body(rng, dim) for _ in range(8)]
-        _, radii = _ball_fits(sweeps(bodies, net, 1e-9), net)
+        _, radii = _ball_fits(sweeps(bodies, net, 1e-9), net, 1e-9)
         for body, r in zip(bodies, radii):
             assert r >= circumball(body, net, 1e-9).radius - 1e-7
+
+
+@pytest.mark.parametrize("dim, dense_mesh", [(2, 0.005), (3, 0.08), (4, 0.15)])
+def test_certified_radius_ends_bracket_a_dense_net_reference(dim, dense_mesh):
+    # the dense LP radius r satisfies r - tol <= R, and R is at most the
+    # farthest distance from its center, (r + tol) / (1 - mesh^2 / 2); the
+    # bare r can itself lie below R, so neither end is compared with it alone
+    rng = np.random.default_rng(60 + dim)
+    net, dense, tol = make_sphere_net(dim, default_mesh(dim)), make_sphere_net(dim, dense_mesh), 1e-6
+    for _ in range(20):
+        body = random_body(rng, dim)
+        (lower, upper), _, _ = geodesic_midpoint_check(body, body, body, net, tol).radii
+        reference = circumball(body, dense, tol).radius
+        assert reference - tol <= upper
+        assert lower <= (reference + tol) / (1.0 - dense_mesh**2 / 2.0)
+        assert 0.0 <= lower <= upper
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +530,7 @@ def test_ball_fit_radius_bounds_circumball_lp():
 # ---------------------------------------------------------------------------
 
 
-def test_combine_triple_is_additive_with_fat_midpoint(net2):
+def test_combine_triple_is_additive_with_fat_midpoint(net2, no_lp):
     rng = np.random.default_rng(3)
     k0 = random_body(rng, 2)
     k2 = random_body(rng, 2)
@@ -506,10 +538,10 @@ def test_combine_triple_is_additive_with_fat_midpoint(net2):
     check = geodesic_midpoint_check(k0, k1, k2, net2)
     assert check.additive
     assert check.verdict in ("geodesic-ok",)
-    assert check.radii[1] >= 1e-3 or min(check.radii[0], check.radii[2]) < 5e-2
+    assert check.radii[1][0] >= 1e-3 or min(check.radii[0][0], check.radii[2][0]) < 5e-2
 
 
-def test_piecewise_path_has_point_endpoint(net2):
+def test_piecewise_path_has_point_endpoint(net2, no_lp):
     # point at 0, point at u/2, then a ball of radius 1/2 about u/2:
     # an additive triple whose first endpoint is a point
     u = np.array([1.0, 0.0])
@@ -521,11 +553,11 @@ def test_piecewise_path_has_point_endpoint(net2):
     assert check.d01 == pytest.approx(0.5, abs=1e-3)
     assert check.d12 == pytest.approx(0.5, abs=1e-3)
     assert check.d02 == pytest.approx(1.0, abs=1e-3)
-    assert check.radii[0] < 1e-3  # the endpoint is a point: no midpoint claim
+    assert check.radii[0][1] < 1e-3  # the endpoint is a point: no midpoint claim
     assert check.verdict == "geodesic-ok"
 
 
-def test_non_geodesic_triple_detected(net2):
+def test_non_geodesic_triple_detected(net2, no_lp):
     k0 = point_body(np.array([0.0, 0.0]))
     k1 = point_body(np.array([3.0, 3.0]))
     k2 = point_body(np.array([1.0, 0.0]))
@@ -534,7 +566,7 @@ def test_non_geodesic_triple_detected(net2):
     assert check.verdict == "not-a-geodesic-triple"
 
 
-def test_degenerate_identical_bodies(net2):
+def test_degenerate_identical_bodies(net2, no_lp):
     rng = np.random.default_rng(5)
     k = random_body(rng, 2)
     check = geodesic_midpoint_check(k, k, k, net2)
@@ -542,7 +574,7 @@ def test_degenerate_identical_bodies(net2):
     assert check.verdict == "geodesic-ok"
 
 
-def test_lemma_holds_over_random_segments(net2):
+def test_lemma_holds_over_random_segments(net2, no_lp):
     rng = np.random.default_rng(11)
     violations = 0
     for _ in range(20):
@@ -556,13 +588,18 @@ def test_lemma_holds_over_random_segments(net2):
     assert violations == 0
 
 
-def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2):
+def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2, no_lp):
     rng = np.random.default_rng(8)
     k0 = Generators(rng.uniform(-0.4, 0.4, size=(3, 2)))
     k2 = Generators(rng.uniform(-0.4, 0.4, size=(2, 2)))
     k1 = combine(0.4, k0, k2)
     pairs = [hausdorff(a, b, net2) for a, b in ((k0, k1), (k1, k2), (k0, k2))]
-    radii = tuple(circumball(k, net2).radius for k in (k0, k1, k2))
+    radii = []  # half the largest width, and the farthest distance from the fitted center
+    for k in (k0, k1, k2):
+        ev = SupportEval(k)
+        widths = ev.on_net(net2) + ev.batch(-net2.directions)
+        center = _ball_fits(ev.on_net(net2)[None, :], net2, 1e-6)[0][0]
+        radii.append((max(np.max(widths) / 2 - 1e-6, 0.0), farthest_distance(k, center, net2)))
     solve = support_module.support_batch
     leaves = []
 
@@ -575,4 +612,9 @@ def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2):
     assert len(leaves) == 4  # k0's leaf and k2's, each for itself and for k1
     assert (check.d01, check.d12, check.d02) == tuple(res.value for res in pairs)
     assert check.additivity_tol == sum(res.error_bound for res in pairs)
-    assert check.radii == radii
+    np.testing.assert_allclose(check.radii, radii, rtol=1e-12, atol=0)
+
+
+def test_no_point_between_bodies_criterion_solves_no_lp(no_lp):
+    report = run_selftest(profile="quick", criteria=[8])
+    assert (report["passed"], report["failed"]) == (1, 0)
