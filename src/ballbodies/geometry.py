@@ -101,7 +101,7 @@ class RigidMotion:
             raise ValueError("rotation must be a square matrix")
         if q.shape[0] != t.shape[0]:
             raise DimensionMismatchError("rotation and translation dimensions differ")
-        if not np.allclose(q.T @ q, np.eye(q.shape[0]), atol=ORTHOGONALITY_TOL, rtol=0.0):
+        if not np.abs(q.T @ q - np.eye(q.shape[0])).max(initial=0.0) <= ORTHOGONALITY_TOL:  # NaN fails too
             raise ValueError("rotation matrix is not orthogonal within 1e-9")
         q.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", q)
@@ -393,7 +393,7 @@ def circumcenter_lp(directions, heights) -> tuple[np.ndarray, float]:
         q = R[i] / np.linalg.norm(R[i])
         R -= np.outer(R @ q, q)
     antipodes = (U @ U[picks].T).argmin(axis=0)
-    start = np.unique(np.concatenate([picks, antipodes]))
+    start = np.array(sorted({*picks, *antipodes.tolist()}), dtype=np.intp)  # np.unique imports numpy.ma
     if len(start) <= n:
         raise NoConvergenceError(
             f"circumball LP in dimension n={n} over {N} directions: no start, as the "

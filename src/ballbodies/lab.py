@@ -24,8 +24,11 @@ number of test bodies are the module constants below.  So every probe and
 test body the classifier maps depends only on the dimension, and the test
 bodies on the seed too.  Each is built once per dimension (and seed); body
 trees are read-only from construction, so a map that writes into its input
-raises instead of changing later calls.  Support values are never kept:
-every call evaluates fresh oracles, so no result depends on earlier calls.
+raises instead of changing later calls.  Stage 3 compares each pulled-back
+image g^-1 T K with K itself (or its c-dual), so a test body's own sweep is
+a property of the body and the net: it is taken once per net and kept.
+The map's images are swept afresh on every call, so no result depends on
+earlier calls.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import AmbiguousClassificationError, DimensionMismatchError, NotIso
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import as_eval, default_mesh, hausdorff, net_error_bound
+from .support import SupportEval, as_eval, default_mesh, hausdorff, net_error_bound
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
@@ -63,23 +66,20 @@ def _image(T: BlackBoxMap, body: BallBodyExpr, what: str) -> BallBodyExpr:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...]]:
-    """The 2n + 1 points 0 and +-PROBE_OFFSET e_i, and the 4n + 2 probes on
-    them, the point probes before the unit-ball probes, read-only."""
-    points = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
-    points.flags.writeable = False
-    return points, tuple(map(point_body, points)) + tuple(map(ball_body, points))
+def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...], np.ndarray]:
+    """The 2n + 1 points 0 and +-PROBE_OFFSET e_i, the 4n + 2 probes on
+    them, the point probes before the unit-ball probes, and the probes'
+    Hausdorff distances in closed form, read-only.
 
-
-def _probe_distances(points: np.ndarray) -> np.ndarray:
-    """The Hausdorff distances between the probes on `points`, in closed form.
-
-    Rows and columns follow `_probes`.  Two points or two unit balls lie
-    |x - y| apart, and a point and a unit ball |x - y| + 1.
+    Rows and columns of the distances follow the probes.  Two points or two
+    unit balls lie |x - y| apart, and a point and a unit ball |x - y| + 1.
     """
+    points = np.vstack([np.zeros(dim), PROBE_OFFSET * np.eye(dim), -PROBE_OFFSET * np.eye(dim)])
     centers = np.vstack([points, points])
     is_ball = np.repeat([0.0, 1.0], len(points))
-    return np.linalg.norm(centers[:, None] - centers, axis=-1) + np.abs(is_ball[:, None] - is_ball)
+    distances = np.linalg.norm(centers[:, None] - centers, axis=-1) + np.abs(is_ball[:, None] - is_ball)
+    points.flags.writeable = distances.flags.writeable = False
+    return points, tuple(map(point_body, points)) + tuple(map(ball_body, points)), distances
 
 
 def _pair_bounds(images: list[BallBodyExpr], net: SphereNet, tol: float) -> np.ndarray:
@@ -129,6 +129,17 @@ def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
     return tuple(random_body(rng, dim) for _ in range(N_TEST_BODIES))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _test_models(dim: int, seed: int, kind: str, net: SphereNet, tol: float) -> tuple[SupportEval, ...]:
+    """Oracles of the test bodies K, or of their c-duals for the kind "cdual".
+
+    Stage 3 compares each with its pulled-back image g^-1 T K, since
+    d(T K, g K) = d(g^-1 T K, K) for every motion g.  Each oracle's memo
+    holds its sweep of `net` alone, so a body is swept once per key.
+    """
+    return tuple(SupportEval(body if kind == "identity" else c_dual(body), tol) for body in _test_bodies(dim, seed))
+
+
 def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares ball fits h(u) ~ <z, u> + rho of support sweeps on the net, one body per row.
 
@@ -161,7 +172,8 @@ class ClassifierConfig:
 
     The dimension fixes the probes, and with the seed the test bodies.
     Each is built on first use, once per distinct value, so fields set
-    after construction take effect.
+    after construction take effect; `classify_isometry` checks the net's
+    dimension where it uses the net.
     """
 
     dimension: int = 2
@@ -172,8 +184,6 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.net is None:
             self.net = make_sphere_net(self.dimension, default_mesh(self.dimension))
-        if self.net.dim != self.dimension:
-            raise DimensionMismatchError(f"net dimension {self.net.dim} is not the classifier's {self.dimension}")
 
 
 @dataclass
@@ -208,17 +218,22 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
 
     Raises NotIsometryError when the map fails distance screening, fails on
     any input, or when neither probe family collapses to points (impossible
-    for a true isometry), AmbiguousClassificationError when both do, and
-    ValueError when the net's directions do not span the space.
+    for a true isometry), AmbiguousClassificationError when both do,
+    DimensionMismatchError when the net is not of the config's dimension,
+    and ValueError when the net's directions do not span the space or a
+    test body's image is too deep to take one more motion node.
 
     The probes and test bodies come from `config`'s dimension and seed and
     are built once per distinct value (see `ClassifierConfig`); they are
     read-only, so `T` must build its images rather than write into its
-    input.  Support values are computed afresh on every call.
+    input.  The test bodies' own sweeps are kept per net; every image is
+    swept afresh on every call.
     """
     net = config.net
     dim = config.dimension
-    sources, probes = _probes(dim)
+    if net.dim != dim:
+        raise DimensionMismatchError(f"net dimension {net.dim} is not the classifier's {dim}")
+    sources, probes, distances = _probes(dim)
     images = [_image(T, probe, "probe") for probe in probes]
     rows: dict[int, np.ndarray] = {}
     for image in images:  # keyed by identity: a constant map's one image is swept once
@@ -226,7 +241,7 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
             rows[id(image)] = as_eval(image, config.tol).on_net(net)
     sweeps = np.vstack([rows[id(image)] for image in images])
 
-    defect, defect_lower = _screening(images, sweeps, _probe_distances(sources), net, config.tol)
+    defect, defect_lower = _screening(images, sweeps, distances, net, config.tol)
     if defect_lower > DEFECT_TOL:
         raise NotIsometryError(
             f"distance defect is at least {defect_lower:.3f}, beyond the screening "
@@ -255,13 +270,14 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     targets = centers[:k] if kind == "identity" else centers[k:]
     motion, fit_rms = procrustes_fit(sources, targets)
 
-    # stage 3: residual distances between the map and its fitted normal form
+    # stage 3: residual distances between the map and its fitted normal form,
+    # in the test bodies' frame: d(T K, g K) = d(g^-1 T K, K)
     residual = 0.0
     residual_bound = 0.0
-    for body in _test_bodies(dim, config.seed):
-        image = _image(T, body, "test body")
-        model = apply_motion(motion, body if kind == "identity" else c_dual(body))
-        res = hausdorff(image, model, net, config.tol)
+    inverse = motion.inverse()
+    models = _test_models(dim, config.seed, kind, net, config.tol)
+    for body, model in zip(_test_bodies(dim, config.seed), models):
+        res = hausdorff(apply_motion(inverse, _image(T, body, "test body")), model, net, config.tol)
         residual = max(residual, res.value)
         residual_bound = max(residual_bound, res.error_bound)
 
@@ -292,7 +308,7 @@ class GeodesicCheck:
     additivity_tol: float
     radii: tuple[tuple[float, float], ...]  # (lower, upper) end of each body's circumradius
     additive: bool
-    verdict: str  # "geodesic-ok" | "not-a-geodesic-triple" | "midpoint-collapse"
+    verdict: str  # "geodesic-ok" | "not-a-geodesic-triple" | "midpoint-collapse" | "inconclusive"
 
     def to_doc(self) -> dict:
         return {
@@ -316,9 +332,12 @@ def geodesic_midpoint_check(
 
     When d(K0,K1) + d(K1,K2) = d(K0,K2) within certified bounds and both
     endpoints have circumradius >= POINT_RADIUS_TOL, the midpoint must too; a
-    midpoint collapse is reported as a verdict, never silently.  Radius ends
-    come from the distances' sweeps: half the largest width h(u) + h(-u), less
-    tol, below (no thinner ball holds the body), and `_ball_fits` above.
+    midpoint collapse is reported as a verdict, never silently.  The triangle
+    inequality bounds the gap by 2 min(d01, d12), so where the tolerance
+    reaches that, additivity rejects no triple, and a collapse is reported
+    as "inconclusive" instead.  Radius ends come from the distances' sweeps:
+    half the largest width h(u) + h(-u), less tol, below (no thinner ball
+    holds the body), and `_ball_fits` above.
     """
     K0, K1, K2 = (as_eval(k, tol) for k in (K0, K1, K2))  # one sweep each, shared by the memo
     r01 = hausdorff(K0, K1, net, tol)
@@ -335,7 +354,7 @@ def geodesic_midpoint_check(
     if not additive:
         verdict = "not-a-geodesic-triple"
     elif lower[0] >= POINT_RADIUS_TOL and lower[2] >= POINT_RADIUS_TOL and upper[1] < POINT_RADIUS_TOL:
-        verdict = "midpoint-collapse"
+        verdict = "inconclusive" if gap_tol >= 2.0 * min(r01.value, r12.value) else "midpoint-collapse"
     else:
         verdict = "geodesic-ok"
     return GeodesicCheck(

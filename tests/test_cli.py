@@ -153,6 +153,20 @@ def test_geodesic_check_claims_no_collapse_in_the_band_above_the_point_radius():
     assert lower <= 9.995e-4 <= 1e-3 < upper == pytest.approx((9.995e-4 + DEFAULT_TOL) / 0.68, rel=1e-9)
 
 
+def test_geodesic_check_calls_a_collapse_inconclusive_where_additivity_rejects_nothing():
+    # on a 0.8 net the additivity tolerance exceeds 2 min(d01, d12), the
+    # largest gap the triangle inequality allows, so the triple is not shown
+    # to be a geodesic one; on the default net it is shown not to be
+    triple = (ball_doc([0.0, 0.0]), point_doc([0.5, 0.0]), ball_doc([1.0, 0.0]))
+    result = run_cli("--mesh", "0.8", "geodesic-check", *triple)
+    assert result.exit_code == 0, (result.output, result.stderr, result.exception)
+    coarse = json.loads(result.output)["result"]
+    assert coarse["distances"] == pytest.approx([1.5, 1.5, 1.0], abs=1e-9)
+    assert coarse["additive"] and coarse["additivity_tol"] >= 3.0
+    assert coarse["verdict"] == "inconclusive"
+    assert report("geodesic-check", *triple)["verdict"] == "not-a-geodesic-triple"
+
+
 def test_malformed_json_exits_parse():
     result = run_cli("support", "{not json", "--direction", "[1, 0]")
     assert result.exit_code == EXIT_PARSE == 2
@@ -319,6 +333,20 @@ run("surjectivity", hole, "--target", "[0.0, 0.0]")
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
+
+
+def test_circ_does_not_import_numpy_ma():
+    # numpy.ma costs a fresh process more than the rest of a `circ` command
+    src = str(Path(ballbodies.__file__).resolve().parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import ballbodies.cli as cli
+cli.main(["circ", {ball_doc([0.1, 0.2])!r}], standalone_mode=False)
+assert "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hausdorff_commands_never_import_scipy():

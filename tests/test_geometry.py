@@ -460,6 +460,14 @@ def test_rigid_motion_rejects_non_orthogonal():
         RigidMotion(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_rigid_motion_rejects_non_finite_rotations(entry):
+    for q in (np.array([[entry, 0.0], [0.0, 1.0]]), np.full((2, 2), entry)):
+        with pytest.raises(ValueError, match="rotation matrix is not orthogonal within 1e-9"):
+            RigidMotion(q, np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ballbodies.bodies import (
     body_to_doc,
     c_dual,
     combine,
+    parse_body,
     point_body,
 )
 from ballbodies.corpus import random_body, random_motion
@@ -27,7 +28,6 @@ from ballbodies.lab import (
     PROBE_OFFSET,
     ClassifierConfig,
     _ball_fits,
-    _probe_distances,
     _probes,
     _screening,
     _test_bodies,
@@ -136,9 +136,8 @@ def test_defect_of_constant_map_is_large(config2):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_probe_distances_lie_in_the_certified_hausdorff_interval(dim):
     net = make_sphere_net(dim, default_mesh(dim))
-    points, probes = _probes(dim)
+    points, probes, distances = _probes(dim)
     assert len(probes) == 4 * dim + 2
-    distances = _probe_distances(points)
     for i, k in enumerate(probes):
         for j, l in enumerate(probes):
             assert distances[i, j] == closed_form_distance(dim, i, j)
@@ -213,9 +212,14 @@ def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
 
 
 def test_config_rejects_a_net_of_another_dimension():
-    with pytest.raises(DimensionMismatchError, match="net dimension 2 is not the classifier's 3"):
-        ClassifierConfig(dimension=3, net=make_sphere_net(2, 0.02))
-    assert ClassifierConfig(dimension=3).net.dim == 3
+    # the check sits where the net is used, so a net set after construction meets it too
+    built = ClassifierConfig(dimension=3, net=make_sphere_net(2, 0.02))
+    assigned = ClassifierConfig(dimension=3)
+    assert assigned.net.dim == 3
+    assigned.net = make_sphere_net(2, 0.02)
+    for config in (built, assigned):
+        with pytest.raises(DimensionMismatchError, match="net dimension 2 is not the classifier's 3"):
+            classify_isometry(cdual_map(3), config)
 
 
 def test_a_net_that_does_not_span_raises():
@@ -280,7 +284,10 @@ def test_classify_planted_reflection_3d(no_lp):
 
 
 def rebuilt_classification(T, config):
-    """The classifier with every probe, test body and oracle built afresh on each call: the reference."""
+    """The classifier with every probe, test body and oracle built afresh on each call: the reference.
+
+    Stage 3 compares each pulled-back image g^-1 T K with K, or with its c-dual.
+    """
     dim, net, tol = config.dimension, config.net, config.tol
     defect, defect_lower = pairwise_defect(T, dim, net, tol)
     if defect_lower > DEFECT_TOL:
@@ -305,11 +312,12 @@ def rebuilt_classification(T, config):
     kind = "identity" if point_r <= POINT_RADIUS_TOL else "cdual"
     motion, fit_rms = procrustes_fit(sources, centers[:k] if kind == "identity" else centers[k:])
     rng = np.random.default_rng(config.seed)
+    inverse = motion.inverse()
     residual = residual_bound = 0.0
     for _ in range(N_TEST_BODIES):
         body = random_body(rng, dim)
-        model = apply_motion(motion, body if kind == "identity" else c_dual(body))
-        res = hausdorff(T(body), model, net, tol)
+        model = body if kind == "identity" else c_dual(body)
+        res = hausdorff(apply_motion(inverse, T(body)), model, net, tol)
         residual = max(residual, res.value)
         residual_bound = max(residual_bound, res.error_bound)
     return {
@@ -410,7 +418,7 @@ def test_planted_3d_cdual_motion_has_a_residual_bound_below_the_former_default(n
 @pytest.mark.parametrize("dim", [2, 3])
 def test_screening_bound_is_the_largest_pair_bound_of_the_probes(dim):
     net = make_sphere_net(dim, default_mesh(dim))
-    _, probes = _probes(dim)
+    _, probes, _ = _probes(dim)
     tols = (1e-6, 1e-6)
     worst = max(
         net_error_bound(net.mesh, (k.norm_bound, l.norm_bound), (k.curvature, l.curvature), tols)
@@ -419,6 +427,65 @@ def test_screening_bound_is_the_largest_pair_bound_of_the_probes(dim):
         if i < j
     )
     assert screening_bound(dim, net, 1e-6) == worst
+
+
+def leaves_of(body):
+    """The solver leaves of a body tree."""
+    if isinstance(body, Generators):
+        return [body.leaf]
+    if isinstance(body, Combine):
+        return leaves_of(body.a) + leaves_of(body.b)
+    return leaves_of(body.of)
+
+
+@pytest.mark.parametrize("kind", ["identity", "cdual"])
+def test_a_second_classification_sweeps_no_test_body_model(monkeypatch, kind):
+    # the map rebuilds its images from their documents, so no image shares a
+    # leaf with a test body; a fresh net is a fresh key of the models' cache
+    g = random_motion(np.random.default_rng(50), 2)
+    planted = motion_map(g) if kind == "identity" else compose_maps([cdual_map(2), motion_map(g)])
+    T = BlackBoxMap(lambda body: parse_body(body_to_doc(planted(body))), 2)
+    config = ClassifierConfig(dimension=2, net=make_sphere_net(2, 0.05))
+    model_leaves = {id(leaf) for body in _test_bodies(2, config.seed) for leaf in leaves_of(body)}
+    solve = support_module.support_batch
+    swept = []
+
+    def counted(leaf, dirs, tol=1e-6):
+        swept.append(id(leaf) in model_leaves)
+        return solve(leaf, dirs, tol)
+
+    monkeypatch.setattr(support_module, "support_batch", counted)
+    first = classify_isometry(T, config).to_doc()
+    assert first["kind"] == kind and any(swept)
+    swept.clear()
+    assert classify_isometry(T, config).to_doc() == first
+    assert swept and not any(swept)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_the_body_frame_residual_is_the_residual_in_the_image_frame(dim, no_lp):
+    # d(g^-1 T K, K) = d(T K, g K); on the net the two agree to rounding
+    g = random_motion(np.random.default_rng(51 + dim), dim)
+    config = ClassifierConfig(dimension=dim)
+    for T in (motion_map(g), compose_maps([cdual_map(dim), motion_map(g)])):
+        result = classify_isometry(T, config)
+        models = [body if result.kind == "identity" else c_dual(body) for body in _test_bodies(dim, config.seed)]
+        pairs = [
+            hausdorff(T(body), apply_motion(result.motion, model), config.net, config.tol)
+            for body, model in zip(_test_bodies(dim, config.seed), models)
+        ]
+        assert abs(result.residual - max(res.value for res in pairs)) <= 1e-12
+        bound = max(res.error_bound for res in pairs)
+        assert abs(result.residual_bound - bound) <= 1e-12 * bound
+
+
+def test_an_image_too_deep_to_pull_back_raises_value_error(config2):
+    # a depth-3 test body under 13 c-duals is as deep as a tree may be, so
+    # the pulled-back image g^-1 T K cannot be built; 11 c-duals leave room
+    assert max(body.depth for body in _test_bodies(2, config2.seed)) == 3
+    assert classify_isometry(compose_maps([cdual_map(2)] * 11), config2).kind == "cdual"
+    with pytest.raises(ValueError, match="expression depth exceeds 16"):
+        classify_isometry(compose_maps([cdual_map(2)] * 13), config2)
 
 
 def test_second_classification_prepares_no_leaf(monkeypatch, config2):
