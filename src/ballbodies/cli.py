@@ -5,7 +5,7 @@ an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
 2 parse error, 3 invariant violation, 4 classification-premise failure,
 5 adaptive resolution exhausted.
-SciPy is loaded only by ``selftest`` and ``dist --oracle``.
+SciPy, ``lab``, ``maps`` and ``planar`` are imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .errors import (
     ResolutionExhaustedError,
 )
 from .geometry import make_sphere_net
-from .lab import ClassifierConfig, classify_isometry, geodesic_midpoint_check
-from .maps import map_dimension, parse_map
-from .planar import surjectivity_probe_planar
 from .solver import DEFAULT_TOL
 from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid
 
@@ -109,6 +106,13 @@ class RunConfig:
             "seed": self.seed,
             "oracle": self.oracle,
         }
+
+
+def parse_map(doc, dim: int):
+    """`maps.parse_map`, importing `maps` on first use; perfbench's tracer rebinds this name."""
+    from .maps import parse_map
+
+    return parse_map(doc, dim)
 
 
 def _load_document(source: str):
@@ -300,6 +304,7 @@ def geodesic_check(config: RunConfig, body0, body1, body2):
     """Betweenness additivity and the midpoint-collapse check for a triple."""
 
     def run():
+        from .lab import geodesic_midpoint_check
         k0 = parse_body(_load_document(body0))
         k1 = parse_body(_load_document(body1))
         k2 = parse_body(_load_document(body2))
@@ -317,6 +322,8 @@ def classify(config: RunConfig, map_doc):
     """Normal form of a black-box isometry: a motion, or a motion after duality."""
 
     def run():
+        from .lab import ClassifierConfig, classify_isometry
+        from .maps import map_dimension
         doc = _load_document(map_doc)
         dim = config.resolve_dim(map_dimension(doc))
         T = parse_map(doc, dim)
@@ -336,6 +343,7 @@ def surjectivity(config: RunConfig, map_doc, target):
     """Degree-based surjectivity evidence for a planar continuous map."""
 
     def run():
+        from .planar import surjectivity_probe_planar
         T = parse_map(_load_document(map_doc), config.resolve_dim(2))
         if not T.planar:
             raise ValueError("surjectivity probing needs a planar map document")

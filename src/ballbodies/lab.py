@@ -24,9 +24,9 @@ number of test bodies are the module constants below.  So every probe and
 test body the classifier maps depends only on the dimension, and the test
 bodies on the seed too.  Each is built once per dimension (and seed); body
 trees are read-only from construction, so a map that writes into its input
-raises instead of changing later calls.  Stage 3 compares each pulled-back
-image g^-1 T K with K itself (or its c-dual), so a test body's own sweep is
-a property of the body and the net: it is taken once per net and kept.
+raises instead of changing later calls.  Stage 3 sweeps each image T K on
+the net pulled back by the fitted motion g, which is the sweep of g^-1 T K,
+and compares it with K (or its c-dual), whose sweep is taken once per net.
 The map's images are swept afresh on every call, so no result depends on
 earlier calls.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import BallBodyExpr, apply_motion, ball_body, c_dual, point_body
+from .bodies import BallBodyExpr, ball_body, c_dual, point_body
 from .corpus import random_body
 from .errors import AmbiguousClassificationError, DimensionMismatchError, NotIsometryError
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
@@ -130,14 +130,17 @@ def _test_bodies(dim: int, seed: int) -> tuple[BallBodyExpr, ...]:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _test_models(dim: int, seed: int, kind: str, net: SphereNet, tol: float) -> tuple[SupportEval, ...]:
-    """Oracles of the test bodies K, or of their c-duals for the kind "cdual".
-
-    Stage 3 compares each with its pulled-back image g^-1 T K, since
-    d(T K, g K) = d(g^-1 T K, K) for every motion g.  Each oracle's memo
-    holds its sweep of `net` alone, so a body is swept once per key.
+def _test_models(dim: int, seed: int, kind: str, net: SphereNet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The test bodies K, or their c-duals for the kind "cdual", as read-only
+    arrays: their sweeps of `net`, one row per body, and the rows of their
+    norm bounds and curvature ends lo and hi.  Stage 3 compares them with the
+    pulled-back images g^-1 T K, since d(T K, g K) = d(g^-1 T K, K) for every motion g.
     """
-    return tuple(SupportEval(body if kind == "identity" else c_dual(body), tol) for body in _test_bodies(dim, seed))
+    models = [body if kind == "identity" else c_dual(body) for body in _test_bodies(dim, seed)]
+    sweeps = np.vstack([SupportEval(model, tol).on_net(net) for model in models])
+    sizes = np.array([(model.norm_bound, *model.curvature) for model in models]).T
+    sweeps.flags.writeable = sizes.flags.writeable = False
+    return sweeps, sizes
 
 
 def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -220,14 +223,14 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     any input, or when neither probe family collapses to points (impossible
     for a true isometry), AmbiguousClassificationError when both do,
     DimensionMismatchError when the net is not of the config's dimension,
-    and ValueError when the net's directions do not span the space or a
-    test body's image is too deep to take one more motion node.
+    and ValueError when the net's directions do not span the space.
 
     The probes and test bodies come from `config`'s dimension and seed and
     are built once per distinct value (see `ClassifierConfig`); they are
     read-only, so `T` must build its images rather than write into its
     input.  The test bodies' own sweeps are kept per net; every image is
-    swept afresh on every call.
+    swept afresh on every call, a test body's image on the net pulled back
+    by the fitted motion.
     """
     net = config.net
     dim = config.dimension
@@ -271,15 +274,17 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     motion, fit_rms = procrustes_fit(sources, targets)
 
     # stage 3: residual distances between the map and its fitted normal form,
-    # in the test bodies' frame: d(T K, g K) = d(g^-1 T K, K)
-    residual = 0.0
-    residual_bound = 0.0
+    # in the test bodies' frame: d(T K, g K) = d(g^-1 T K, K).  g^-1 T K is
+    # swept as its `Motion` node would be, on the net pulled back once.
     inverse = motion.inverse()
-    models = _test_models(dim, config.seed, kind, net, config.tol)
-    for body, model in zip(_test_bodies(dim, config.seed), models):
-        res = hausdorff(apply_motion(inverse, _image(T, body, "test body")), model, net, config.tol)
-        residual = max(residual, res.value)
-        residual_bound = max(residual_bound, res.error_bound)
+    pulled, shift = net.directions @ inverse.rotation, net.directions @ inverse.translation
+    images = [_image(T, body, "test body") for body in _test_bodies(dim, config.seed)]
+    image_rows = np.vstack([SupportEval(image, config.tol).batch(pulled) for image in images]) + shift
+    model_rows, (model_bounds, *model_curvature) = _test_models(dim, config.seed, kind, net, config.tol)
+    norm_bounds, *curvature = np.array([(image.norm_bound, *image.curvature) for image in images]).T
+    moved = norm_bounds + float(np.linalg.norm(inverse.translation))  # a motion keeps T K's curvature
+    bound = net_error_bound(net.mesh, (moved, model_bounds), (curvature, model_curvature), (config.tol, config.tol))
+    residual, residual_bound = float(np.max(np.abs(image_rows - model_rows))), float(np.max(bound))
 
     return IsometryClassification(
         kind=kind,
@@ -334,10 +339,10 @@ def geodesic_midpoint_check(
     endpoints have circumradius >= POINT_RADIUS_TOL, the midpoint must too; a
     midpoint collapse is reported as a verdict, never silently.  The triangle
     inequality bounds the gap by 2 min(d01, d12), so where the tolerance
-    reaches that, additivity rejects no triple, and a collapse is reported
-    as "inconclusive" instead.  Radius ends come from the distances' sweeps:
-    half the largest width h(u) + h(-u), less tol, below (no thinner ball
-    holds the body), and `_ball_fits` above.
+    reaches that, additivity rejects no triple, and the verdict is
+    "inconclusive", whatever the radii.  Radius ends come from the
+    distances' sweeps: half the largest width h(u) + h(-u), less tol, below
+    (no thinner ball holds the body), and `_ball_fits` above.
     """
     K0, K1, K2 = (as_eval(k, tol) for k in (K0, K1, K2))  # one sweep each, shared by the memo
     r01 = hausdorff(K0, K1, net, tol)
@@ -353,8 +358,10 @@ def geodesic_midpoint_check(
     radii = tuple(zip(lower.tolist(), upper.tolist()))
     if not additive:
         verdict = "not-a-geodesic-triple"
+    elif gap_tol >= 2.0 * min(r01.value, r12.value):
+        verdict = "inconclusive"
     elif lower[0] >= POINT_RADIUS_TOL and lower[2] >= POINT_RADIUS_TOL and upper[1] < POINT_RADIUS_TOL:
-        verdict = "inconclusive" if gap_tol >= 2.0 * min(r01.value, r12.value) else "midpoint-collapse"
+        verdict = "midpoint-collapse"
     else:
         verdict = "geodesic-ok"
     return GeodesicCheck(

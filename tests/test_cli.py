@@ -142,13 +142,17 @@ def test_reconstruct_of_a_point():
 def test_geodesic_check_claims_no_collapse_in_the_band_above_the_point_radius():
     # the midpoint is a ball of radius 9.995e-4, just below the 1e-3 point
     # radius; on a 0.8 net its upper end is (9.995e-4 + tol) / 0.68 = 1.47e-3,
-    # so it is not certified a near-point and no collapse is claimed
+    # so it is not certified a near-point and no collapse is claimed.  Nor is
+    # the triple shown geodesic: the additivity tolerance exceeds 2 min(d01,
+    # d12), the largest gap the triangle inequality allows
     point, ball = json.loads(point_doc([0.5, 0.0])), json.loads(ball_doc([0.5, 0.0]))
     middle = json.dumps({"type": "combine", "lambda": 0.0009995, "a": point, "b": ball})
     result = run_cli("--mesh", "0.8", "geodesic-check", ball_doc([0.0, 0.0]), middle, ball_doc([1.0, 0.0]))
     assert result.exit_code == 0, (result.output, result.stderr, result.exception)
     check = json.loads(result.output)["result"]
-    assert check["verdict"] == "geodesic-ok"
+    d01, d12, _ = check["distances"]
+    assert check["additive"] and check["additivity_tol"] >= 2 * min(d01, d12)
+    assert check["verdict"] == "inconclusive"
     lower, upper = check["radius_bounds"][1]
     assert lower <= 9.995e-4 <= 1e-3 < upper == pytest.approx((9.995e-4 + DEFAULT_TOL) / 0.68, rel=1e-9)
 
@@ -344,6 +348,21 @@ sys.path.insert(0, {src!r})
 import ballbodies.cli as cli
 cli.main(["circ", {ball_doc([0.1, 0.2])!r}], standalone_mode=False)
 assert "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dist_imports_no_classifier_map_or_planar_module():
+    # a fresh process compiles every module it imports; `dist` needs none of these
+    src = str(Path(ballbodies.__file__).resolve().parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import ballbodies.cli as cli
+cli.main(["dist", {ball_doc([0.0, 0.0])!r}, {ball_doc([0.5, 0.0])!r}], standalone_mode=False)
+loaded = [name for name in ("lab", "maps", "planar") if "ballbodies." + name in sys.modules]
+assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import ballbodies.bodies as bodies_module
+import ballbodies.lab as lab_module
 import ballbodies.support as support_module
 from ballbodies.bodies import (
     Combine,
     Generators,
+    Motion,
     apply_motion,
     ball_body,
     body_to_doc,
@@ -479,13 +481,37 @@ def test_the_body_frame_residual_is_the_residual_in_the_image_frame(dim, no_lp):
         assert abs(result.residual_bound - bound) <= 1e-12 * bound
 
 
-def test_an_image_too_deep_to_pull_back_raises_value_error(config2):
-    # a depth-3 test body under 13 c-duals is as deep as a tree may be, so
-    # the pulled-back image g^-1 T K cannot be built; 11 c-duals leave room
+def test_an_image_as_deep_as_a_tree_may_be_classifies(config2):
+    # a depth-3 test body under 13 c-duals is as deep as a tree may be;
+    # stage 3 pulls back the net, not the image, so it adds no node.  Under
+    # 14 c-duals the map itself fails on that body, so it is no isometry
     assert max(body.depth for body in _test_bodies(2, config2.seed)) == 3
-    assert classify_isometry(compose_maps([cdual_map(2)] * 11), config2).kind == "cdual"
-    with pytest.raises(ValueError, match="expression depth exceeds 16"):
-        classify_isometry(compose_maps([cdual_map(2)] * 13), config2)
+    result = classify_isometry(compose_maps([cdual_map(2)] * 13), config2)
+    assert result.kind == "cdual" and result.residual <= 1e-12 < result.residual_bound
+    with pytest.raises(NotIsometryError, match="test body: expression depth exceeds 16"):
+        classify_isometry(compose_maps([cdual_map(2)] * 14), config2)
+
+
+def test_a_warm_stage_three_builds_no_node_and_calls_no_hausdorff(monkeypatch, config2):
+    # after a first call has built and swept the test bodies, the only Motion
+    # nodes are the map's own, one per probe and test body
+    T = motion_map(random_motion(np.random.default_rng(52), 2))
+    first = classify_isometry(T, config2).to_doc()
+    calls = []
+    distance, build = lab_module.hausdorff, Motion.__post_init__
+
+    def counted_distance(*args, **kwargs):
+        calls.append("hausdorff")
+        return distance(*args, **kwargs)
+
+    def counted_build(self):
+        calls.append("Motion")
+        build(self)
+
+    monkeypatch.setattr(lab_module, "hausdorff", counted_distance)
+    monkeypatch.setattr(Motion, "__post_init__", counted_build)
+    assert classify_isometry(T, config2).to_doc() == first
+    assert calls == ["Motion"] * (len(_probes(2)[1]) + N_TEST_BODIES) == ["Motion"] * 30
 
 
 def test_second_classification_prepares_no_leaf(monkeypatch, config2):
@@ -634,11 +660,13 @@ def test_non_geodesic_triple_detected(net2, no_lp):
 
 
 def test_degenerate_identical_bodies(net2, no_lp):
+    # d01 = d12 = 0: the triangle inequality leaves no gap to test, so the
+    # additivity test rejects nothing and shows nothing
     rng = np.random.default_rng(5)
     k = random_body(rng, 2)
     check = geodesic_midpoint_check(k, k, k, net2)
     assert check.additive
-    assert check.verdict == "geodesic-ok"
+    assert check.verdict == "inconclusive"
 
 
 def test_lemma_holds_over_random_segments(net2, no_lp):
