@@ -252,7 +252,7 @@ def cdual_check(config: RunConfig, body):
         return {
             "involution_deviation": inv,
             "support_identity_deviation": ident,
-            "passed": bool(inv <= 2e-6 and ident <= 2e-6),
+            "passed": bool(inv <= 2 * config.support_tol and ident <= 2 * config.support_tol),
         }
 
     _guarded(config, "cdual-check", run)

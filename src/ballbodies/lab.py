@@ -16,8 +16,11 @@ probe image is a point or a unit ball, whose support h(u) = <z, u> + rho is
 affine in u, so one least-squares fit over all images recovers every center
 exactly.  Whether a body is a near-point is read off its sweep: the farthest
 distance from the fitted center bounds the circumradius from above
-(`_ball_fits`), half the largest width from below.  Stage 1 collapses on the
-upper ends; the geodesic midpoint check reads both.
+(`_ball_fits`, by `support.farthest_distances`, the kernel that
+`farthest_distance_batch` uses too), half the largest width from below.
+Stage 1 collapses on the upper ends; the geodesic midpoint check reads both.
+Every distance here gets its certified ends from `support.net_distance`, so
+no net error bound is computed in this module.
 
 The screening tolerance, the collapse radius, the probe points and the
 number of test bodies are the module constants below.  So every probe and
@@ -44,7 +47,7 @@ from .errors import AmbiguousClassificationError, DimensionMismatchError, NotIso
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import SupportEval, as_eval, default_mesh, hausdorff, net_error_bound
+from .support import HausdorffResult, SupportEval, as_eval, default_mesh, farthest_distances, net_distance, sizes
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
@@ -82,18 +85,16 @@ def _probes(dim: int) -> tuple[np.ndarray, tuple[BallBodyExpr, ...], np.ndarray]
     return points, tuple(map(point_body, points)) + tuple(map(ball_body, points)), distances
 
 
-def _pair_bounds(images: list[BallBodyExpr], net: SphereNet, tol: float) -> np.ndarray:
-    """`net_error_bound` of each pair of images, as a (k, k) matrix.
+def _pair_distances(images: list[BallBodyExpr], value, net: SphereNet, tol: float) -> HausdorffResult:
+    """`net_distance` of each pair of images with net distances `value`, as (k, k) arrays.
 
     Each pair's own norm bounds and curvature intervals go in.  The
-    diagonal, no pair, is 0.
+    diagonal, no pair, has error bound 0.
     """
-    norm_bounds = np.array([image.norm_bound for image in images])
-    lo, hi = np.array([image.curvature for image in images]).T
-    curvatures = ((lo[:, None], hi[:, None]), (lo, hi))
-    bound = net_error_bound(net.mesh, (norm_bounds[:, None], norm_bounds), curvatures, (tol, tol))
-    np.fill_diagonal(bound, 0.0)
-    return bound
+    size = sizes(images)
+    pairs = net_distance(value, size[:, :, None], size[:, None, :], net.mesh, (tol, tol))
+    np.fill_diagonal(pairs.error_bound, 0.0)
+    return pairs
 
 
 def _screening(
@@ -112,14 +113,14 @@ def _screening(
     for i in range(k - 1):  # one row at a time: no (k, k, N) array
         after[i, i + 1 :] = np.max(np.abs(sweeps[i + 1 :] - sweeps[i]), axis=1)
     after += after.T
-    shift = np.abs(after - distances)
-    bound = _pair_bounds(images, net, tol)
-    return float(np.max(shift + bound)), max(float(np.max(shift - bound)), 0.0)
+    pairs = _pair_distances(images, after, net, tol)
+    shift = np.abs(pairs.value - distances)
+    return float(np.max(shift + pairs.error_bound)), max(float(np.max(shift - pairs.error_bound)), 0.0)
 
 
 def screening_bound(dim: int, net: SphereNet, tol: float) -> float:
     """The largest error bound screening charges a pair of probe images under the identity."""
-    return float(np.max(_pair_bounds(_probes(dim)[1], net, tol)))
+    return float(np.max(_pair_distances(_probes(dim)[1], 0.0, net, tol).error_bound))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -138,9 +139,9 @@ def _test_models(dim: int, seed: int, kind: str, net: SphereNet, tol: float) -> 
     """
     models = [body if kind == "identity" else c_dual(body) for body in _test_bodies(dim, seed)]
     sweeps = np.vstack([SupportEval(model, tol).on_net(net) for model in models])
-    sizes = np.array([(model.norm_bound, *model.curvature) for model in models]).T
-    sweeps.flags.writeable = sizes.flags.writeable = False
-    return sweeps, sizes
+    size = sizes(models)
+    sweeps.flags.writeable = size.flags.writeable = False
+    return sweeps, size
 
 
 def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +149,10 @@ def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.
 
     Returns the centers z, shape (k, n), exact for points and balls, and
     certified upper ends of the circumradii, shape (k,): the farthest
-    distance from z, at most (max_u (h(u) - <z, u>) + tol) / (1 - mesh^2 / 2)
-    by `support.farthest_distance_batch`'s proof, clamped at 0.  Raises
-    ValueError when the net's directions do not span R^n, so that the fit
-    is not unique, and for a mesh >= sqrt(2), where the bound is void.
+    distance from z by `support.farthest_distances`, the kernel of
+    `farthest_distance_batch` too, clamped at 0.  Raises ValueError when the
+    net's directions do not span R^n, so that the fit is not unique, and for
+    a mesh >= sqrt(2), where the bound is void.
     """
     design = np.hstack([net.directions, np.ones((len(net), 1))])
     coef, _, rank, _ = np.linalg.lstsq(design, sweeps.T, rcond=None)
@@ -160,12 +161,8 @@ def _ball_fits(sweeps: np.ndarray, net: SphereNet, tol) -> tuple[np.ndarray, np.
             f"the net's {len(net)} directions do not span R^{net.dim}: "
             f"ball fits need rank {net.dim + 1}, got {rank}"
         )
-    shrink = 1.0 - net.mesh**2 / 2.0
-    if not shrink > 0:
-        raise ValueError(f"farthest distances need a net mesh below sqrt(2), got {net.mesh}")
     centers = coef[:-1].T
-    reach = np.max(sweeps - centers @ net.directions.T, axis=1)
-    return centers, np.maximum((reach + tol) / shrink, 0.0)
+    return centers, np.maximum(farthest_distances(sweeps, centers, net, tol), 0.0)
 
 
 @dataclass
@@ -280,11 +277,12 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     pulled, shift = net.directions @ inverse.rotation, net.directions @ inverse.translation
     images = [_image(T, body, "test body") for body in _test_bodies(dim, config.seed)]
     image_rows = np.vstack([SupportEval(image, config.tol).batch(pulled) for image in images]) + shift
-    model_rows, (model_bounds, *model_curvature) = _test_models(dim, config.seed, kind, net, config.tol)
-    norm_bounds, *curvature = np.array([(image.norm_bound, *image.curvature) for image in images]).T
-    moved = norm_bounds + float(np.linalg.norm(inverse.translation))  # a motion keeps T K's curvature
-    bound = net_error_bound(net.mesh, (moved, model_bounds), (curvature, model_curvature), (config.tol, config.tol))
-    residual, residual_bound = float(np.max(np.abs(image_rows - model_rows))), float(np.max(bound))
+    model_rows, model_sizes = _test_models(dim, config.seed, kind, net, config.tol)
+    moved = sizes(images)
+    moved[0] += float(np.linalg.norm(inverse.translation))  # a motion keeps T K's curvature
+    value = np.max(np.abs(image_rows - model_rows), axis=1)
+    pairs = net_distance(value, moved, model_sizes, net.mesh, (config.tol, config.tol))
+    residual, residual_bound = float(np.max(pairs.value)), float(np.max(pairs.error_bound))
 
     return IsometryClassification(
         kind=kind,
@@ -344,30 +342,32 @@ def geodesic_midpoint_check(
     distances' sweeps: half the largest width h(u) + h(-u), less tol, below
     (no thinner ball holds the body), and `_ball_fits` above.
     """
-    K0, K1, K2 = (as_eval(k, tol) for k in (K0, K1, K2))  # one sweep each, shared by the memo
-    r01 = hausdorff(K0, K1, net, tol)
-    r12 = hausdorff(K1, K2, net, tol)
-    r02 = hausdorff(K0, K2, net, tol)
-    gap = abs(r01.value + r12.value - r02.value)
-    gap_tol = r01.error_bound + r12.error_bound + r02.error_bound
+    evals = [as_eval(k, tol) for k in (K0, K1, K2)]
+    sweeps = np.vstack([k.on_net(net) for k in evals])
+    tols = np.array([k.tol for k in evals])
+    first, second = [0, 1, 0], [1, 2, 2]  # the pairs 01, 12 and 02
+    size = sizes(evals)
+    value = np.max(np.abs(sweeps[first] - sweeps[second]), axis=1)
+    pairs = net_distance(value, size[:, first], size[:, second], net.mesh, (tols[first], tols[second]))
+    (d01, d12, d02), (e01, e12, e02) = pairs.value.tolist(), pairs.error_bound.tolist()
+    gap = abs(d01 + d12 - d02)
+    gap_tol = e01 + e12 + e02
     additive = gap <= gap_tol
-    sweeps = np.vstack([k.on_net(net) for k in (K0, K1, K2)])
-    tols = np.array([k.tol for k in (K0, K1, K2)])
     widths = np.max(sweeps.reshape(3, 2, -1).sum(axis=1), axis=1)  # the net is [half; -half]
     lower, upper = np.maximum(widths / 2.0 - tols, 0.0), _ball_fits(sweeps, net, tols)[1]
     radii = tuple(zip(lower.tolist(), upper.tolist()))
     if not additive:
         verdict = "not-a-geodesic-triple"
-    elif gap_tol >= 2.0 * min(r01.value, r12.value):
+    elif gap_tol >= 2.0 * min(d01, d12):
         verdict = "inconclusive"
     elif lower[0] >= POINT_RADIUS_TOL and lower[2] >= POINT_RADIUS_TOL and upper[1] < POINT_RADIUS_TOL:
         verdict = "midpoint-collapse"
     else:
         verdict = "geodesic-ok"
     return GeodesicCheck(
-        d01=r01.value,
-        d12=r12.value,
-        d02=r02.value,
+        d01=d01,
+        d12=d12,
+        d02=d02,
         additivity_gap=gap,
         additivity_tol=gap_tol,
         radii=radii,

@@ -113,7 +113,7 @@ def criterion_1(ctx: SelftestContext) -> CriterionResult:
             h = SupportEval(body, ctx.tol).on_net(net)
             hcc = SupportEval(c_dual(c_dual(body)), ctx.tol).on_net(net)
             worst = max(worst, float(np.max(np.abs(hcc - h))))
-    status = "pass" if worst <= 2e-6 else "fail"
+    status = "pass" if worst <= 2 * ctx.tol else "fail"
     return CriterionResult(1, CRITERIA_NAMES[1], status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)})
 
 
@@ -127,7 +127,7 @@ def criterion_2(ctx: SelftestContext) -> CriterionResult:
             h = SupportEval(body, ctx.tol).on_net(net)
             g = SupportEval(c_dual(body), ctx.tol).batch(-net.directions)
             worst = max(worst, float(np.max(np.abs(h + g - 1.0))))
-    status = "pass" if worst <= 2e-6 else "fail"
+    status = "pass" if worst <= 2 * ctx.tol else "fail"
     return CriterionResult(2, CRITERIA_NAMES[2], status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)})
 
 
@@ -156,7 +156,7 @@ def criterion_4(ctx: SelftestContext) -> CriterionResult:
         left = SupportEval(c_dual(combine(lam, k, t)), ctx.tol).on_net(net)
         right = SupportEval(combine(lam, c_dual(k), c_dual(t)), ctx.tol).on_net(net)
         worst = max(worst, float(np.max(np.abs(left - right))))
-    status = "pass" if worst <= 2e-6 else "fail"
+    status = "pass" if worst <= 2 * ctx.tol else "fail"
     return CriterionResult(4, CRITERIA_NAMES[4], status, {"triples": count, "max_deviation": _fmt(worst)})
 
 

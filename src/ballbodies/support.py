@@ -17,11 +17,15 @@ second order in the mesh: each node carries an interval for h + h'' (see
 great circle, and a net point within `mesh` of the maximizer of |f| sees
 all of sup |f| but (sup |f| + rho) mesh^2 / 2.  The bound depends on the
 bodies' norm bounds and curvature intervals, the mesh and the oracle
-tolerances only, not on the values swept.
+tolerances only, not on the values swept.  `net_distance` is the one place
+where a net distance gets its certified ends: `hausdorff` and every
+distance the classifier and the geodesic check take go through it, for one
+pair or for a whole array of pairs at once, with the bodies' `sizes`.
 
 Reconstruction from point distances lives here too.  The distance of a
 point x to a body is max over u of h(u) - <x, u>; `farthest_distance_batch`
-bounds it from above from the same net sweep, in any dimension.
+bounds it from above from the same net sweep, in any dimension, by
+`farthest_distances`, the one farthest-distance kernel.
 `reconstruct` builds the intersection of the balls around the probes, and
 `reconstruct_from_grid` runs the whole check, from a body's distances to a
 square probe grid to the reconstruction's distance from it.
@@ -120,8 +124,14 @@ class SupportEval:
         return _eval_batch(self.body, np.asarray(dirs, dtype=float), self.tol)
 
     def on_net(self, net: SphereNet) -> np.ndarray:
-        """Support sweep over a net, memoized per net object (pure, transparent)."""
+        """Support sweep over a net, memoized per net object (pure, transparent).
+
+        Raises DimensionMismatchError for a net of another dimension; every
+        net operation below checks its net here, once per net.
+        """
         if net not in self._net_cache:
+            if net.dim != self.dim:
+                raise DimensionMismatchError(f"net dimension {net.dim} does not match the body's {self.dim}")
             self._net_cache[net] = self.batch(net.directions)
         return self._net_cache[net]
 
@@ -146,7 +156,8 @@ class HausdorffResult(NamedTuple):
 
     `value` is the net maximum of the computed support difference, and
     `error_bound` is the two bodies' `net_error_bound`, the smaller of the
-    Lipschitz slack and the curvature slack.
+    Lipschitz slack and the curvature slack.  From `net_distance` the
+    fields may be arrays of many pairs, and the ends are then elementwise.
     """
 
     value: float
@@ -159,7 +170,7 @@ class HausdorffResult(NamedTuple):
 
     @property
     def lower(self) -> float:
-        return max(self.value - self.lower_slack, 0.0)
+        return np.maximum(self.value - self.lower_slack, 0.0)
 
 
 def net_error_bound(mesh: float, norm_bounds, curvatures, tols):
@@ -191,15 +202,31 @@ def net_error_bound(mesh: float, norm_bounds, curvatures, tols):
     proof.  Every net error bound and every vacuity gate built on one comes
     from here.
     """
-    # builtins for scalars: a ufunc call costs more than hausdorff's arithmetic
-    larger, smaller = (np.maximum, np.minimum) if isinstance(norm_bounds[0], np.ndarray) else (max, min)
     tol_slack = 2.0 * sum(tols)
-    lipschitz = 2.0 * functools.reduce(larger, norm_bounds) * mesh + tol_slack
+    lipschitz = 2.0 * functools.reduce(np.maximum, norm_bounds) * mesh + tol_slack
     if curvatures is None:
         return lipschitz
     (lo_k, hi_k), (lo_t, hi_t) = curvatures
-    rho = larger(hi_k - lo_t, hi_t - lo_k)
-    return smaller(lipschitz, (sum(norm_bounds) + rho) * mesh**2 / 2.0 + tol_slack)
+    rho = np.maximum(hi_k - lo_t, hi_t - lo_k)
+    return np.minimum(lipschitz, (sum(norm_bounds) + rho) * mesh**2 / 2.0 + tol_slack)
+
+
+def sizes(bodies) -> np.ndarray:
+    """The (3, k) rows of the bodies' norm bounds and curvature ends lo and hi, as `net_distance` takes them."""
+    return np.array([(body.norm_bound, *body.curvature) for body in bodies]).T
+
+
+def net_distance(value, sizes_k, sizes_t, mesh: float, tols) -> HausdorffResult:
+    """Certified ends of net sup-norm distances `value` between bodies K and T.
+
+    `sizes_k` and `sizes_t` are rows of `sizes`, and `tols` the two oracle
+    tolerances.  The upper slack is `net_error_bound`, the lower one 2
+    sum(tols).  Value, sizes and tolerances broadcast, so one call certifies
+    any array of pairs.
+    """
+    (nb_k, *curvature_k), (nb_t, *curvature_t) = sizes_k, sizes_t
+    bound = net_error_bound(mesh, (nb_k, nb_t), (curvature_k, curvature_t), tols)
+    return HausdorffResult(value, bound, 2.0 * sum(tols))
 
 
 def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult:
@@ -209,17 +236,9 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
     by at most `net_error_bound` of the two bodies, second order in the mesh.
     """
     ek, et = as_eval(K, tol), as_eval(T, tol)
-    if ek.dim != et.dim:
-        raise DimensionMismatchError("bodies live in different dimensions")
-    if net.dim != ek.dim:
-        raise DimensionMismatchError("net dimension does not match the bodies")
-    hk = ek.on_net(net)
-    ht = et.on_net(net)
-    value = float(np.max(np.abs(hk - ht)))
-    error = net_error_bound(
-        net.mesh, (ek.norm_bound, et.norm_bound), (ek.curvature, et.curvature), (ek.tol, et.tol)
-    )
-    return HausdorffResult(value, error, 2.0 * (ek.tol + et.tol))
+    value = float(np.max(np.abs(ek.on_net(net) - et.on_net(net))))
+    result = net_distance(value, *sizes((ek, et)).T, net.mesh, (ek.tol, et.tol))
+    return result._replace(error_bound=float(result.error_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +256,6 @@ def circumball(K, net: SphereNet, tol: float = DEFAULT_TOL) -> Ball:
     are `circ` and selftest criteria 6 and 11; `lab` solves no LP.
     """
     ev = as_eval(K, tol)
-    if net.dim != ev.dim:
-        raise DimensionMismatchError("net dimension does not match the body")
     center, radius = circumcenter_lp(net.directions, ev.on_net(net))
     return Ball(center, max(radius, 0.0))
 
@@ -261,8 +278,6 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
     """
     ev = as_eval(K, tol)
     y = as_vector(y, ev.dim)
-    if net.dim != ev.dim:
-        raise DimensionMismatchError("net dimension does not match the body")
     h = ev.on_net(net)
     margin = float(np.min(h - net.directions @ y))
     body = ev.body
@@ -290,9 +305,25 @@ def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL) -> float:
 def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Certified upper bounds on the farthest-point distances from many probes, in any dimension.
 
-    One memoized sweep of the body over the net, one matrix product and one
-    maximum: the value for a probe x is (max over net directions u of
-    h(u) - <x, u>, plus tol) / (1 - mesh^2 / 2).
+    One memoized sweep of the body over the net, then `farthest_distances`.
+
+    Raises DimensionMismatchError for probes or a net of another dimension,
+    and ValueError for a net with mesh >= sqrt(2), where the bound is void.
+    """
+    ev = as_eval(K, tol)
+    xs = as_points(xs)
+    if xs.shape[1] != ev.dim:
+        raise DimensionMismatchError(f"probes have dimension {xs.shape[1]}, the body {ev.dim}")
+    return farthest_distances(ev.on_net(net), xs, net, ev.tol)
+
+
+def farthest_distances(sweeps: np.ndarray, xs: np.ndarray, net: SphereNet, tol) -> np.ndarray:
+    """Certified upper bounds on the farthest distances from points xs to bodies, from their net sweeps.
+
+    The value for a point x and a sweep h is (max over net directions u of
+    h(u) - <x, u>, plus tol) / (1 - mesh^2 / 2).  `sweeps` is one body's
+    sweep, for many points, or one sweep per point; `tol` a tolerance or one
+    per row.
 
     Proof that it is never below the truth: let y* be a farthest point of the
     body and R = |y* - x| > 0.  Every direction u has h(u) - <x, u> >=
@@ -302,20 +333,12 @@ def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFA
     Conversely the net maximum minus tol is a certified lower bound, so the
     value exceeds R by at most (R mesh^2 / 2 + 2 tol) / (1 - mesh^2 / 2).
 
-    Raises DimensionMismatchError for probes or a net of another dimension,
-    and ValueError for a net with mesh >= sqrt(2), where the bound is void.
+    Raises ValueError for a net with mesh >= sqrt(2), where the bound is void.
     """
-    ev = as_eval(K, tol)
-    xs = as_points(xs)
-    if xs.shape[1] != ev.dim:
-        raise DimensionMismatchError(f"probes have dimension {xs.shape[1]}, the body {ev.dim}")
-    if net.dim != ev.dim:
-        raise DimensionMismatchError("net dimension does not match the body")
     shrink = 1.0 - net.mesh**2 / 2.0
     if not shrink > 0:
         raise ValueError(f"farthest distances need a net mesh below sqrt(2), got {net.mesh}")
-    best = np.max(ev.on_net(net)[None, :] - xs @ net.directions.T, axis=1)
-    return (best + ev.tol) / shrink
+    return (np.max(sweeps - xs @ net.directions.T, axis=1) + tol) / shrink
 
 
 def reconstruct(distances, net: SphereNet, tol: float = DEFAULT_TOL) -> SupportEval:

@@ -83,3 +83,33 @@ def test_no_net_error_bound_takes_a_hand_set_norm_bound_or_curvature():
             args += [kw.value for kw in node.keywords if kw.arg in checked]
             found += [f"{name}:{node.lineno}: {lit}" for arg in args for lit in _numeric_literals(arg)]
     assert not found, "net_error_bound called with literal norm bounds or curvatures:\n" + "\n".join(found)
+
+
+def _mentions_mesh(node: ast.AST) -> bool:
+    return any(getattr(n, "id", getattr(n, "attr", None)) == "mesh" for n in ast.walk(node))
+
+
+def test_lab_leaves_certified_net_arithmetic_to_support():
+    # ROADMAP aim 2: one place per algorithm.  Net distances take their
+    # certified ends from `support.net_distance` and farthest distances from
+    # `support.farthest_distances`, so a tighter bound lands in one function
+    tree = ast.parse((SOURCE / "lab.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        else:
+            names = []
+        found += [f"lab.py:{node.lineno}: {name}" for name in names if name in {"hausdorff", "net_error_bound"}]
+        squares = isinstance(node, ast.BinOp) and (
+            isinstance(node.op, ast.Pow)
+            and _mentions_mesh(node.left)
+            or isinstance(node.op, ast.Mult)
+            and ast.dump(node.left) == ast.dump(node.right)
+            and _mentions_mesh(node.left)
+        )
+        if squares:
+            found.append(f"lab.py:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "lab.py does its own certified net arithmetic:\n" + "\n".join(found)

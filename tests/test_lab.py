@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ballbodies.bodies as bodies_module
-import ballbodies.lab as lab_module
 import ballbodies.support as support_module
 from ballbodies.bodies import (
     Combine,
@@ -498,7 +497,7 @@ def test_a_warm_stage_three_builds_no_node_and_calls_no_hausdorff(monkeypatch, c
     T = motion_map(random_motion(np.random.default_rng(52), 2))
     first = classify_isometry(T, config2).to_doc()
     calls = []
-    distance, build = lab_module.hausdorff, Motion.__post_init__
+    distance, build = support_module.hausdorff, Motion.__post_init__
 
     def counted_distance(*args, **kwargs):
         calls.append("hausdorff")
@@ -508,7 +507,7 @@ def test_a_warm_stage_three_builds_no_node_and_calls_no_hausdorff(monkeypatch, c
         calls.append("Motion")
         build(self)
 
-    monkeypatch.setattr(lab_module, "hausdorff", counted_distance)
+    monkeypatch.setattr(support_module, "hausdorff", counted_distance)
     monkeypatch.setattr(Motion, "__post_init__", counted_build)
     assert classify_isometry(T, config2).to_doc() == first
     assert calls == ["Motion"] * (len(_probes(2)[1]) + N_TEST_BODIES) == ["Motion"] * 30

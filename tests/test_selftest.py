@@ -6,10 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 from ballbodies import selftest
+from ballbodies.bodies import CDual
 from ballbodies.cli import main
 from ballbodies.errors import EmptyRasterError
-from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, SelftestContext, run_selftest
-from ballbodies.support import default_mesh
+from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, SelftestContext, criterion_1, run_selftest
+from ballbodies.support import SupportEval, default_mesh
 
 
 @pytest.fixture
@@ -65,3 +66,25 @@ def test_selftest_nets_are_the_shipped_nets():
     assert net.mesh == default_mesh(3) and len(net) == 384
     coarse = SelftestContext(mesh=0.08)  # one mesh in every dimension
     assert coarse.net(2).mesh == coarse.net(3).mesh == 0.08
+
+
+def test_duality_gates_are_twice_the_run_tolerance(monkeypatch):
+    # each of the two compared sweeps is within tol of the truth, so the gate
+    # is 2 tol: a shift of 1e-7 hides under a fixed 2e-6, not under 2e-9
+    ball = '{"type": "generators", "centers": [[0.1, 0.2]]}'
+    ctx = SelftestContext(tol=1e-9, scale=0.03)
+
+    def cdual_check():
+        result = CliRunner().invoke(main, ["--tol", "1e-9", "cdual-check", ball])
+        assert result.exit_code == 0, (result.output, result.exception)
+        return json.loads(result.output)["result"]["passed"]
+
+    assert criterion_1(ctx).status == "pass" and cdual_check() is True
+    sweep = SupportEval.on_net
+
+    def shifted(self, net):  # moves the sweep of every double c-dual
+        h = sweep(self, net)
+        return h + 1e-7 if isinstance(self.body, CDual) and isinstance(self.body.of, CDual) else h
+
+    monkeypatch.setattr(SupportEval, "on_net", shifted)
+    assert criterion_1(ctx).status == "fail" and cdual_check() is False

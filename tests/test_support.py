@@ -17,6 +17,7 @@ from ballbodies.bodies import (
 from ballbodies.corpus import body_pairs
 from ballbodies.errors import DimensionMismatchError, EmptyReconstructionError
 from ballbodies.geometry import RigidMotion, make_sphere_net
+from ballbodies.lab import geodesic_midpoint_check
 from ballbodies.support import (
     SupportEval,
     circumball,
@@ -355,6 +356,25 @@ def test_contains_rejects_far_points(net2):
 def test_contains_rejects_a_net_of_another_dimension():
     with pytest.raises(DimensionMismatchError, match="net dimension"):
         contains_point(ball_body([0.0, 0.0]), [0.0, 0.0], make_sphere_net(3, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: SupportEval(ball_body([0.0, 0.0])).on_net(net),
+        lambda net: hausdorff(ball_body([0.0, 0.0]), point_body([0.5, 0.0]), net),
+        lambda net: hausdorff(ball_body([0.0, 0.0, 0.0]), ball_body([0.0, 0.0]), net),
+        lambda net: circumball(ball_body([0.0, 0.0]), net),
+        lambda net: farthest_distance_batch(ball_body([0.0, 0.0]), np.zeros((1, 2)), net),
+        lambda net: geodesic_midpoint_check(*[ball_body([0.0, 0.0])] * 3, net),
+    ],
+    ids=["on_net", "hausdorff", "hausdorff-bodies", "circumball", "farthest_distance_batch", "geodesic"],
+)
+def test_a_net_of_another_dimension_is_rejected(call, net3):
+    # `SupportEval.on_net` is the one net-dimension check; the 3-d body of
+    # the second hausdorff case meets the 3-d net, but its 2-d partner does not
+    with pytest.raises(DimensionMismatchError, match="net dimension 3 does not match the body's 2"):
+        call(net3)
 
 
 def test_exact_and_net_membership_agree(net2):
