@@ -3,13 +3,14 @@
 Bodies and maps arrive as JSON documents (a file path, ``-`` for stdin, or
 an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
-2 parse error, 3 invariant violation, 4 classification-premise failure,
-5 adaptive resolution exhausted.
+1 a selftest criterion failed, 2 parse error, 3 invariant violation,
+4 classification-premise failure, 5 adaptive resolution exhausted.
 SciPy, ``lab``, ``maps`` and ``planar`` are imported only by the commands that use them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .geometry import make_sphere_net
 from .solver import DEFAULT_TOL
 from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid
 
+EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_PREMISE = 4
@@ -158,13 +160,30 @@ def _fail(command: str, exc: Exception) -> None:
     raise exc
 
 
-def _guarded(config: RunConfig, command: str, fn) -> None:
-    try:
-        _emit(config, command, fn())
-    except SystemExit:
-        raise
-    except Exception as exc:  # mapped to the documented exit codes
-        _fail(command, exc)
+def _reported(fn):
+    """Command callback: emits `fn(config, ...)` as the report of the command
+    being run, under its click name, and maps its errors to the exit codes."""
+
+    @functools.wraps(fn)
+    def command(*args, **kwargs):
+        ctx = click.get_current_context()
+        try:
+            result = fn(ctx.obj, *args, **kwargs)
+            _emit(ctx.obj, ctx.info_name, result)
+        except Exception as exc:  # mapped to the documented exit codes
+            _fail(ctx.info_name, exc)
+        return result
+
+    return command
+
+
+def _bodies(config: RunConfig, *sources: str):
+    """The parsed body documents and their dimension, resolved against --dim."""
+    bodies = [parse_body(_load_document(source)) for source in sources]
+    dims = [str(body.dim) for body in bodies]
+    if len(set(dims)) > 1:
+        raise DimensionMismatchError(f"bodies have dimensions {', '.join(dims[:-1])} and {dims[-1]}")
+    return bodies, config.resolve_dim(bodies[0].dim)
 
 
 @click.group()
@@ -187,200 +206,153 @@ def main(ctx, dim, mesh, tol, seed, oracle, out):
 @main.command()
 @click.argument("body_a")
 @click.argument("body_b")
-@click.pass_obj
+@_reported
 def dist(config: RunConfig, body_a, body_b):
     """Hausdorff distance between two body documents."""
+    (a, b), dim = _bodies(config, body_a, body_b)
+    net = config.net(dim)
+    res = hausdorff(a, b, net, config.support_tol)
+    result = {"value": res.value, "error_bound": res.error_bound}
+    if config.oracle:
+        if dim == 2:
+            from .raster import ORACLE_CELL, raster_hausdorff, rasterize
 
-    def run():
-        a = parse_body(_load_document(body_a))
-        b = parse_body(_load_document(body_b))
-        if a.dim != b.dim:
-            raise DimensionMismatchError(f"bodies have dimensions {a.dim} and {b.dim}")
-        dim = config.resolve_dim(a.dim)
-        net = config.net(dim)
-        res = hausdorff(a, b, net, config.support_tol)
-        result = {"value": res.value, "error_bound": res.error_bound}
-        if config.oracle:
-            if dim == 2:
-                from .raster import ORACLE_CELL, raster_hausdorff, rasterize
-
-                result["oracle_value"] = raster_hausdorff(
-                    rasterize(a, ORACLE_CELL), rasterize(b, ORACLE_CELL)
-                )
-            else:
-                result["oracle_value"] = None
-        return result
-
-    _guarded(config, "dist", run)
+            result["oracle_value"] = raster_hausdorff(
+                rasterize(a, ORACLE_CELL), rasterize(b, ORACLE_CELL)
+            )
+        else:
+            result["oracle_value"] = None
+    return result
 
 
 @main.command()
 @click.argument("body")
 @click.option("--direction", "-u", required=True, help="Unit direction as a JSON array.")
-@click.pass_obj
+@_reported
 def support(config: RunConfig, body, direction):
     """Support-function value of a body in one direction."""
-
-    def run():
-        expr = parse_body(_load_document(body))
-        u = np.asarray(json.loads(direction), dtype=float)
-        config.resolve_dim(expr.dim)
-        ev = SupportEval(expr, config.support_tol)
-        return {"direction": u.tolist(), "value": ev(u), "tolerance": ev.tol}
-
-    _guarded(config, "support", run)
-
-
-@main.command("cdual-check")
-@click.argument("body")
-@click.pass_obj
-def cdual_check(config: RunConfig, body):
-    """Duality identities for one body: involution and the support identity."""
-
-    def run():
-        from .bodies import c_dual
-
-        expr = parse_body(_load_document(body))
-        dim = config.resolve_dim(expr.dim)
-        net = config.net(dim)
-        ev = SupportEval(expr, config.support_tol)
-        h = ev.on_net(net)
-        hcc = SupportEval(c_dual(c_dual(expr)), config.support_tol).on_net(net)
-        g = SupportEval(c_dual(expr), config.support_tol).batch(-net.directions)
-        inv = float(np.max(np.abs(hcc - h)))
-        ident = float(np.max(np.abs(h + g - 1.0)))
-        return {
-            "involution_deviation": inv,
-            "support_identity_deviation": ident,
-            "passed": bool(inv <= 2 * config.support_tol and ident <= 2 * config.support_tol),
-        }
-
-    _guarded(config, "cdual-check", run)
+    (expr,), _ = _bodies(config, body)
+    u = np.asarray(json.loads(direction), dtype=float)
+    ev = SupportEval(expr, config.support_tol)
+    return {"direction": u.tolist(), "value": ev(u), "tolerance": ev.tol}
 
 
 @main.command()
 @click.argument("body")
-@click.pass_obj
+@_reported
+def cdual_check(config: RunConfig, body):
+    """Duality identities for one body: involution and the support identity."""
+    from .bodies import c_dual
+
+    (expr,), dim = _bodies(config, body)
+    net = config.net(dim)
+    ev = SupportEval(expr, config.support_tol)
+    h = ev.on_net(net)
+    hcc = SupportEval(c_dual(c_dual(expr)), config.support_tol).on_net(net)
+    g = SupportEval(c_dual(expr), config.support_tol).batch(-net.directions)
+    inv = float(np.max(np.abs(hcc - h)))
+    ident = float(np.max(np.abs(h + g - 1.0)))
+    return {
+        "involution_deviation": inv,
+        "support_identity_deviation": ident,
+        "passed": bool(inv <= 2 * config.support_tol and ident <= 2 * config.support_tol),
+    }
+
+
+@main.command()
+@click.argument("body")
+@_reported
 def circ(config: RunConfig, body):
     """Circumball (smallest enclosing ball) of a body."""
-
-    def run():
-        expr = parse_body(_load_document(body))
-        dim = config.resolve_dim(expr.dim)
-        ball = circumball(expr, config.net(dim), config.support_tol)
-        return {"center": ball.center.tolist(), "radius": ball.radius}
-
-    _guarded(config, "circ", run)
+    (expr,), dim = _bodies(config, body)
+    ball = circumball(expr, config.net(dim), config.support_tol)
+    return {"center": ball.center.tolist(), "radius": ball.radius}
 
 
-@main.command("reconstruct")
+@main.command("reconstruct")  # not `reconstruct`: perfbench's tracer rebinds that name here
 @click.argument("body")
 @click.option("--grid-step", type=float, default=0.5, show_default=True)
 @click.option("--grid-extent", type=float, default=3.0, show_default=True)
-@click.pass_obj
+@_reported
 def reconstruct_cmd(config: RunConfig, body, grid_step, grid_extent):
     """Rebuild a planar body from its distances to a probe grid."""
-
-    def run():
-        expr = parse_body(_load_document(body))
-        dim = config.resolve_dim(expr.dim)
-        rec = reconstruct_from_grid(expr, grid_step, grid_extent, config.net(dim), config.support_tol)
-        return {
-            "probes": rec.probes,
-            "support_dominance_min": rec.dominance_min,
-            "distance": rec.distance.value,
-            "distance_error_bound": rec.distance.error_bound,
-        }
-
-    _guarded(config, "reconstruct", run)
+    (expr,), dim = _bodies(config, body)
+    rec = reconstruct_from_grid(expr, grid_step, grid_extent, config.net(dim), config.support_tol)
+    return {
+        "probes": rec.probes,
+        "support_dominance_min": rec.dominance_min,
+        "distance": rec.distance.value,
+        "distance_error_bound": rec.distance.error_bound,
+    }
 
 
-@main.command("geodesic-check")
+@main.command()
 @click.argument("body0")
 @click.argument("body1")
 @click.argument("body2")
-@click.pass_obj
+@_reported
 def geodesic_check(config: RunConfig, body0, body1, body2):
     """Betweenness additivity and the midpoint-collapse check for a triple."""
+    from .lab import geodesic_midpoint_check
 
-    def run():
-        from .lab import geodesic_midpoint_check
-        k0 = parse_body(_load_document(body0))
-        k1 = parse_body(_load_document(body1))
-        k2 = parse_body(_load_document(body2))
-        dim = config.resolve_dim(k0.dim)
-        net = config.net(dim)
-        return geodesic_midpoint_check(k0, k1, k2, net, config.support_tol).to_doc()
-
-    _guarded(config, "geodesic-check", run)
+    (k0, k1, k2), dim = _bodies(config, body0, body1, body2)
+    net = config.net(dim)
+    return geodesic_midpoint_check(k0, k1, k2, net, config.support_tol).to_doc()
 
 
 @main.command()
 @click.argument("map_doc")
-@click.pass_obj
+@_reported
 def classify(config: RunConfig, map_doc):
     """Normal form of a black-box isometry: a motion, or a motion after duality."""
+    from .lab import ClassifierConfig, classify_isometry
+    from .maps import map_dimension
 
-    def run():
-        from .lab import ClassifierConfig, classify_isometry
-        from .maps import map_dimension
-        doc = _load_document(map_doc)
-        dim = config.resolve_dim(map_dimension(doc))
-        T = parse_map(doc, dim)
-        cfg = ClassifierConfig(
-            dimension=dim, net=config.net(dim), tol=config.support_tol, seed=config.seed
-        )
-        return classify_isometry(T, cfg).to_doc()
-
-    _guarded(config, "classify", run)
+    doc = _load_document(map_doc)
+    dim = config.resolve_dim(map_dimension(doc))
+    T = parse_map(doc, dim)
+    cfg = ClassifierConfig(
+        dimension=dim, net=config.net(dim), tol=config.support_tol, seed=config.seed
+    )
+    return classify_isometry(T, cfg).to_doc()
 
 
 @main.command()
 @click.argument("map_doc")
 @click.option("--target", required=True, help="Target point as a JSON array.")
-@click.pass_obj
+@_reported
 def surjectivity(config: RunConfig, map_doc, target):
     """Degree-based surjectivity evidence for a planar continuous map."""
+    from .planar import surjectivity_probe_planar
 
-    def run():
-        from .planar import surjectivity_probe_planar
-        T = parse_map(_load_document(map_doc), config.resolve_dim(2))
-        if not T.planar:
-            raise ValueError("surjectivity probing needs a planar map document")
-        return surjectivity_probe_planar(T, json.loads(target), seed=config.seed).to_doc()
-
-    _guarded(config, "surjectivity", run)
+    T = parse_map(_load_document(map_doc), config.resolve_dim(2))
+    return surjectivity_probe_planar(T, json.loads(target), seed=config.seed).to_doc()
 
 
 @main.command()
 @click.option("--profile", type=click.Choice(["full", "quick"]), default="full", show_default=True)
 @click.option("--criteria", type=str, default=None, help="Comma-separated criterion ids.")
-@click.pass_obj
-def selftest(config: RunConfig, profile, criteria):
+def selftest(profile, criteria):
     """Run the acceptance criteria; nonzero exit if any criterion fails."""
+    if _selftest_report(profile, criteria)["failed"]:
+        sys.exit(EXIT_FAILED)
 
-    def run():
-        from .selftest import run_selftest
 
-        chosen = None
-        if criteria:
-            chosen = [int(c) for c in criteria.split(",") if c.strip()]
-        return run_selftest(
-            seed=config.seed,
-            tol=config.support_tol,
-            net_mesh=config.net_mesh,
-            profile=profile,
-            criteria=chosen,
-        )
+@_reported
+def _selftest_report(config: RunConfig, profile, criteria):
+    """The `selftest` report, emitted and guarded like every command's."""
+    from .selftest import run_selftest
 
-    try:
-        report = run()
-    except Exception as exc:
-        _fail("selftest", exc)
-        return
-    _emit(config, "selftest", report)
-    if report["failed"]:
-        sys.exit(1)
+    chosen = None
+    if criteria:
+        chosen = [int(c) for c in criteria.split(",") if c.strip()]
+    return run_selftest(
+        seed=config.seed,
+        tol=config.support_tol,
+        net_mesh=config.net_mesh,
+        profile=profile,
+        criteria=chosen,
+    )
 
 
 if __name__ == "__main__":

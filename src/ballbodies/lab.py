@@ -37,7 +37,7 @@ earlier calls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class IsometryClassification:
     fit_rms: float
     stage1_point_radius: float  # certified upper ends of the circumradii: see `_ball_fits`
     stage1_ball_radius: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_doc(self) -> dict:
         return {
@@ -220,7 +220,8 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     any input, or when neither probe family collapses to points (impossible
     for a true isometry), AmbiguousClassificationError when both do,
     DimensionMismatchError when the net is not of the config's dimension,
-    and ValueError when the net's directions do not span the space.
+    and ValueError when `T` is a planar point map or the net's directions
+    do not span the space.
 
     The probes and test bodies come from `config`'s dimension and seed and
     are built once per distinct value (see `ClassifierConfig`); they are
@@ -229,6 +230,8 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     swept afresh on every call, a test body's image on the net pulled back
     by the fitted motion.
     """
+    if T.planar:
+        raise ValueError("classification needs a map of bodies, not a planar point map")
     net = config.net
     dim = config.dimension
     if net.dim != dim:

@@ -17,7 +17,7 @@ the random samples varies between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,8 +142,8 @@ class SurjectivityReport:
     preimage: np.ndarray | None
     preimage_residual: float
     homotopy_min: float
-    hypothesis_flags: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    hypothesis_flags: list
+    notes: list
 
     def to_doc(self) -> dict:
         return {
@@ -227,9 +227,9 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
     probe and the preimage hunt's starts.  `target` must be a finite point
     of the plane.
     """
-    target = as_vector(target, 2)
     if not f.planar:
         raise ValueError("surjectivity probing needs a planar point map")
+    target = as_vector(target, 2)
 
     f0 = np.asarray(f(np.zeros(2)))
     base = 2.0 * (float(np.linalg.norm(target - f0)) + 1.0)

@@ -1,6 +1,7 @@
 """Self-test suite: every shipped correctness claim as a pass/fail criterion.
 
-Each criterion returns "pass", "fail", or "vacuous"; the last means the
+Each criterion returns its status, "pass", "fail" or "vacuous", and its
+details; `CRITERIA` gives each its id and name.  "vacuous" means the
 configured resolution makes the claim's certified bounds wider than the
 structural gap being tested, so neither pass nor fail would be meaningful.
 Counts scale with the profile ("full" runs the shipped sizes, "quick" a
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,28 +48,13 @@ from .support import (
     reconstruct_from_grid,
 )
 
-CRITERIA_NAMES = {
-    1: "cdual-involution",
-    2: "support-identity",
-    3: "cdual-preserves-distance",
-    4: "duality-respects-averaging",
-    5: "point-to-ball-gap",
-    6: "circumradius-range-and-rigidity",
-    7: "reconstruction-from-distances",
-    8: "no-point-between-bodies",
-    9: "isometry-classifier",
-    10: "planar-surjectivity",
-    11: "raster-oracle-agreement",
-    12: "report-determinism",
-}
-
 
 @dataclass
 class CriterionResult:
     cid: int
     name: str
     status: str  # "pass" | "fail" | "vacuous"
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_doc(self) -> dict:
         return {"id": self.cid, "name": self.name, "status": self.status, "details": self.details}
@@ -103,7 +89,7 @@ def _fmt(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(ctx: SelftestContext) -> CriterionResult:
+def criterion_1(ctx: SelftestContext) -> tuple[str, dict]:
     worst = 0.0
     n2 = ctx.count(70)
     n3 = ctx.count(30)
@@ -114,10 +100,10 @@ def criterion_1(ctx: SelftestContext) -> CriterionResult:
             hcc = SupportEval(c_dual(c_dual(body)), ctx.tol).on_net(net)
             worst = max(worst, float(np.max(np.abs(hcc - h))))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
-    return CriterionResult(1, CRITERIA_NAMES[1], status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)})
+    return status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)}
 
 
-def criterion_2(ctx: SelftestContext) -> CriterionResult:
+def criterion_2(ctx: SelftestContext) -> tuple[str, dict]:
     worst = 0.0
     n2 = ctx.count(70)
     n3 = ctx.count(30)
@@ -128,10 +114,10 @@ def criterion_2(ctx: SelftestContext) -> CriterionResult:
             g = SupportEval(c_dual(body), ctx.tol).batch(-net.directions)
             worst = max(worst, float(np.max(np.abs(h + g - 1.0))))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
-    return CriterionResult(2, CRITERIA_NAMES[2], status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)})
+    return status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)}
 
 
-def criterion_3(ctx: SelftestContext) -> CriterionResult:
+def criterion_3(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(100)
     worst_excess = 0.0
@@ -141,10 +127,10 @@ def criterion_3(ctx: SelftestContext) -> CriterionResult:
         excess = abs(after.value - before.value) - (after.error_bound + before.error_bound)
         worst_excess = max(worst_excess, excess)
     status = "pass" if worst_excess <= 0.0 else "fail"
-    return CriterionResult(3, CRITERIA_NAMES[3], status, {"pairs": count, "worst_excess": _fmt(worst_excess)})
+    return status, {"pairs": count, "worst_excess": _fmt(worst_excess)}
 
 
-def criterion_4(ctx: SelftestContext) -> CriterionResult:
+def criterion_4(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(50)
     rng = np.random.default_rng(ctx.seed + 401)
@@ -157,7 +143,7 @@ def criterion_4(ctx: SelftestContext) -> CriterionResult:
         right = SupportEval(combine(lam, c_dual(k), c_dual(t)), ctx.tol).on_net(net)
         worst = max(worst, float(np.max(np.abs(left - right))))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
-    return CriterionResult(4, CRITERIA_NAMES[4], status, {"triples": count, "max_deviation": _fmt(worst)})
+    return status, {"triples": count, "max_deviation": _fmt(worst)}
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +151,7 @@ def criterion_4(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_5(ctx: SelftestContext) -> CriterionResult:
+def criterion_5(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(200)
     rng = np.random.default_rng(ctx.seed + 501)
@@ -188,16 +174,12 @@ def criterion_5(ctx: SelftestContext) -> CriterionResult:
         if closed_form_gap > eb:
             failures.append(f"pair {i}: closed form missed by {closed_form_gap:.6f}")
     if max_eb >= 0.9:
-        return CriterionResult(
-            5, CRITERIA_NAMES[5], "vacuous",
-            {"reason": f"error bound {max_eb:.3f} swallows the structural gap of 1"},
-        )
+        return "vacuous", {"reason": f"error bound {max_eb:.3f} swallows the structural gap of 1"}
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        5, CRITERIA_NAMES[5], status,
-        {"pairs": count, "max_closed_form_gap": _fmt(worst_gap), "error_bound": _fmt(max_eb),
-         "failures": failures[:5]},
-    )
+    return status, {
+        "pairs": count, "max_closed_form_gap": _fmt(worst_gap), "error_bound": _fmt(max_eb),
+        "failures": failures[:5],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +187,7 @@ def criterion_5(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(ctx: SelftestContext) -> CriterionResult:
+def criterion_6(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     bodies = body_corpus(ctx.seed + 601, 2, ctx.count(100))
     bodies += body_corpus(ctx.seed + 602, 3, ctx.count(20))
@@ -228,11 +210,10 @@ def criterion_6(ctx: SelftestContext) -> CriterionResult:
             if dev > 1e-4:
                 failures.append(f"body {i}: radius-one body off a unit ball by {dev:.2e}")
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        6, CRITERIA_NAMES[6], status,
-        {"bodies": len(bodies), "max_radius": _fmt(worst_radius), "near_unit_bodies": near_unit,
-         "max_rigidity_deviation": _fmt(worst_rigidity), "failures": failures[:5]},
-    )
+    return status, {
+        "bodies": len(bodies), "max_radius": _fmt(worst_radius), "near_unit_bodies": near_unit,
+        "max_rigidity_deviation": _fmt(worst_rigidity), "failures": failures[:5],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +236,7 @@ def _compact_body(rng: np.random.Generator, dim: int):
     return body
 
 
-def criterion_7(ctx: SelftestContext) -> CriterionResult:
+def criterion_7(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(10)
     rng = np.random.default_rng(ctx.seed + 701)
@@ -279,20 +260,16 @@ def criterion_7(ctx: SelftestContext) -> CriterionResult:
         if dists[0.25] < dists[0.5]:
             improved += 1
     if worst_eb >= 0.1:
-        return CriterionResult(
-            7, CRITERIA_NAMES[7], "vacuous",
-            {"reason": f"net error bound {worst_eb:.3f} exceeds the 0.1 distance target"},
-        )
+        return "vacuous", {"reason": f"net error bound {worst_eb:.3f} exceeds the 0.1 distance target"}
     if improved < math.ceil(0.9 * count):
         failures.append(f"refinement improved only {improved}/{count} cases")
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        7, CRITERIA_NAMES[7], status,
-        {"bodies": count, "improved": improved,
-         "max_distance_coarse": _fmt(max(d[0.5] for d in deltas)),
-         "max_distance_fine": _fmt(max(d[0.25] for d in deltas)),
-         "error_bound": _fmt(worst_eb), "failures": failures[:5]},
-    )
+    return status, {
+        "bodies": count, "improved": improved,
+        "max_distance_coarse": _fmt(max(d[0.5] for d in deltas)),
+        "max_distance_fine": _fmt(max(d[0.25] for d in deltas)),
+        "error_bound": _fmt(worst_eb), "failures": failures[:5],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +277,7 @@ def criterion_7(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_8(ctx: SelftestContext) -> CriterionResult:
+def criterion_8(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(200)
     rng = np.random.default_rng(ctx.seed + 801)
@@ -335,11 +312,10 @@ def criterion_8(ctx: SelftestContext) -> CriterionResult:
         and fixture.verdict == "geodesic-ok"
     )
     status = "pass" if collapses == 0 and non_additive == 0 and fixture_ok else "fail"
-    return CriterionResult(
-        8, CRITERIA_NAMES[8], status,
-        {"triples": tested, "midpoint_collapses": collapses, "non_additive": non_additive,
-         "point_endpoint_fixture": "ok" if fixture_ok else "failed"},
-    )
+    return status, {
+        "triples": tested, "midpoint_collapses": collapses, "non_additive": non_additive,
+        "point_endpoint_fixture": "ok" if fixture_ok else "failed",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +323,10 @@ def criterion_8(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_9(ctx: SelftestContext) -> CriterionResult:
+def criterion_9(ctx: SelftestContext) -> tuple[str, dict]:
     screening_eb = screening_bound(2, ctx.net(2), ctx.tol)
     if screening_eb >= 1.0:
-        return CriterionResult(
-            9, CRITERIA_NAMES[9], "vacuous",
-            {"reason": f"screening bound {screening_eb:.3f} cannot separate defects below 1"},
-        )
+        return "vacuous", {"reason": f"screening bound {screening_eb:.3f} cannot separate defects below 1"}
     per_cell = ctx.count(13, minimum=1)
     failures = []
     worst_rot = 0.0
@@ -401,11 +374,10 @@ def criterion_9(ctx: SelftestContext) -> CriterionResult:
         except NotIsometryError:
             pass
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        9, CRITERIA_NAMES[9], status,
-        {"planted": total, "max_rotation_error": _fmt(worst_rot), "max_translation_error": _fmt(worst_tr),
-         "max_residual_ratio": _fmt(worst_resid_ratio), "failures": failures[:5]},
-    )
+    return status, {
+        "planted": total, "max_rotation_error": _fmt(worst_rot), "max_translation_error": _fmt(worst_tr),
+        "max_residual_ratio": _fmt(worst_resid_ratio), "failures": failures[:5],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +385,7 @@ def criterion_9(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10(ctx: SelftestContext) -> CriterionResult:
+def criterion_10(ctx: SelftestContext) -> tuple[str, dict]:
     rng = np.random.default_rng(ctx.seed + 1001)
     failures = []
     n_rigid = ctx.count(10, minimum=1)
@@ -446,10 +418,7 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
     if "eps-hypothesis" not in hole.hypothesis_flags:
         failures.append("radial-hole control missing the distortion-hypothesis flag")
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        10, CRITERIA_NAMES[10], status,
-        {"maps": len(maps), "hole_flags": list(hole.hypothesis_flags), "failures": failures[:5]},
-    )
+    return status, {"maps": len(maps), "hole_flags": list(hole.hypothesis_flags), "failures": failures[:5]}
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +426,7 @@ def criterion_10(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_11(ctx: SelftestContext) -> CriterionResult:
+def criterion_11(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     cell = ORACLE_CELL
     count = ctx.count(30)
@@ -497,10 +466,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
             if (margin > 0) != bool(in_raster[j]):
                 failures.append(f"body {i}: membership mismatch at {p.round(3).tolist()}")
     status = "pass" if not failures else "fail"
-    return CriterionResult(
-        11, CRITERIA_NAMES[11], status,
-        {"bodies": count, "cell": cell, "failures": failures[:5]},
-    )
+    return status, {"bodies": count, "cell": cell, "failures": failures[:5]}
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +474,7 @@ def criterion_11(ctx: SelftestContext) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_12(ctx: SelftestContext) -> CriterionResult:
+def criterion_12(ctx: SelftestContext) -> tuple[str, dict]:
     import json
 
     def mini_report():
@@ -519,31 +485,32 @@ def criterion_12(ctx: SelftestContext) -> CriterionResult:
     a = mini_report()
     b = mini_report()
     status = "pass" if a == b else "fail"
-    return CriterionResult(12, CRITERIA_NAMES[12], status, {"bytes": len(a), "identical": a == b})
+    return status, {"bytes": len(a), "identical": a == b}
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
+CRITERIA = {
+    1: ("cdual-involution", criterion_1),
+    2: ("support-identity", criterion_2),
+    3: ("cdual-preserves-distance", criterion_3),
+    4: ("duality-respects-averaging", criterion_4),
+    5: ("point-to-ball-gap", criterion_5),
+    6: ("circumradius-range-and-rigidity", criterion_6),
+    7: ("reconstruction-from-distances", criterion_7),
+    8: ("no-point-between-bodies", criterion_8),
+    9: ("isometry-classifier", criterion_9),
+    10: ("planar-surjectivity", criterion_10),
+    11: ("raster-oracle-agreement", criterion_11),
+    12: ("report-determinism", criterion_12),
 }
 
 
 def run_criterion(cid: int, ctx: SelftestContext) -> CriterionResult:
-    return _CRITERIA[cid](ctx)
+    name, criterion = CRITERIA[cid]
+    return CriterionResult(cid, name, *criterion(ctx))
 
 
 def _run_recorded(cid: int, ctx: SelftestContext) -> CriterionResult:
@@ -557,7 +524,7 @@ def _run_recorded(cid: int, ctx: SelftestContext) -> CriterionResult:
             "message": str(exc),
             "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
         }
-        return CriterionResult(cid, CRITERIA_NAMES[cid], "fail", {"error": error})
+        return CriterionResult(cid, CRITERIA[cid][0], "fail", {"error": error})
 
 
 def run_selftest(
@@ -577,10 +544,10 @@ def run_selftest(
     if scale is None:
         raise ValueError(f"unknown profile {profile!r}")
     ctx = SelftestContext(seed=seed, tol=tol, mesh=net_mesh, scale=scale)
-    chosen = sorted(criteria) if criteria else sorted(_CRITERIA)
-    unknown = [cid for cid in chosen if cid not in _CRITERIA]
+    chosen = sorted(criteria) if criteria else sorted(CRITERIA)
+    unknown = [cid for cid in chosen if cid not in CRITERIA]
     if unknown:
-        raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(_CRITERIA)}")
+        raise ValueError(f"unknown criteria {unknown}; the ids run 1-{len(CRITERIA)}")
     if seed < 0:  # NumPy's generators take no negative seed
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0 < tol < math.inf:  # also rejects NaN, as SupportEval does

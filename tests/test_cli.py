@@ -201,6 +201,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         (("--seed", "-1", "surjectivity", PLANAR_RIGID, "--target", "[0.5, 0]"), "seed must be non-negative, got -1"),
         (("--mesh", "1.5", "classify", '{"map": "cdual"}'), "do not span R^2: ball fits need rank 3, got 2"),
         (("--dim", "3", "--mesh", "1.5", "geodesic-check", *[ball_doc([0, 0, 0])] * 3), "mesh below sqrt(2), got 1.5"),
+        (("surjectivity", '{"map": "cdual"}', "--target", "[0.5, 0]"), "needs a planar point map"),
     ],
     ids=[
         "criteria-a",
@@ -221,6 +222,7 @@ PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], 
         "seed-negative-surjectivity",
         "mesh-void-classify",
         "mesh-void-geodesic-check",
+        "body-map-surjectivity",
     ],
 )
 def test_bad_arguments_exit_invariant(args, message):
@@ -263,6 +265,56 @@ def test_dimension_mismatch_exits_invariant(args):
     result = run_cli(*args)
     assert result.exit_code == EXIT_INVARIANT == 3
     assert json.loads(result.stderr)["error"]["type"] == "DimensionMismatchError"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("dist", ball_doc([0.0, 0.0]), ball_doc([0.0, 0.0, 0.0])), "bodies have dimensions 2 and 3"),
+        (
+            ("geodesic-check", ball_doc([0.0, 0.0]), ball_doc([0.0, 0.0, 0.0]), ball_doc([1.0, 0.0])),
+            "bodies have dimensions 2, 3 and 2",
+        ),
+    ],
+    ids=["dist", "geodesic-check"],
+)
+def test_operands_of_two_dimensions_are_named(args, message):
+    result = run_cli(*args)
+    assert result.exit_code == EXIT_INVARIANT
+    error = json.loads(result.stderr)["error"]
+    assert (error["type"], error["message"]) == ("DimensionMismatchError", message)
+
+
+COMMAND_RUNS = {
+    "dist": (("dist", point_doc([0.1, 0.2]), ball_doc([0.0, 0.0])), 0),
+    "support": (("support", ball_doc([0.1, 0.2]), "-u", "[0.6, 0.8]"), 0),
+    "cdual-check": (("cdual-check", ball_doc([0.1, 0.2])), 0),
+    "circ": (("circ", ball_doc([0.1, 0.2])), 0),
+    "reconstruct": (("reconstruct", point_doc([0.2, -0.1]), "--grid-step", "0"), EXIT_INVARIANT),
+    "geodesic-check": (("geodesic-check", ball_doc([0.0, 0.0]), point_doc([0.5, 0.0]), ball_doc([1.0, 0.0])), 0),
+    # a point map takes no body: a usage error, not a map failing the isometry premise
+    "classify": (("classify", PLANAR_RIGID), EXIT_INVARIANT),
+    "surjectivity": (("surjectivity", PLANAR_RIGID, "--target", "[0.5, 1.0]"), 0),
+    "selftest": (("selftest", "--criteria", "a"), EXIT_INVARIANT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))  # a command with no run fails here
+def test_every_command_reports_or_errors_under_its_own_name(name):
+    args, code = COMMAND_RUNS[name]
+    result = run_cli(*args)
+    assert result.exit_code == code, (result.output, result.exception)
+    doc = json.loads(result.stdout if code == 0 else result.stderr)
+    assert doc["command"] == name
+    assert ("result" in doc) == (code == 0)
+
+
+def test_selftest_with_an_unwritable_out_path_exits_parse(tmp_path):
+    # the report is written inside the shared error mapping, as for every other command
+    out = tmp_path / "missing" / "report.json"
+    result = run_cli("--out", str(out), "selftest", "--profile", "quick", "--criteria", "12")
+    assert result.exit_code == EXIT_PARSE, (result.output, result.exception)
+    assert json.loads(result.stderr)["error"]["type"] == "FileNotFoundError"
 
 
 def test_a_map_failing_after_screening_exits_premise():

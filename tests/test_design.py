@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ballbodies"
-SETTABLE_VALUES_BUDGET = 44
+SETTABLE_VALUES_BUDGET = 40
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -42,6 +42,7 @@ from ballbodies.maps import (
     compose_maps,
     constant_map,
     motion_map,
+    planar_rigid_map,
     scale_centers_map,
 )
 from ballbodies.selftest import run_selftest
@@ -267,6 +268,12 @@ def test_classify_rejects_constant_and_scaling(config2):
         classify_isometry(constant_map(point_body(np.zeros(2))), config2)
     with pytest.raises(NotIsometryError):
         classify_isometry(scale_centers_map(2, 2.0), config2)
+
+
+def test_classify_rejects_a_planar_point_map_as_a_wrong_argument(config2):
+    # a point map cannot take a body: a usage error, not a map failing the isometry premise
+    with pytest.raises(ValueError, match="needs a map of bodies, not a planar point map"):
+        classify_isometry(planar_rigid_map(RigidMotion(np.eye(2), np.zeros(2))), config2)
 
 
 def test_classify_planted_reflection_3d(no_lp):

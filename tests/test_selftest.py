@@ -9,7 +9,7 @@ from ballbodies import selftest
 from ballbodies.bodies import CDual
 from ballbodies.cli import main
 from ballbodies.errors import EmptyRasterError
-from ballbodies.selftest import CRITERIA_NAMES, CriterionResult, SelftestContext, criterion_1, run_selftest
+from ballbodies.selftest import SelftestContext, criterion_1, run_selftest
 from ballbodies.support import SupportEval, default_mesh
 
 
@@ -20,20 +20,18 @@ def crashing_first(monkeypatch):
     def crash(ctx):
         raise EmptyRasterError("no cells inside at cell=0.01")
 
-    monkeypatch.setitem(selftest._CRITERIA, 1, crash)
-    monkeypatch.setitem(
-        selftest._CRITERIA, 2, lambda ctx: CriterionResult(2, CRITERIA_NAMES[2], "pass")
-    )
+    monkeypatch.setitem(selftest.CRITERIA, 1, (selftest.CRITERIA[1][0], crash))
+    monkeypatch.setitem(selftest.CRITERIA, 2, (selftest.CRITERIA[2][0], lambda ctx: ("pass", {})))
 
 
 def test_crashing_criterion_is_recorded_and_the_rest_run(crashing_first):
     report = run_selftest(profile="quick", criteria=[1, 2])
     first, second = report["criteria"]
-    assert first["status"] == "fail"
+    assert (first["id"], first["name"], first["status"]) == (1, "cdual-involution", "fail")
     error = first["details"]["error"]
     assert (error["type"], error["message"]) == ("EmptyRasterError", "no cells inside at cell=0.01")
     assert error["where"].startswith("test_selftest.py:") and error["where"].endswith(" in crash")
-    assert second["status"] == "pass"
+    assert second == {"id": 2, "name": "support-identity", "status": "pass", "details": {}}
     assert (report["passed"], report["failed"]) == (1, 1)
 
 
@@ -79,7 +77,7 @@ def test_duality_gates_are_twice_the_run_tolerance(monkeypatch):
         assert result.exit_code == 0, (result.output, result.exception)
         return json.loads(result.output)["result"]["passed"]
 
-    assert criterion_1(ctx).status == "pass" and cdual_check() is True
+    assert criterion_1(ctx)[0] == "pass" and cdual_check() is True
     sweep = SupportEval.on_net
 
     def shifted(self, net):  # moves the sweep of every double c-dual
@@ -87,4 +85,4 @@ def test_duality_gates_are_twice_the_run_tolerance(monkeypatch):
         return h + 1e-7 if isinstance(self.body, CDual) and isinstance(self.body.of, CDual) else h
 
     monkeypatch.setattr(SupportEval, "on_net", shifted)
-    assert criterion_1(ctx).status == "fail" and cdual_check() is False
+    assert criterion_1(ctx)[0] == "fail" and cdual_check() is False
