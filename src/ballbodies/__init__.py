@@ -30,7 +30,6 @@ from .geometry import (
     make_sphere_net,
     minimal_enclosing_ball,
     procrustes_fit,
-    winding_number,
 )
 from .support import (
     HausdorffResult,
@@ -72,5 +71,4 @@ __all__ = [
     "push_motion",
     "reconstruct",
     "support_value",
-    "winding_number",
 ]

@@ -4,7 +4,7 @@ Bodies and maps arrive as JSON documents (a file path, ``-`` for stdin, or
 an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
 1 a selftest criterion failed, 2 parse error, 3 invariant violation,
-4 classification-premise failure, 5 adaptive resolution exhausted.
+4 classification-premise failure, 5 adaptive resolution or memory exhausted.
 SciPy, ``lab``, ``maps`` and ``planar`` are imported only by the commands that use them.
 """
 
@@ -22,7 +22,6 @@ from . import __version__
 from .bodies import parse_body
 from .errors import (
     AmbiguousClassificationError,
-    CurveHitsOriginError,
     DegenerateSourcesError,
     DimensionMismatchError,
     DocumentError,
@@ -30,7 +29,6 @@ from .errors import (
     EmptyRasterError,
     EmptyReconstructionError,
     GridMismatchError,
-    InsufficientResolutionError,
     NoConvergenceError,
     NotIsometryError,
     ResolutionExhaustedError,
@@ -60,15 +58,7 @@ _ERROR_EXITS = [
         EXIT_INVARIANT,
     ),
     ((NotIsometryError, AmbiguousClassificationError), EXIT_PREMISE),
-    (
-        (
-            ResolutionExhaustedError,
-            NoConvergenceError,
-            InsufficientResolutionError,
-            CurveHitsOriginError,
-        ),
-        EXIT_RESOLUTION,
-    ),
+    ((ResolutionExhaustedError, NoConvergenceError, MemoryError), EXIT_RESOLUTION),
 ]
 
 

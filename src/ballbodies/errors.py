@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: parse problems exit 2,
 construction/invariant violations exit 3, classification-premise failures
-exit 4 and exhausted adaptive budgets exit 5.
+exit 4, and exhausted adaptive budgets exit 5, as does exhausted memory
+(Python's MemoryError).
 """
 
 
@@ -32,14 +33,6 @@ class NoConvergenceError(BallBodiesError):
 
 class DegenerateSourcesError(BallBodiesError):
     """Rigid-motion fit rejected because the sources do not affinely span."""
-
-
-class InsufficientResolutionError(BallBodiesError):
-    """A winding-number sample violates the angular-step contract."""
-
-
-class CurveHitsOriginError(BallBodiesError):
-    """A winding-number sample passes too close to the origin."""
 
 
 class EmptyRasterError(BallBodiesError):

@@ -4,8 +4,8 @@ Vectors are plain float64 numpy arrays.  This module provides the pieces
 everything else is built from: direction nets on the unit sphere whose
 covering radius is proven by construction (an angular grid in the plane, a
 radially projected cube-face grid for n >= 3), smallest enclosing balls of
-balls and of points (one pivoting routine), least-squares orthogonal motion
-fitting, and planar winding numbers.
+balls and of points (one pivoting routine), and least-squares orthogonal
+motion fitting.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CurveHitsOriginError,
-    DegenerateSourcesError,
-    DimensionMismatchError,
-    InsufficientResolutionError,
-    NoConvergenceError,
-)
+from .errors import DegenerateSourcesError, DimensionMismatchError, NoConvergenceError
 
 ORTHOGONALITY_TOL = 1e-9
 MAX_LP_PIVOTS = 1000  # circumball LP rounds; Bland's rule ends every tie, so only rounding gets here
@@ -463,45 +457,3 @@ def procrustes_fit(sources, targets) -> tuple[RigidMotion, float]:
     motion = RigidMotion(q, t)
     residual = float(np.sqrt(np.mean(np.sum((motion.apply(src) - tgt) ** 2, axis=1))))
     return motion, residual
-
-
-# ---------------------------------------------------------------------------
-# planar winding number
-# ---------------------------------------------------------------------------
-
-
-def winding_number(samples) -> int:
-    """Winding number about the origin of a closed planar curve.
-
-    `samples` is a list of (angle, value) pairs with strictly increasing
-    angles in [0, 2 pi) and nonzero 2-d values.  Consecutive normalized
-    values (including the wrap-around pair) must differ in angle by less
-    than pi/2; callers refine their sampling until that holds.
-    """
-    if len(samples) < 3:
-        raise InsufficientResolutionError("need at least 3 samples on the curve")
-    angles = np.array([float(a) for a, _ in samples])
-    values = np.array([as_vector(v, 2) for _, v in samples])
-    if np.any(np.diff(angles) <= 0):
-        raise ValueError("sample angles must be strictly increasing")
-    if angles[0] < 0 or angles[-1] >= 2.0 * math.pi:
-        raise ValueError("sample angles must lie in [0, 2*pi)")
-    norms = np.linalg.norm(values, axis=1)
-    if np.any(norms < 1e-12):
-        raise CurveHitsOriginError("curve value has norm below 1e-12")
-    nxt = np.roll(values, -1, axis=0)
-    cross = values[:, 0] * nxt[:, 1] - values[:, 1] * nxt[:, 0]
-    dot = np.einsum("ij,ij->i", values, nxt)
-    steps = np.arctan2(cross, dot)
-    step_bound = float(np.max(np.abs(steps)))
-    if step_bound >= math.pi / 2.0:
-        raise InsufficientResolutionError(
-            f"normalized curve turns by {step_bound:.3f} >= pi/2 between samples"
-        )
-    total = float(np.sum(steps)) / (2.0 * math.pi)
-    rounded = int(round(total))
-    if abs(total - rounded) > 0.25:
-        raise InsufficientResolutionError(
-            f"accumulated angle {total:.3f} turns is not close to an integer"
-        )
-    return rounded

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionExhaustedError
-from .geometry import RigidMotion, as_vector, procrustes_fit, winding_number
+from .geometry import RigidMotion, as_vector, procrustes_fit
 from .maps import BlackBoxMap
 
-ROOT_TOL = 1e-6  # a preimage's residual |f(x) - target| must be at most this
+ROOT_TOL = 1e-6  # a preimage's residual |f(x) - target| must be at most this, plus rounding (`root_tol`)
 RADII_FACTORS = (1.0, 1.25, 1.5)  # winding circles, as multiples of the scale R
 MAX_CURVE_SAMPLES = 2**14  # per winding circle
 HOMOTOPY_GRID = 24  # homotopy parameters; the outer circle gets 4x as many angles
@@ -91,12 +91,16 @@ def _affine_fit(f: BlackBoxMap, radius: float, seed: int) -> tuple[RigidMotion, 
     return motion, fit_error
 
 
-def _adaptive_circle_samples(f: BlackBoxMap, target, radius: float, budget: int):
-    """Sample angles until consecutive normalized image steps stay under pi/2.
+def _circle_degree(f: BlackBoxMap, target, radius: float, budget: int):
+    """The winding number of f - target around the circle of this radius.
 
-    Returns (samples, hit): `samples` obeys the winding contract, and `hit`
-    is a circle point whose image already coincides with the target (if one
-    turned up during sampling).
+    Sampling starts from 64 angles and bisects every step whose normalized
+    image turns by at least 0.45 pi, until none does; the degree is then the
+    sum of the signed turns over 2 pi, rounded.  Returns (degree, hit):
+    `hit` is a circle point whose image already coincides with the target
+    (if one turned up during sampling), and then the degree is None.
+    Raises ResolutionExhaustedError when refinement would exceed `budget`
+    samples, stalls, or leaves a total more than 0.25 from an integer.
     """
     target = np.asarray(target, dtype=float)
 
@@ -110,16 +114,21 @@ def _adaptive_circle_samples(f: BlackBoxMap, target, radius: float, budget: int)
         for a, v in zip(angles, values):
             if float(np.linalg.norm(v)) < 1e-12:
                 return None, np.array([radius * math.cos(a), radius * math.sin(a)])
-        mids = []
+        turns, mids = [], []
         for i in range(len(angles)):
             j = (i + 1) % len(angles)
             va, vb = values[i], values[j]
-            turn = abs(math.atan2(va[0] * vb[1] - va[1] * vb[0], float(va @ vb)))
-            if turn >= 0.45 * math.pi:
+            turns.append(math.atan2(va[0] * vb[1] - va[1] * vb[0], float(va @ vb)))
+            if abs(turns[-1]) >= 0.45 * math.pi:
                 b = angles[j] if j else angles[0] + 2.0 * math.pi
                 mids.append((i, 0.5 * (angles[i] + b) % (2.0 * math.pi)))
         if not mids:
-            return list(zip(angles, values)), None
+            total = sum(turns) / (2.0 * math.pi)
+            if abs(total - round(total)) > 0.25:
+                raise ResolutionExhaustedError(
+                    f"winding total {total:.3f} is not near an integer on radius {radius:.3f}"
+                )
+            return round(total), None
         if len(angles) + len(mids) > budget:
             raise ResolutionExhaustedError(
                 f"winding refinement exceeded {budget} samples on radius {radius:.3f}"
@@ -197,12 +206,18 @@ def _levenberg_marquardt(residual, x0) -> np.ndarray:
     return x
 
 
+def root_tol(target: np.ndarray) -> float:
+    """The largest residual of a preimage: ROOT_TOL, plus 8 eps |target| for the rounding of f(x) - target."""
+    return ROOT_TOL + 8.0 * np.finfo(float).eps * float(np.linalg.norm(target))
+
+
 def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
     """The best Levenberg-Marquardt end point over the starts.
 
-    A start on whose search the map raises is skipped.
+    The search stops at the first end point within `root_tol(target)`.  A
+    start on whose search the map raises is skipped.
     """
-    best_x, best_res = None, np.inf
+    best_x, best_res, tol = None, np.inf, root_tol(target)
 
     def residual(x):
         return np.asarray(f(x)) - target
@@ -215,7 +230,7 @@ def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
         r = float(np.linalg.norm(residual(x)))
         if r < best_res:
             best_x, best_res = x, r
-        if best_res <= ROOT_TOL:
+        if best_res <= tol:
             break
     return best_x, best_res
 
@@ -253,11 +268,11 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
     circle_hit = None
     for factor in RADII_FACTORS:
         r = scale * factor
-        samples, hit = _adaptive_circle_samples(f, target, r, MAX_CURVE_SAMPLES)
+        degree, hit = _circle_degree(f, target, r, MAX_CURVE_SAMPLES)
         if hit is not None:
             circle_hit = hit  # the circle itself passes through the target
             continue
-        degrees.append((r, winding_number(samples)))
+        degrees.append((r, degree))
 
     w_fit = 1 if float(np.linalg.det(fit.rotation)) > 0 else -1
 
@@ -280,10 +295,11 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
     if circle_hit is not None:
         starts.insert(0, circle_hit)
     preimage, residual = _find_preimage(f, target, starts)
+    found = residual <= root_tol(target)  # the residual is inf when no search ended
 
     windings = [w for _, w in degrees]
     flags = []
-    if preimage is not None and residual <= ROOT_TOL:
+    if found:
         verdict = "surjective-evidence"
         if any(w != w_fit for w in windings) and circle_hit is None:
             notes.append("winding numbers disagree with the fitted motion despite a preimage")
@@ -313,7 +329,7 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
         scale=scale,
         degrees=degrees,
         verdict=verdict,
-        preimage=None if preimage is None or residual > ROOT_TOL else preimage,
+        preimage=preimage if found else None,
         preimage_residual=residual,
         homotopy_min=hmin,
         hypothesis_flags=flags,

@@ -35,7 +35,7 @@ from .maps import (
     planar_rigid_map,
     scale_centers_map,
 )
-from .planar import ROOT_TOL, surjectivity_probe_planar
+from .planar import root_tol, surjectivity_probe_planar
 from .raster import ORACLE_CELL, raster_cdual, raster_circumball, raster_hausdorff, rasterize
 from .solver import DEFAULT_TOL
 from .support import (
@@ -405,7 +405,7 @@ def criterion_10(ctx: SelftestContext) -> tuple[str, dict]:
         if report.verdict != "surjective-evidence":
             failures.append(f"{label} map {idx}: verdict {report.verdict}")
             continue
-        if report.preimage_residual > ROOT_TOL:
+        if report.preimage_residual > root_tol(target):
             failures.append(f"{label} map {idx}: residual {report.preimage_residual:.2e}")
         ws = {w for _, w in report.degrees}
         if len(ws) != 1 or abs(next(iter(ws))) != 1:

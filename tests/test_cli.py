@@ -119,6 +119,36 @@ def test_surjectivity_of_planar_rigid_map():
     assert res["verdict"] == "surjective-evidence"
 
 
+@pytest.mark.parametrize("target", ["[1e13, 0]", "[1e16, 0]"])
+def test_surjectivity_of_a_rigid_map_at_a_far_target(target):
+    # f(x) - target rounds at the scale of |target|, far beyond the absolute ROOT_TOL
+    doc = {"map": "planar_rigid", "rotation": [[0, -1], [1, 0]], "translation": [0.2, 0.1]}
+    res = report("surjectivity", json.dumps(doc), "--target", target)
+    assert res["verdict"] == "surjective-evidence"
+    assert res["hypothesis_flags"] == [] and res["preimage"] is not None
+
+
+@pytest.mark.parametrize(
+    "args, call",
+    [
+        (("reconstruct", "--grid-step", "1e-9", ball_doc([0.1, 0.2])), "reconstruct_from_grid"),
+        (("dist", ball_doc([0.0] * 8), ball_doc([0.1] * 8)), "make_sphere_net"),
+    ],
+    ids=["reconstruct-grid", "dist-net"],
+)
+def test_out_of_memory_exits_resolution(args, call, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 44.7 GiB for an array")
+
+    monkeypatch.setattr(f"ballbodies.cli.{call}", exhausted)
+    result = run_cli(*args)
+    assert result.exit_code == EXIT_RESOLUTION, (result.output, result.exception)
+    assert json.loads(result.stderr)["error"] == {
+        "type": "MemoryError",
+        "message": "Unable to allocate 44.7 GiB for an array",
+    }
+
+
 def test_surjectivity_uses_the_seed():
     doc = {"map": "planar_perturbed", "amplitude": 0.2, "seed": 1}
     T, y = parse_map(doc, 2), [0.5, -0.3]

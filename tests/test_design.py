@@ -113,3 +113,29 @@ def test_lab_leaves_certified_net_arithmetic_to_support():
         if squares:
             found.append(f"lab.py:{node.lineno}: {ast.unparse(node)}")
     assert not found, "lab.py does its own certified net arithmetic:\n" + "\n".join(found)
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return found
+
+
+def test_every_library_error_is_raised_and_mapped():
+    # no error type or exit mapping outlives its last raise, and no library
+    # error leaves the CLI as a traceback
+    from ballbodies import cli, errors
+
+    tree = ast.parse((SOURCE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    classes.remove("BallBodiesError")
+    raised = set()
+    for path in SOURCE.glob("*.py"):
+        raised |= _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    mapped = {exc for types, _ in cli._ERROR_EXITS for exc in types}
+    assert classes
+    assert [name for name in classes if name not in raised] == [], "error types that nothing raises"
+    assert [name for name in classes if getattr(errors, name) not in mapped] == [], "error types with no exit"

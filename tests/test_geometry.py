@@ -1,4 +1,4 @@
-"""Tests for the geometric substrate: nets, enclosing balls, motion fits, winding."""
+"""Tests for the geometric substrate: nets, enclosing balls, motion fits."""
 
 import math
 import sys
@@ -11,12 +11,7 @@ from scipy.spatial import cKDTree
 import ballbodies.geometry as geometry
 from ballbodies.bodies import Generators, ball_body, point_body
 from ballbodies.corpus import body_corpus
-from ballbodies.errors import (
-    CurveHitsOriginError,
-    DegenerateSourcesError,
-    InsufficientResolutionError,
-    NoConvergenceError,
-)
+from ballbodies.errors import DegenerateSourcesError, NoConvergenceError
 from ballbodies.geometry import (
     Ball,
     RigidMotion,
@@ -26,7 +21,6 @@ from ballbodies.geometry import (
     make_sphere_net,
     minimal_enclosing_ball,
     procrustes_fit,
-    winding_number,
 )
 from ballbodies.support import SupportEval, default_mesh
 
@@ -466,79 +460,6 @@ def test_rigid_motion_rejects_non_finite_rotations(entry):
     for q in (np.array([[entry, 0.0], [0.0, 1.0]]), np.full((2, 2), entry)):
         with pytest.raises(ValueError, match="rotation matrix is not orthogonal within 1e-9"):
             RigidMotion(q, np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
-# winding numbers
-# ---------------------------------------------------------------------------
-
-
-def curve_samples(fn, count: int):
-    angles = 2.0 * math.pi * np.arange(count) / count
-    return [(float(t), fn(t)) for t in angles]
-
-
-def independent_total_turn(values) -> float:
-    """Oracle: accumulate angle increments of the normalized curve directly."""
-    total = 0.0
-    arr = np.array(values, dtype=float)
-    arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-    for i in range(len(arr)):
-        a = arr[i]
-        b = arr[(i + 1) % len(arr)]
-        total += math.atan2(a[0] * b[1] - a[1] * b[0], a @ b)
-    return total / (2.0 * math.pi)
-
-
-def test_winding_identity_curve():
-    samples = curve_samples(lambda t: (math.cos(t), math.sin(t)), 64)
-    assert winding_number(samples) == 1
-
-
-def test_winding_constant_curve():
-    samples = curve_samples(lambda t: (1.0, 0.0), 16)
-    assert winding_number(samples) == 0
-
-
-def test_winding_double_cover():
-    samples = curve_samples(lambda t: (math.cos(2 * t), math.sin(2 * t)), 128)
-    assert winding_number(samples) == 2
-    oracle = independent_total_turn([v for _, v in samples])
-    assert oracle == pytest.approx(2.0, abs=1e-9)
-
-
-def test_winding_negative_turn():
-    samples = curve_samples(lambda t: (math.cos(-t), math.sin(-t)), 64)
-    assert winding_number(samples) == -1
-
-
-def test_winding_requires_resolution():
-    samples = curve_samples(lambda t: (math.cos(2 * t), math.sin(2 * t)), 7)
-    with pytest.raises(InsufficientResolutionError):
-        winding_number(samples)
-
-
-def test_winding_rejects_origin_hits():
-    samples = curve_samples(lambda t: (math.cos(t), math.sin(t)), 32)
-    samples[3] = (samples[3][0], (0.0, 1e-13))
-    with pytest.raises(CurveHitsOriginError):
-        winding_number(samples)
-
-
-@settings(max_examples=25, deadline=None)
-@given(degree=st.integers(-3, 3), count=st.sampled_from([96, 192, 384]))
-def test_winding_refinement_invariance(degree, count):
-    def fn(t):
-        # nonvanishing curve of the given degree with a wobble
-        r = 1.0 + 0.4 * math.sin(3 * t)
-        return (r * math.cos(degree * t + 0.5), r * math.sin(degree * t + 0.5))
-
-    if degree == 0:
-        assert winding_number(curve_samples(fn, count)) == 0
-    else:
-        coarse = winding_number(curve_samples(fn, count))
-        fine = winding_number(curve_samples(fn, 2 * count))
-        assert coarse == fine == degree
 
 
 def test_net_second_half_must_negate_the_first():

@@ -1,8 +1,12 @@
-"""Planar distortion measurement and the degree-based surjectivity verifier."""
+"""Planar distortion measurement, circle degrees and the degree-based surjectivity verifier."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ballbodies.errors import ResolutionExhaustedError
 from ballbodies.geometry import RigidMotion
 from ballbodies.maps import (
     BlackBoxMap,
@@ -40,6 +44,96 @@ def test_defect_of_radial_hole_is_about_two():
     f = planar_radial_hole_map()
     d = eps_isometry_defect_planar(f, radius=2.0)
     assert d >= 1.9
+
+
+# ---------------------------------------------------------------------------
+# circle degrees
+# ---------------------------------------------------------------------------
+
+
+def turning_map(degree, wobble=0.0, wobble_freq=3):
+    """A planar map whose image of each circle about 0 winds `degree` times
+    about 0, with its direction wobbling by `wobble` sin(wobble_freq t)."""
+
+    def run(x):
+        t = math.atan2(x[1], x[0])
+        angle = degree * t + 0.5 + wobble * math.sin(wobble_freq * t)
+        r = 1.0 + 0.4 * math.sin(3 * t)
+        return np.array([r * math.cos(angle), r * math.sin(angle)])
+
+    return BlackBoxMap(run, 2, planar=True, name=f"turn{degree}")
+
+
+def independent_total_turn(values) -> float:
+    """Oracle: accumulate angle increments of the normalized curve directly."""
+    total = 0.0
+    arr = np.array(values, dtype=float)
+    arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
+    for i in range(len(arr)):
+        a = arr[i]
+        b = arr[(i + 1) % len(arr)]
+        total += math.atan2(a[0] * b[1] - a[1] * b[0], a @ b)
+    return total / (2.0 * math.pi)
+
+
+def test_winding_identity_curve():
+    f = BlackBoxMap(lambda x: np.asarray(x, float), 2, planar=True, name="identity")
+    assert planar._circle_degree(f, np.zeros(2), 1.0, 2**14) == (1, None)
+
+
+def test_winding_constant_curve():
+    f = BlackBoxMap(lambda x: np.array([1.0, 0.0]), 2, planar=True, name="constant")
+    assert planar._circle_degree(f, np.zeros(2), 1.0, 2**14) == (0, None)
+
+
+def test_winding_double_cover():
+    f = BlackBoxMap(lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]]), 2, planar=True, name="z^2")
+    assert planar._circle_degree(f, np.zeros(2), 1.5, 2**14) == (2, None)
+    thetas = 2.0 * math.pi * np.arange(128) / 128
+    oracle = independent_total_turn([f(1.5 * np.array([math.cos(t), math.sin(t)])) for t in thetas])
+    assert oracle == pytest.approx(2.0, abs=1e-9)
+
+
+def test_winding_negative_turn():
+    f = planar_rigid_map(RigidMotion(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.3, 0.0])))
+    assert planar._circle_degree(f, np.zeros(2), 1.0, 2**14) == (-1, None)
+
+
+def test_winding_requires_resolution():
+    # degree 17 turns 1.67 > 0.45 pi per step of 64 angles, and 128 samples exceed the budget
+    with pytest.raises(ResolutionExhaustedError, match="exceeded 100 samples"):
+        planar._circle_degree(turning_map(17), np.zeros(2), 1.0, 100)
+
+
+def test_winding_returns_circle_hits():
+    f = BlackBoxMap(lambda x: np.asarray(x, float), 2, planar=True, name="identity")
+    degree, hit = planar._circle_degree(f, np.array([2.0, 0.0]), 2.0, 2**14)
+    assert degree is None
+    np.testing.assert_array_equal(hit, [2.0, 0.0])
+
+
+def test_circle_degree_refines_until_no_step_turns_too_far():
+    # degree 40 turns by 0.98 < 0.45 pi per step only from 256 samples on
+    evaluations = []
+    f = turning_map(40)
+    g = BlackBoxMap(lambda x: evaluations.append(1) or f(x), 2, planar=True, name="counted")
+    assert planar._circle_degree(g, np.zeros(2), 1.0, 256) == (40, None)
+    assert len(evaluations) == 256
+    with pytest.raises(ResolutionExhaustedError):
+        planar._circle_degree(f, np.zeros(2), 1.0, 255)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    degree=st.integers(-3, 3),
+    wobble=st.sampled_from([0.0, 0.4, 1.0]),
+    wobble_freq=st.sampled_from([3, 17]),
+    radius=st.sampled_from([0.5, 1.0, 4.0]),
+)
+def test_winding_refinement_invariance(degree, wobble, wobble_freq, radius):
+    # a fast wobble forces refinement, which leaves the degree as it is
+    f = turning_map(degree, wobble, wobble_freq)
+    assert planar._circle_degree(f, np.zeros(2), radius, 2**14) == (degree, None)
 
 
 def test_surjectivity_of_rigid_motion():
@@ -107,7 +201,7 @@ def scipy_find_preimage(f, target, starts):
         res = float(np.linalg.norm(np.asarray(f(sol.x)) - target))
         if res < best_res:
             best_x, best_res = sol.x, res
-        if best_res <= ROOT_TOL:
+        if best_res <= planar.root_tol(target):
             break
     return best_x, best_res
 
