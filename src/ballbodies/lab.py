@@ -3,8 +3,9 @@ classification of black-box isometries, and the geodesic midpoint check.
 
 A metric isometry of the ball-body space is, in normal form, a rigid motion
 applied either directly or after c-duality.  The classifier maps a point
-and a unit ball on each of 0 and +-PROBE_OFFSET e_i once, and sweeps each
-distinct image once on the configured net.  Screening compares the images'
+and a unit ball on each of 0 and +-PROBE_OFFSET e_i once, and sweeps the
+distinct images on the configured net in one pass of `support.sweep`.
+Screening compares the images'
 distances with the probes' own, which have closed forms.  Then it recovers
 the normal form in three stages: (1) see which family collapses to
 near-points, (2) fit the rigid motion, which any n + 1 affinely independent
@@ -27,11 +28,14 @@ number of test bodies are the module constants below.  So every probe and
 test body the classifier maps depends only on the dimension, and the test
 bodies on the seed too.  Each is built once per dimension (and seed); body
 trees are read-only from construction, so a map that writes into its input
-raises instead of changing later calls.  Stage 3 sweeps each image T K on
+raises instead of changing later calls.  Stage 3 sweeps the images T K on
 the net pulled back by the fitted motion g, which is the sweep of g^-1 T K,
-and compares it with K (or its c-dual), whose sweep is taken once per net.
-The map's images are swept afresh on every call, so no result depends on
-earlier calls.
+and compares them with the K (or their c-duals), whose sweeps are taken
+once per net.  Each of these three is one pass: under a motion map every
+image's top node carries the map's motion, so the pass multiplies the
+directions by it once, and it looks up all the 2-d arc-table leaves at
+once.  The map's images are swept afresh on every call, so no result
+depends on earlier calls.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import AmbiguousClassificationError, DimensionMismatchError, NotIso
 from .geometry import RigidMotion, SphereNet, make_sphere_net, procrustes_fit
 from .maps import BlackBoxMap
 from .solver import DEFAULT_TOL
-from .support import HausdorffResult, SupportEval, as_eval, default_mesh, farthest_distances, net_distance, sizes
+from .support import HausdorffResult, as_eval, default_mesh, farthest_distances, net_distance, sizes, sweep
 
 POINT_RADIUS_TOL = 1e-3  # a body of radius at most this is a near-point
 DEFECT_TOL = 0.5  # screening rejects a certified distance defect beyond this
@@ -138,7 +142,7 @@ def _test_models(dim: int, seed: int, kind: str, net: SphereNet, tol: float) -> 
     pulled-back images g^-1 T K, since d(T K, g K) = d(g^-1 T K, K) for every motion g.
     """
     models = [body if kind == "identity" else c_dual(body) for body in _test_bodies(dim, seed)]
-    sweeps = np.vstack([SupportEval(model, tol).on_net(net) for model in models])
+    sweeps = sweep(models, net.directions, tol)
     size = sizes(models)
     sweeps.flags.writeable = size.flags.writeable = False
     return sweeps, size
@@ -238,10 +242,8 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
         raise DimensionMismatchError(f"net dimension {net.dim} is not the classifier's {dim}")
     sources, probes, distances = _probes(dim)
     images = [_image(T, probe, "probe") for probe in probes]
-    rows: dict[int, np.ndarray] = {}
-    for image in images:  # keyed by identity: a constant map's one image is swept once
-        if id(image) not in rows:
-            rows[id(image)] = as_eval(image, config.tol).on_net(net)
+    distinct = list({id(image): image for image in images}.values())  # a constant map's one image
+    rows = dict(zip(map(id, distinct), sweep(distinct, net.directions, config.tol)))
     sweeps = np.vstack([rows[id(image)] for image in images])
 
     defect, defect_lower = _screening(images, sweeps, distances, net, config.tol)
@@ -279,7 +281,7 @@ def classify_isometry(T: BlackBoxMap, config: ClassifierConfig) -> IsometryClass
     inverse = motion.inverse()
     pulled, shift = net.directions @ inverse.rotation, net.directions @ inverse.translation
     images = [_image(T, body, "test body") for body in _test_bodies(dim, config.seed)]
-    image_rows = np.vstack([SupportEval(image, config.tol).batch(pulled) for image in images]) + shift
+    image_rows = sweep(images, pulled, config.tol) + shift
     model_rows, model_sizes = _test_models(dim, config.seed, kind, net, config.tol)
     moved = sizes(images)
     moved[0] += float(np.linalg.norm(inverse.translation))  # a motion keeps T K's curvature

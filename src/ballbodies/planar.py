@@ -30,8 +30,12 @@ RADII_FACTORS = (1.0, 1.25, 1.5)  # winding circles, as multiples of the scale R
 MAX_CURVE_SAMPLES = 2**14  # per winding circle
 HOMOTOPY_GRID = 24  # homotopy parameters; the outer circle gets 4x as many angles
 LM_MAX_ITERS = 100  # Jacobians per preimage search
-SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
+EPS = np.finfo(float).eps
+SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step
 DEFECT_SAMPLES = 160  # random disk points of the distortion estimate
+# the fits and distortion estimates square coordinates of up to a few times
+# the probe scale and sum dozens of them, which past this scale overflows
+MAX_SCALE = math.sqrt(np.finfo(float).max) / 64.0
 
 
 def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.ndarray:
@@ -40,12 +44,24 @@ def _disk_samples(rng: np.random.Generator, radius: float, count: int) -> np.nda
     return pts * (radius * np.sqrt(rng.uniform(0, 1, (count, 1))))
 
 
-def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> float:
-    """Max over sampled pairs in the disk of | |f(x)-f(x')| - |x-x'| |.
+def _beyond_rounding(distortion, magnitude):
+    """A distance distortion less its rounding pad, clamped at 0.
 
-    A lower bound on the true distortion.  The sample includes antipodal
-    pairs at shrinking separations around the origin, which exposes
-    puncture-type discontinuities.
+    As in `root_tol`, the pad is 8 eps times `magnitude`, the sum of the
+    norms of the points and images whose distances were compared: their
+    coordinates, and so the distances, round at that scale.
+    """
+    return np.maximum(distortion - 8.0 * EPS * magnitude, 0.0)
+
+
+def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> float:
+    """Max over sampled pairs in the disk of | |f(x)-f(x')| - |x-x'| |, beyond rounding.
+
+    A lower bound on the true distortion: each pair's distortion is taken
+    less its rounding pad (`_beyond_rounding`), so an exact rigid motion
+    reads 0 at any scale.  The sample includes antipodal pairs at shrinking
+    separations around the origin, which exposes puncture-type
+    discontinuities.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -61,24 +77,29 @@ def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> 
     images = np.asarray([f(p) for p in pts])
     d_in = np.linalg.norm(pts[:, None] - pts[None], axis=2)
     d_out = np.linalg.norm(images[:, None] - images[None], axis=2)
-    return float(np.max(np.abs(d_out - d_in)))
+    size = np.hypot(*pts.T) + np.hypot(*images.T)
+    return float(np.max(_beyond_rounding(np.abs(d_out - d_in), size[:, None] + size)))
 
 
 def _discontinuity_probe(f: BlackBoxMap, radius: float, seed: int) -> tuple[bool, float]:
-    """Does a large distance distortion persist at vanishing separations?"""
+    """Does a large distance distortion, beyond rounding, persist at vanishing separations?"""
     rng = np.random.default_rng(seed)
-    persistent = 0.0
+    pairs = []
     h = radius * 10.0**-8  # the smallest separation of the origin ladder below
     for _ in range(8):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
         base = rng.uniform(-0.2, 0.2, 2)
-        persistent = max(persistent, abs(float(np.linalg.norm(f(base + h * u) - f(base - h * u))) - 2 * h))
+        pairs.append((base + h * u, base - h * u, h))
     # probe around the origin explicitly
     for k in range(3, 9):
         h = radius * 10.0**-k
-        d = abs(float(np.linalg.norm(f([h, 0.0]) - f([-h, 0.0]))) - 2 * h)
-        persistent = max(persistent, d)
+        pairs.append((np.array([h, 0.0]), np.array([-h, 0.0]), h))
+    persistent = 0.0
+    for x, y, h in pairs:
+        fx, fy = np.asarray(f(x)), np.asarray(f(y))
+        size = sum(math.hypot(*v) for v in (x, y, fx, fy))
+        persistent = max(persistent, float(_beyond_rounding(abs(float(np.linalg.norm(fx - fy)) - 2 * h), size)))
     return persistent > 0.05, persistent
 
 
@@ -208,7 +229,7 @@ def _levenberg_marquardt(residual, x0) -> np.ndarray:
 
 def root_tol(target: np.ndarray) -> float:
     """The largest residual of a preimage: ROOT_TOL, plus 8 eps |target| for the rounding of f(x) - target."""
-    return ROOT_TOL + 8.0 * np.finfo(float).eps * float(np.linalg.norm(target))
+    return ROOT_TOL + 8.0 * EPS * float(np.linalg.norm(target))
 
 
 def _find_preimage(f: BlackBoxMap, target: np.ndarray, starts):
@@ -240,14 +261,21 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
 
     `seed` seeds the distortion samples, the motion fits, the continuity
     probe and the preimage hunt's starts.  `target` must be a finite point
-    of the plane.
+    of the plane, near enough to f(0) that the probe scale stays below
+    MAX_SCALE; a farther one raises ValueError before the map is evaluated
+    at that scale.
     """
     if not f.planar:
         raise ValueError("surjectivity probing needs a planar point map")
     target = as_vector(target, 2)
 
     f0 = np.asarray(f(np.zeros(2)))
-    base = 2.0 * (float(np.linalg.norm(target - f0)) + 1.0)
+    base = 2.0 * (math.hypot(*(target - f0)) + 1.0)  # hypot: no overflow in the squares
+    if not base < MAX_SCALE:  # also rejects NaN
+        raise ValueError(
+            f"target {target.tolist()} is too far from f(0) = {f0.tolist()}: "
+            f"its probe scale {base:.3g} is not below {MAX_SCALE:.3g}"
+        )
     fit, fit_err = _affine_fit(f, base, seed)
     eps_hat = eps_isometry_defect_planar(f, base, seed=seed)
     # circle radius per the argument, with a 2x safety factor; refit at scale

@@ -15,7 +15,9 @@ one of three paths:
   function in closed form, <x_i, u> + r_i on an arc and <v, u> at a vertex,
   certified once for the whole piece.  Per call one ``arctan2`` and one
   ``searchsorted`` find each direction's piece, and a dot product gives its
-  value.
+  value.  `arc_support_batch` serves many such leaves, each on its own
+  directions, by one lookup: the pieces of all of them in one search, keyed
+  by leaf and angle, with the per-direction arithmetic of one leaf's.
 * n >= 3, 2 <= m <= ENUM_MAX_CENTERS: the subset table.  Every subset S of
   at most n balls whose spheres meet in a sphere of positive radius (the
   faces of the ball-polyhedron, in the same paper) has its maximizer of
@@ -445,19 +447,56 @@ def _piece_bounds(X, r, z, slack, breaks, base, scale, idx, vertex):
     return lo + hi, scale + 0.5 * (hi - lo)
 
 
+def _arc_lookup(leaves, Us, tol: float) -> np.ndarray:
+    """Certified values by arc lookup (2-d) of every leaf on its own direction rows, in one pass.
+
+    Leaf i takes the rows of Us[i], and the values come back concatenated
+    in that order, NaN in a piece certified only within more than tol.  A
+    direction's piece is the last of its own leaf's whose break is at most
+    its angle phi, taken in [breaks[0], breaks[0] + 2 pi).  For many leaves
+    one search finds every piece: keys (leaf, angle) are complex numbers,
+    which numpy orders by real part, then by imaginary part, so each phi is
+    compared with its own leaf's breaks only, exactly as one leaf's search
+    compares it.
+    """
+    tables = [leaf.arcs for leaf in leaves]
+    if len(tables) == 1:  # its own breaks, with nothing to concatenate: half the cost of the search below
+        (arcs,), (U,) = tables, Us
+        b0 = arcs.breaks[0]
+        phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, TWO_PI)
+        p = arcs.breaks.searchsorted(phi, side="right") - 1  # the method: np.searchsorted's wrapper costs more
+        base, offset, gap = arcs.base, arcs.offset, arcs.gap
+    else:
+        U = np.concatenate(Us)
+        owner = np.repeat(np.arange(len(tables)), [len(V) for V in Us])
+        b0 = np.array([arcs.breaks[0] for arcs in tables])[owner]
+        phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, TWO_PI)
+        breaks = _keys(
+            np.repeat(np.arange(len(tables)), [arcs.breaks.size for arcs in tables]),
+            np.concatenate([arcs.breaks for arcs in tables]),
+        )
+        p = breaks.searchsorted(_keys(owner, phi), side="right") - 1
+        base, offset, gap = (np.concatenate(part) for part in zip(*((a.base, a.offset, a.gap) for a in tables)))
+    # <base[p], u>, by columns: gathering whole rows of base costs more than the product
+    values = base[:, 0][p] * U[:, 0] + base[:, 1][p] * U[:, 1] + offset[p]
+    if gap.max() > tol:
+        values[gap[p] > tol] = np.nan
+    return values
+
+
+def _keys(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The complex numbers group + i value, which numpy orders by group, then by value."""
+    keys = np.empty(value.shape, dtype=complex)
+    keys.real, keys.imag = group, value
+    return keys
+
+
 def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
-    """Certified values by arc lookup (2-d); NaN in a piece certified only within more than tol.
+    """Certified values by arc lookup of one leaf (2-d); NaN in a piece certified only within more than tol.
 
     `support_batch` hands those directions to the pivot.
     """
-    arcs = leaf.arcs
-    b0 = arcs.breaks[0]
-    phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, TWO_PI)
-    p = np.searchsorted(arcs.breaks, phi, side="right") - 1
-    values = np.einsum("kn,kn->k", arcs.base[p], U) + arcs.offset[p]
-    if arcs.gap.max() > tol:
-        values[arcs.gap[p] > tol] = np.nan
-    return values
+    return _arc_lookup([leaf], [U], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +726,27 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
         values = _enumerate_support(leaf, U, tol)
     else:
         values = np.full(U.shape[0], np.nan)
+    return _pivot_fallout(leaf, U, values, tol)
+
+
+def arc_support_batch(leaves, dirs, tol: float) -> np.ndarray:
+    """Support values of 2-d leaves with arc tables, leaf i on the unit direction rows of dirs[i], each within tol.
+
+    The values come back concatenated in that order.  One arc lookup serves
+    every leaf; a direction whose piece is not proven takes its leaf's
+    pivot, as in `support_batch`, whose values these are.
+    """
+    values = _arc_lookup(leaves, dirs, tol)
+    if np.isnan(values).any():
+        start = 0
+        for leaf, U in zip(leaves, dirs):
+            _pivot_fallout(leaf, U, values[start : start + len(U)], tol)
+            start += len(U)
+    return values
+
+
+def _pivot_fallout(leaf: LeafGeometry, U: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+    """`values` of the directions U, with each NaN, a direction its table left uncertified, from the pivot."""
     rest = np.flatnonzero(np.isnan(values))
     if rest.size:
         values[rest] = _pivot_support(leaf, U[rest], tol)

@@ -8,7 +8,12 @@ of <x, u>.  The expression nodes transform supports exactly:
 * motion:   h'(u) = h(Q^T u) + <t, u>
 
 so the only numerical work happens at generator leaves, where the certified
-solver guarantees each value within the oracle tolerance.  The Hausdorff
+solver guarantees each value within the oracle tolerance.  `sweep` is the
+one tree walk: one pass per list of bodies on one direction array.  Within
+the pass each node's transformed directions are computed once per direction
+array and motion, so bodies that share a motion share its products, and the
+2-d leaves with an arc table share one lookup.  `SupportEval.batch` and
+`on_net` are its one-body case.  The Hausdorff
 distance of two bodies equals the sup-norm distance of their support
 functions on the unit sphere; evaluating on a finite net gives a value
 together with a rigorous error bound, `net_error_bound`.  That bound is
@@ -42,7 +47,7 @@ import numpy as np
 from .bodies import BallBodyExpr, CDual, Combine, Generators, Motion
 from .errors import DimensionMismatchError, EmptyReconstructionError, EmptyBodyError
 from .geometry import Ball, SphereNet, as_points, as_vector, circumcenter_lp, normalize_direction
-from .solver import DEFAULT_TOL, support_batch
+from .solver import DEFAULT_TOL, arc_support_batch, support_batch
 
 DEFAULT_MESH = {2: 0.02, 3: 0.2}  # 4-d and above: 0.3; see `default_mesh`
 
@@ -67,19 +72,99 @@ def default_mesh(dim: int) -> float:
     return DEFAULT_MESH.get(dim, 0.3)
 
 
-def _eval_batch(body: BallBodyExpr, dirs: np.ndarray, tol: float) -> np.ndarray:
+def sweep(bodies, dirs, tol: float) -> np.ndarray:
+    """The (k, N) support sweeps of k bodies on the N unit direction rows `dirs`, in one pass.
+
+    The pass walks each tree once, queuing its steps children first, and
+    solves every leaf it reaches in one batch: the 2-d leaves with an arc
+    table, when there are several, by one `arc_support_batch`, the others by
+    `support_batch`.  It then combines the children's values as the nodes
+    transform supports (see the module docstring).  A node's transformed
+    directions, -dirs under a c-dual and dirs Q and dirs t under a motion
+    (Q, t), are computed once per direction array and motion in the pass, so
+    bodies that share a motion share its products.  That memo lives for the
+    pass only, holds the objects its keys name, and gives read-only arrays.
+
+    Raises ValueError for a tolerance that is not positive and finite, and
+    DimensionMismatchError for a body of another dimension than the rows.
+    """
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    dirs = np.ascontiguousarray(dirs, dtype=float)
+    for body in bodies:
+        if body.dim != dirs.shape[1]:
+            raise DimensionMismatchError(f"directions of dimension {dirs.shape[1]} do not match the body's {body.dim}")
+    steps: list[tuple] = []
+    fused: list[int] = []
+    memo: dict = {}
+    tops = [_queue(body, dirs, steps, fused, memo) for body in bodies]
+    values: list = [None] * len(steps)
+    if len(fused) > 1:  # one such leaf takes the same lookup in `support_batch`
+        rows, start = arc_support_batch([steps[i][1] for i in fused], [steps[i][2] for i in fused], tol), 0
+        for i in fused:
+            values[i] = rows[start : start + len(steps[i][2])]
+            start += len(steps[i][2])
+    # every step's values serve its parent alone, so each node works in its children's arrays
+    for i, step in enumerate(steps):
+        kind = step[0]
+        if kind == _LEAF:
+            if values[i] is None:
+                values[i] = support_batch(step[1], step[2], tol)
+        elif kind == _CDUAL:
+            values[i] = np.subtract(1.0, values[step[1]], out=values[step[1]])
+        elif kind == _COMBINE:
+            a, b = values[step[2]], values[step[3]]
+            a *= 1.0 - step[1]
+            b *= step[1]
+            values[i] = np.add(a, b, out=a)
+        else:
+            values[i] = np.add(values[step[1]], step[2], out=values[step[1]])
+    out = np.empty((len(tops), len(dirs)))
+    for j, top in enumerate(tops):
+        out[j] = values[top]
+    return out
+
+
+_LEAF, _CDUAL, _COMBINE, _MOTION = range(4)
+
+
+def _queue(body: BallBodyExpr, dirs: np.ndarray, steps: list, fused: list, memo: dict) -> int:
+    """Queue the steps of the body's sweep on `dirs`, children first, and return the index of its own.
+
+    A step is (_LEAF, leaf, dirs), (_CDUAL, child), (_COMBINE, lam, a, b) or
+    (_MOTION, child, dirs t), children by their index; `fused` lists the
+    steps of the leaves with an arc table.
+    """
     if isinstance(body, Generators):
-        return support_batch(body.leaf, dirs, tol)
-    if isinstance(body, CDual):
-        return 1.0 - _eval_batch(body.of, -dirs, tol)
-    if isinstance(body, Combine):
-        return (1.0 - body.lam) * _eval_batch(body.a, dirs, tol) + body.lam * _eval_batch(
-            body.b, dirs, tol
-        )
-    if isinstance(body, Motion):
-        child = dirs @ body.g.rotation
-        return _eval_batch(body.of, child, tol) + dirs @ body.g.translation
-    raise TypeError(f"not a body expression: {type(body).__name__}")
+        if body.leaf.arcs is not None:
+            fused.append(len(steps))
+        step = (_LEAF, body.leaf, dirs)
+    elif isinstance(body, CDual):
+        (flipped,) = _transformed(memo, dirs, None)
+        step = (_CDUAL, _queue(body.of, flipped, steps, fused, memo))
+    elif isinstance(body, Combine):
+        step = (_COMBINE, body.lam, _queue(body.a, dirs, steps, fused, memo), _queue(body.b, dirs, steps, fused, memo))
+    elif isinstance(body, Motion):
+        rotated, shift = _transformed(memo, dirs, body.g)
+        step = (_MOTION, _queue(body.of, rotated, steps, fused, memo), shift)
+    else:
+        raise TypeError(f"not a body expression: {type(body).__name__}")
+    steps.append(step)
+    return len(steps) - 1
+
+
+def _transformed(memo: dict, dirs: np.ndarray, g) -> tuple:
+    """(-dirs,) for g None, else (dirs Q, dirs t) for the motion g = (Q, t): once per pass, read-only.
+
+    The memo's key names dirs and g by identity, and its entry holds both.
+    """
+    held = memo.get((id(dirs), id(g)))
+    if held is None:
+        arrays = (-dirs,) if g is None else (dirs @ g.rotation, dirs @ g.translation)
+        for array in arrays:
+            array.setflags(write=False)
+        held = memo[id(dirs), id(g)] = (arrays, dirs, g)
+    return held[0]
 
 
 @dataclass(eq=False)
@@ -117,11 +202,11 @@ class SupportEval:
     def __call__(self, u) -> float:
         """Support value for a single unit direction (normalized within 1e-6)."""
         u = normalize_direction(u, self.dim)
-        return float(_eval_batch(self.body, u[None, :], self.tol)[0])
+        return float(self.batch(u[None, :])[0])
 
     def batch(self, dirs: np.ndarray) -> np.ndarray:
         """Support values for unit direction rows (assumed normalized)."""
-        return _eval_batch(self.body, np.asarray(dirs, dtype=float), self.tol)
+        return sweep([self.body], dirs, self.tol)[0]
 
     def on_net(self, net: SphereNet) -> np.ndarray:
         """Support sweep over a net, memoized per net object (pure, transparent).

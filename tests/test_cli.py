@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,34 @@ def test_surjectivity_of_a_rigid_map_at_a_far_target(target):
     res = report("surjectivity", json.dumps(doc), "--target", target)
     assert res["verdict"] == "surjective-evidence"
     assert res["hypothesis_flags"] == [] and res["preimage"] is not None
+
+
+@pytest.mark.parametrize("target", ["[1e17, 0]", "[1e30, 0]"])
+def test_rounding_at_a_far_target_is_no_distortion(target):
+    # an exact rigid motion: distances between points and images of the
+    # target's size round at that size, which is no distortion of the map
+    doc = {"map": "planar_rigid", "rotation": [[0, -1], [1, 0]], "translation": [0.2, 0.1]}
+    res = report("surjectivity", json.dumps(doc), "--target", target)
+    assert res["notes"] == [] and res["epsilon_hat"] <= 1e-6
+    assert res["verdict"] == "surjective-evidence" and res["hypothesis_flags"] == []
+
+
+def test_a_radial_hole_keeps_its_distortion_and_continuity_flag():
+    res = report("surjectivity", '{"map": "planar_radial_hole"}', "--target", "[0.5, 0]")
+    assert "continuity" in res["hypothesis_flags"] and res["verdict"] == "violation"
+    assert res["notes"][0].startswith("distance distortion 2.000 persists")
+    assert f"{res['epsilon_hat']:.3f}" == "2.000"
+
+
+def test_a_target_too_far_to_probe_exits_invariant_without_warnings():
+    doc = {"map": "planar_rigid", "rotation": [[0, -1], [1, 0]], "translation": [0.2, 0.1]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli("surjectivity", json.dumps(doc), "--target", "[1e200, 0]")
+    assert result.exit_code == EXIT_INVARIANT and result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith("target [1e+200, 0.0] is too far from f(0)")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,33 @@ def test_lab_leaves_certified_net_arithmetic_to_support():
     assert not found, "lab.py does its own certified net arithmetic:\n" + "\n".join(found)
 
 
+BODY_NODE_TYPES = {"Generators", "CDual", "Combine", "Motion"}
+
+
+def _node_types_checked(function: ast.AST) -> set[str]:
+    """The body node types a function tells apart, by ``isinstance`` or by a ``match`` class pattern."""
+    found = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            found |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+        elif isinstance(node, ast.MatchClass):
+            found.add(getattr(node.cls, "id", getattr(node.cls, "attr", None)))
+    return found & BODY_NODE_TYPES
+
+
+def test_support_walks_body_trees_in_one_function():
+    # ROADMAP aim 2: one tree walker for support evaluation.  `sweep` serves
+    # one body or many through `_queue`, so a second walker beside it would
+    # be a second copy of the node arithmetic
+    tree = ast.parse((SOURCE / "support.py").read_text(encoding="utf-8"))
+    walkers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and len(_node_types_checked(node)) >= 2
+    ]
+    assert walkers == ["_queue"], f"functions of support.py that dispatch on body node types: {walkers}"
+
+
 def _raised_names(tree: ast.AST) -> set[str]:
     found = set()
     for node in ast.walk(tree):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import ballbodies.bodies as bodies_module
+import ballbodies.lab as lab_module
+import ballbodies.solver as solver_module
 import ballbodies.support as support_module
 from ballbodies.bodies import (
     Combine,
@@ -161,6 +163,24 @@ def three_center_leaf(dim):
     return Generators(np.random.default_rng(dim).uniform(-0.4, 0.4, size=(3, dim)))
 
 
+def solved_leaves(monkeypatch):
+    """The leaves that `support` solves from here on, through `support_batch` or the fused 2-d arc lookup."""
+    leaves = []
+    one, fused = support_module.support_batch, support_module.arc_support_batch
+
+    def solve_one(leaf, dirs, tol=1e-6):
+        leaves.append(leaf)
+        return one(leaf, dirs, tol)
+
+    def solve_fused(batch, dirs, tol):
+        leaves.extend(batch)
+        return fused(batch, dirs, tol)
+
+    monkeypatch.setattr(support_module, "support_batch", solve_one)
+    monkeypatch.setattr(support_module, "arc_support_batch", solve_fused)
+    return leaves
+
+
 def test_screening_maps_each_probe_once_and_matches_pairwise_defect(config2):
     rng = np.random.default_rng(12)
     maps = [
@@ -198,15 +218,8 @@ def test_screening_of_one_pair_matches_hausdorff(net2, d):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_screening_sweeps_a_constant_image_once(monkeypatch, dim):
     # the probes' own distances are closed forms, so no probe is swept
-    solve = support_module.support_batch
     body = three_center_leaf(dim)
-    leaves = []
-
-    def counted(leaf, dirs, tol=1e-6):
-        leaves.append(leaf)
-        return solve(leaf, dirs, tol)
-
-    monkeypatch.setattr(support_module, "support_batch", counted)
+    leaves = solved_leaves(monkeypatch)
     config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.3))
     with pytest.raises(NotIsometryError, match="distance defect"):
         classify_isometry(constant_map(body), config)
@@ -373,25 +386,27 @@ def test_classification_matches_a_per_call_rebuild_bit_for_bit(dim):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_stages_one_and_two_map_a_point_and_a_ball_on_each_probe_point(monkeypatch, dim):
     # the 2n + 1 probe points 0 and +-2 e_i, each as a point and as a unit
-    # ball, serve screening and stage 1; stage 2 maps nothing, and every
-    # sweep is on the configured net
+    # ball, serve screening and stage 1; stage 2 maps nothing.  The probe
+    # images and the test bodies are swept on the configured net, the test
+    # bodies' images on that net pulled back, one pass each
     g = random_motion(np.random.default_rng(47), dim)
     T, calls = counting(compose_maps([cdual_map(dim), motion_map(g)]))
     config = ClassifierConfig(dimension=dim, net=make_sphere_net(dim, 0.5))
-    on_net = SupportEval.on_net
-    nets = []
+    sweep = lab_module.sweep
+    swept = []
 
-    def recording(self, net):
-        nets.append(net)
-        return on_net(self, net)
+    def recording(bodies, dirs, tol):
+        swept.append(dirs)
+        return sweep(bodies, dirs, tol)
 
-    monkeypatch.setattr(SupportEval, "on_net", recording)
+    monkeypatch.setattr(lab_module, "sweep", recording)
     assert classify_isometry(T, config).details["n_correspondences"] == 2 * dim + 1
     stage3 = {id(body) for body in _test_bodies(dim, config.seed)}
     before = next(i for i, body in enumerate(calls) if id(body) in stage3)
     assert before == 2 * (2 * dim + 1)
     assert len(calls) == before + N_TEST_BODIES
-    assert nets and all(net is config.net for net in nets)
+    probes, images, models = swept
+    assert probes is models is config.net.directions and images.shape == probes.shape
 
 
 def test_classify_planted_4d_reflection_after_duality(no_lp):
@@ -455,19 +470,12 @@ def test_a_second_classification_sweeps_no_test_body_model(monkeypatch, kind):
     T = BlackBoxMap(lambda body: parse_body(body_to_doc(planted(body))), 2)
     config = ClassifierConfig(dimension=2, net=make_sphere_net(2, 0.05))
     model_leaves = {id(leaf) for body in _test_bodies(2, config.seed) for leaf in leaves_of(body)}
-    solve = support_module.support_batch
-    swept = []
-
-    def counted(leaf, dirs, tol=1e-6):
-        swept.append(id(leaf) in model_leaves)
-        return solve(leaf, dirs, tol)
-
-    monkeypatch.setattr(support_module, "support_batch", counted)
+    leaves = solved_leaves(monkeypatch)
     first = classify_isometry(T, config).to_doc()
-    assert first["kind"] == kind and any(swept)
-    swept.clear()
+    assert first["kind"] == kind and any(id(leaf) in model_leaves for leaf in leaves)
+    leaves.clear()
     assert classify_isometry(T, config).to_doc() == first
-    assert swept and not any(swept)
+    assert leaves and not any(id(leaf) in model_leaves for leaf in leaves)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -518,6 +526,35 @@ def test_a_warm_stage_three_builds_no_node_and_calls_no_hausdorff(monkeypatch, c
     monkeypatch.setattr(Motion, "__post_init__", counted_build)
     assert classify_isometry(T, config2).to_doc() == first
     assert calls == ["Motion"] * (len(_probes(2)[1]) + N_TEST_BODIES) == ["Motion"] * 30
+
+
+def test_a_warm_planar_classification_shares_its_lookups_and_motion_products(monkeypatch, config2):
+    # under a motion map every image's top node carries the one motion, so a
+    # sweep multiplies its directions by the rotation once, and every 2-d
+    # arc-table leaf of a sweep takes one shared lookup
+    g = random_motion(np.random.default_rng(53), 2)
+    T = motion_map(g)
+    first = classify_isometry(T, config2).to_doc()
+    lookup, lookups = solver_module._arc_lookup, []
+    products = []
+
+    def counted(leaves, dirs, tol):
+        lookups.append(len(leaves))
+        return lookup(leaves, dirs, tol)
+
+    class Rotation(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(inputs[0])
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    monkeypatch.setattr(solver_module, "_arc_lookup", counted)
+    object.__setattr__(g, "rotation", g.rotation.view(Rotation))  # a frozen motion the test alone holds
+    assert classify_isometry(T, config2).to_doc() == first
+    # the probe images are a point and a unit ball each; the test bodies' images hold the arc leaves
+    arc_leaves = [leaf for body in _test_bodies(2, config2.seed) for leaf in leaves_of(body) if leaf.arcs is not None]
+    assert lookups == [len(arc_leaves)] and len(arc_leaves) > 1
+    assert len(products) == 2 and products[0] is config2.net.directions  # the net, then the pulled-back net
 
 
 def test_second_classification_prepares_no_leaf(monkeypatch, config2):
@@ -701,14 +738,7 @@ def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2, no_lp):
         widths = ev.on_net(net2) + ev.batch(-net2.directions)
         center = _ball_fits(ev.on_net(net2)[None, :], net2, 1e-6)[0][0]
         radii.append((max(np.max(widths) / 2 - 1e-6, 0.0), farthest_distance(k, center, net2)))
-    solve = support_module.support_batch
-    leaves = []
-
-    def counted(leaf, dirs, tol=1e-6):
-        leaves.append(leaf)
-        return solve(leaf, dirs, tol)
-
-    monkeypatch.setattr(support_module, "support_batch", counted)
+    leaves = solved_leaves(monkeypatch)
     check = geodesic_midpoint_check(k0, k1, k2, net2)
     assert len(leaves) == 4  # k0's leaf and k2's, each for itself and for k1
     assert (check.d01, check.d12, check.d02) == tuple(res.value for res in pairs)

@@ -6,18 +6,24 @@ import types
 import numpy as np
 import pytest
 
+import ballbodies.solver as solver
+import ballbodies.support as support_module
 from ballbodies.bodies import (
+    CDual,
+    Combine,
     Generators,
+    Motion,
     apply_motion,
     ball_body,
     c_dual,
     combine,
     point_body,
 )
-from ballbodies.corpus import body_pairs
+from ballbodies.corpus import body_corpus, body_pairs, random_motion
 from ballbodies.errors import DimensionMismatchError, EmptyReconstructionError
 from ballbodies.geometry import RigidMotion, make_sphere_net
 from ballbodies.lab import geodesic_midpoint_check
+from ballbodies.solver import support_batch
 from ballbodies.support import (
     SupportEval,
     circumball,
@@ -29,6 +35,7 @@ from ballbodies.support import (
     net_error_bound,
     reconstruct,
     support_value,
+    sweep,
 )
 
 TOL = 1e-6
@@ -522,3 +529,115 @@ def test_net_sweep_cache_never_serves_a_dropped_net():
         ev.on_net(make_sphere_net(2, 0.5))
         finer = make_sphere_net(2, 0.1)
         assert ev.on_net(finer).shape == (len(finer),)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sweep of many bodies
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep(body, dirs, tol=TOL):
+    """One body's sweep by plain recursion, a node at a time, every leaf by `support_batch`."""
+    if isinstance(body, Generators):
+        return support_batch(body.leaf, dirs, tol)
+    if isinstance(body, CDual):
+        return 1.0 - reference_sweep(body.of, -dirs, tol)
+    if isinstance(body, Combine):
+        return (1.0 - body.lam) * reference_sweep(body.a, dirs, tol) + body.lam * reference_sweep(body.b, dirs, tol)
+    assert isinstance(body, Motion)
+    return reference_sweep(body.of, dirs @ body.g.rotation, tol) + dirs @ body.g.translation
+
+
+def assert_sweeps_like_the_reference(bodies, dirs, tol=TOL):
+    got = sweep(bodies, dirs, tol)
+    assert got.shape == (len(bodies), len(dirs))
+    assert np.array_equal(got, np.array([reference_sweep(body, dirs, tol) for body in bodies]))
+
+
+def leaf_dirs(monkeypatch):
+    """The direction arrays that `sweep` hands the solver from here on, per leaf solve."""
+    seen = []
+    one, fused = support_module.support_batch, support_module.arc_support_batch
+
+    def solve_one(leaf, dirs, tol):
+        seen.append(dirs)
+        return one(leaf, dirs, tol)
+
+    def solve_fused(leaves, dirs, tol):
+        seen.extend(dirs)
+        return fused(leaves, dirs, tol)
+
+    monkeypatch.setattr(support_module, "support_batch", solve_one)
+    monkeypatch.setattr(support_module, "arc_support_batch", solve_fused)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sweep_matches_the_recursive_reference_on_the_corpus(dim):
+    bodies = body_corpus(30 + dim, dim, 24 if dim < 4 else 10)
+    shared = [
+        shape
+        for K in bodies[4:8]
+        for shape in (c_dual(c_dual(K)), combine(0.35, K, apply_motion(random_motion(np.random.default_rng(dim), dim), K)))
+    ]
+    net = make_sphere_net(dim, default_mesh(dim))
+    assert_sweeps_like_the_reference(bodies + shared, net.directions)
+    assert_sweeps_like_the_reference(bodies[5:6], -net.directions)  # one body
+
+
+def test_sweep_shares_a_motion_between_bodies_and_keeps_its_arrays_read_only(monkeypatch, net2):
+    rng = np.random.default_rng(60)
+    g = random_motion(rng, 2)
+    bodies = [apply_motion(g, Generators(rng.uniform(-0.4, 0.4, size=(m, 2)))) for m in (1, 3, 4, 5)]
+    bodies.append(apply_motion(g, c_dual(bodies[2].of)))
+    expected = np.array([reference_sweep(body, net2.directions) for body in bodies])
+    seen = leaf_dirs(monkeypatch)
+    assert np.array_equal(sweep(bodies, net2.directions, TOL), expected)
+    rotated = [dirs for dirs in seen if np.array_equal(dirs, net2.directions @ g.rotation)]
+    assert len(seen) == 5 and len(rotated) == 4 and all(dirs is rotated[0] for dirs in rotated)  # the memo hits
+    (flipped,) = [dirs for dirs in seen if dirs is not rotated[0]]
+    assert np.array_equal(flipped, -rotated[0])
+    for dirs in seen:
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dirs[0, 0] = 0.0
+    mine = np.array(net2.directions)
+    sweep(bodies, mine, TOL)
+    assert mine.flags.writeable  # the caller's array is left as it is
+
+
+def test_sweep_sends_unproven_arc_pieces_and_point_like_leaves_to_their_solvers(monkeypatch):
+    # below the piece gaps of a generic leaf its pieces take the pivot, from
+    # every sweep of it in the batch; two tangent unit balls are one point
+    leaf = Generators(np.random.default_rng(5).uniform(-0.4, 0.4, size=(5, 2)))
+    tight = 1e-15
+    assert np.any(leaf.leaf.arcs.gap > tight) and np.any(leaf.leaf.arcs.gap <= tight)
+    g = random_motion(np.random.default_rng(61), 2)
+    point = Generators(np.array([[-1.0, 0.3], [1.0, 0.3]]))
+    assert point.leaf.point_like
+    dirs = make_sphere_net(2, 0.05).directions
+    pivot, pivoted = solver._pivot_support, []
+
+    def counted(leaf, U, tol):
+        pivoted.append(len(U))
+        return pivot(leaf, U, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_pivot_support", counted)
+        got = sweep([leaf, c_dual(leaf), apply_motion(g, leaf)], dirs, tight)
+    assert len(pivoted) == 3 and all(0 < count < len(dirs) for count in pivoted)
+    assert_sweeps_like_the_reference([leaf, c_dual(leaf), apply_motion(g, leaf)], dirs, tight)
+    assert np.array_equal(got, sweep([leaf, c_dual(leaf), apply_motion(g, leaf)], dirs, tight))
+    assert_sweeps_like_the_reference([point, combine(0.5, point, leaf), c_dual(point)], dirs)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, float("inf"), -1e-6])
+def test_sweep_rejects_a_tolerance_that_is_not_positive_and_finite(tol, net2):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        sweep([ball_body(np.zeros(2))], net2.directions, tol)
+
+
+def test_sweep_rejects_a_body_of_another_dimension(net2, net3):
+    with pytest.raises(DimensionMismatchError, match="directions of dimension 3 do not match the body's 2"):
+        sweep([ball_body(np.zeros(3)), ball_body(np.zeros(2))], net3.directions, TOL)
+    assert sweep([], net2.directions, TOL).shape == (0, len(net2))
