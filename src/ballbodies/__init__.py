@@ -21,7 +21,6 @@ from .bodies import (
     combine,
     parse_body,
     point_body,
-    push_motion,
 )
 from .geometry import (
     Ball,
@@ -36,10 +35,8 @@ from .support import (
     SupportEval,
     circumball,
     contains_point,
-    farthest_distance,
     hausdorff,
     reconstruct,
-    support_value,
 )
 
 __all__ = [
@@ -61,14 +58,11 @@ __all__ = [
     "circumball",
     "combine",
     "contains_point",
-    "farthest_distance",
     "hausdorff",
     "make_sphere_net",
     "minimal_enclosing_ball",
     "parse_body",
     "point_body",
     "procrustes_fit",
-    "push_motion",
     "reconstruct",
-    "support_value",
 ]

@@ -155,13 +155,6 @@ def apply_motion(g: RigidMotion, body: BallBodyExpr) -> Motion:
     return Motion(g, body)
 
 
-def push_motion(g: RigidMotion, gen: Generators) -> Generators:
-    """Equivalent generator form of a moved generator body (unit radii only)."""
-    if gen.radii is not None:
-        raise ValueError("push_motion applies to unit-radius generator bodies")
-    return Generators(g.apply(gen.centers))
-
-
 # ---------------------------------------------------------------------------
 # document format
 # ---------------------------------------------------------------------------

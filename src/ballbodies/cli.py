@@ -3,7 +3,9 @@
 Bodies and maps arrive as JSON documents (a file path, ``-`` for stdin, or
 an inline JSON string); every invocation emits one deterministic JSON
 report embedding the configuration and tool version.  Exit codes: 0 ok,
-1 a selftest criterion failed, 2 parse error, 3 invariant violation,
+1 a selftest criterion failed, 2 a document that cannot be read or parsed
+(any OSError of opening it, a file that is not UTF-8, malformed JSON or
+body) or an --out path that cannot be written, 3 invariant violation,
 4 classification-premise failure, 5 adaptive resolution or memory exhausted.
 SciPy, ``lab``, ``maps`` and ``planar`` are imported only by the commands that use them.
 """
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .geometry import make_sphere_net
 from .solver import DEFAULT_TOL
-from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid
+from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid, sweep
 
 EXIT_FAILED = 1
 EXIT_PARSE = 2
@@ -44,7 +46,7 @@ EXIT_PREMISE = 4
 EXIT_RESOLUTION = 5
 
 _ERROR_EXITS = [
-    ((DocumentError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError), EXIT_PARSE),
+    ((DocumentError, json.JSONDecodeError, OSError, UnicodeDecodeError), EXIT_PARSE),
     (
         (
             EmptyBodyError,
@@ -236,10 +238,8 @@ def cdual_check(config: RunConfig, body):
 
     (expr,), dim = _bodies(config, body)
     net = config.net(dim)
-    ev = SupportEval(expr, config.support_tol)
-    h = ev.on_net(net)
-    hcc = SupportEval(c_dual(c_dual(expr)), config.support_tol).on_net(net)
-    g = SupportEval(c_dual(expr), config.support_tol).batch(-net.directions)
+    h, hcc = sweep([expr, c_dual(c_dual(expr))], net.directions, config.support_tol)
+    (g,) = sweep([c_dual(expr)], -net.directions, config.support_tol)
     inv = float(np.max(np.abs(hcc - h)))
     ident = float(np.max(np.abs(h + g - 1.0)))
     return {

@@ -351,7 +351,7 @@ def geodesic_midpoint_check(
     sweeps = np.vstack([k.on_net(net) for k in evals])
     tols = np.array([k.tol for k in evals])
     first, second = [0, 1, 0], [1, 2, 2]  # the pairs 01, 12 and 02
-    size = sizes(evals)
+    size = sizes([k.body for k in evals])
     value = np.max(np.abs(sweeps[first] - sweeps[second]), axis=1)
     pairs = net_distance(value, size[:, first], size[:, second], net.mesh, (tols[first], tols[second]))
     (d01, d12, d02), (e01, e12, e02) = pairs.value.tolist(), pairs.error_bound.tolist()

@@ -33,6 +33,7 @@ LM_MAX_ITERS = 100  # Jacobians per preimage search
 EPS = np.finfo(float).eps
 SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step
 DEFECT_SAMPLES = 160  # random disk points of the distortion estimate
+LEAST_SEPARATION = 2e-8  # the closest pairs of the continuity probe, at any scale
 # the fits and distortion estimates square coordinates of up to a few times
 # the probe scale and sum dozens of them, which past this scale overflows
 MAX_SCALE = math.sqrt(np.finfo(float).max) / 64.0
@@ -81,11 +82,17 @@ def eps_isometry_defect_planar(f: BlackBoxMap, radius: float, seed: int = 0) -> 
     return float(np.max(_beyond_rounding(np.abs(d_out - d_in), size[:, None] + size)))
 
 
-def _discontinuity_probe(f: BlackBoxMap, radius: float, seed: int) -> tuple[bool, float]:
-    """Does a large distance distortion, beyond rounding, persist at vanishing separations?"""
+def _discontinuity_probe(f: BlackBoxMap, seed: int) -> tuple[bool, float]:
+    """Does a large distance distortion, beyond rounding, persist at vanishing separations?
+
+    The separations are absolute, as small at a far target as near the
+    origin: pairs LEAST_SEPARATION apart about random points near the
+    origin, and a ladder of pairs 2 10^-k apart (k = 3..8) about the origin
+    itself.  `_beyond_rounding` pads each pair for the size of its points.
+    """
     rng = np.random.default_rng(seed)
     pairs = []
-    h = radius * 10.0**-8  # the smallest separation of the origin ladder below
+    h = LEAST_SEPARATION / 2.0
     for _ in range(8):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
@@ -93,7 +100,7 @@ def _discontinuity_probe(f: BlackBoxMap, radius: float, seed: int) -> tuple[bool
         pairs.append((base + h * u, base - h * u, h))
     # probe around the origin explicitly
     for k in range(3, 9):
-        h = radius * 10.0**-k
+        h = 10.0**-k
         pairs.append((np.array([h, 0.0]), np.array([-h, 0.0]), h))
     persistent = 0.0
     for x, y, h in pairs:
@@ -285,11 +292,11 @@ def surjectivity_probe_planar(f: BlackBoxMap, target, seed: int = 0) -> Surjecti
     scale = max(scale, 1.5 * (float(np.linalg.norm(target - f0)) + fit_err + eps_hat))
 
     notes = []
-    discont, persist = _discontinuity_probe(f, scale, seed + 1)
+    discont, persist = _discontinuity_probe(f, seed + 1)
     if discont:
         notes.append(
-            f"distance distortion {persist:.3f} persists at separations below "
-            f"{scale * 1e-8:.1e}; the map cannot be continuous"
+            f"distance distortion {persist:.3f} persists at separations down to "
+            f"{LEAST_SEPARATION:.1e}; the map cannot be continuous"
         )
 
     degrees = []

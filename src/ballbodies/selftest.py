@@ -46,6 +46,7 @@ from .support import (
     hausdorff,
     net_error_bound,
     reconstruct_from_grid,
+    sweep,
 )
 
 
@@ -62,10 +63,10 @@ class CriterionResult:
 
 @dataclass
 class SelftestContext:
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-    mesh: float | None = None  # None: the default mesh of each dimension
-    scale: float = 1.0
+    seed: int
+    tol: float
+    mesh: float | None  # None: the default mesh of each dimension
+    scale: float
 
     def __post_init__(self):
         self._nets: dict = {}
@@ -94,11 +95,10 @@ def criterion_1(ctx: SelftestContext) -> tuple[str, dict]:
     n2 = ctx.count(70)
     n3 = ctx.count(30)
     for dim, count, seed in ((2, n2, ctx.seed + 101), (3, n3, ctx.seed + 102)):
-        net = ctx.net(dim)
-        for body in body_corpus(seed, dim, count):
-            h = SupportEval(body, ctx.tol).on_net(net)
-            hcc = SupportEval(c_dual(c_dual(body)), ctx.tol).on_net(net)
-            worst = max(worst, float(np.max(np.abs(hcc - h))))
+        bodies = body_corpus(seed, dim, count)
+        twice = [c_dual(c_dual(body)) for body in bodies]
+        h, hcc = np.split(sweep(bodies + twice, ctx.net(dim).directions, ctx.tol), 2)
+        worst = max(worst, float(np.max(np.abs(hcc - h))))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
     return status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)}
 
@@ -109,10 +109,10 @@ def criterion_2(ctx: SelftestContext) -> tuple[str, dict]:
     n3 = ctx.count(30)
     for dim, count, seed in ((2, n2, ctx.seed + 201), (3, n3, ctx.seed + 202)):
         net = ctx.net(dim)
-        for body in body_corpus(seed, dim, count):
-            h = SupportEval(body, ctx.tol).on_net(net)
-            g = SupportEval(c_dual(body), ctx.tol).batch(-net.directions)
-            worst = max(worst, float(np.max(np.abs(h + g - 1.0))))
+        bodies = body_corpus(seed, dim, count)
+        h, g = np.split(sweep(bodies + [c_dual(body) for body in bodies], net.directions, ctx.tol), 2)
+        g = np.roll(g, len(net) // 2, axis=1)  # the net is [half; -half], so this is the dual's sweep at -u
+        worst = max(worst, float(np.max(np.abs(h + g - 1.0))))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
     return status, {"bodies": n2 + n3, "max_deviation": _fmt(worst)}
 
@@ -134,14 +134,15 @@ def criterion_4(ctx: SelftestContext) -> tuple[str, dict]:
     net = ctx.net(2)
     count = ctx.count(50)
     rng = np.random.default_rng(ctx.seed + 401)
-    worst = 0.0
+    left, right = [], []
     for _ in range(count):
         lam = float(rng.uniform(0.05, 0.95))
         k = random_body(rng, 2)
         t = random_body(rng, 2)
-        left = SupportEval(c_dual(combine(lam, k, t)), ctx.tol).on_net(net)
-        right = SupportEval(combine(lam, c_dual(k), c_dual(t)), ctx.tol).on_net(net)
-        worst = max(worst, float(np.max(np.abs(left - right))))
+        left.append(c_dual(combine(lam, k, t)))
+        right.append(combine(lam, c_dual(k), c_dual(t)))
+    left, right = np.split(sweep(left + right, net.directions, ctx.tol), 2)
+    worst = float(np.max(np.abs(left - right)))
     status = "pass" if worst <= 2 * ctx.tol else "fail"
     return status, {"triples": count, "max_deviation": _fmt(worst)}
 
@@ -197,15 +198,15 @@ def criterion_6(ctx: SelftestContext) -> tuple[str, dict]:
     failures = []
     for i, body in enumerate(bodies):
         net_d = ctx.net(body.dim)
-        ball = circumball(body, net_d, ctx.tol)
+        ev = SupportEval(body, ctx.tol)  # its memo serves the rigidity check too
+        ball = circumball(ev, net_d, ctx.tol)
         worst_radius = max(worst_radius, ball.radius)
         if ball.radius > 1.0 + 1e-4:
             failures.append(f"body {i}: circumradius {ball.radius:.6f} > 1 + 1e-4")
         if ball.radius >= 1.0 - 1e-6:
             near_unit += 1
-            h = SupportEval(body, ctx.tol).on_net(net_d)
             model = net_d.directions @ ball.center + 1.0
-            dev = float(np.max(np.abs(h - model)))
+            dev = float(np.max(np.abs(ev.on_net(net_d) - model)))
             worst_rigidity = max(worst_rigidity, dev)
             if dev > 1e-4:
                 failures.append(f"body {i}: radius-one body off a unit ball by {dev:.2e}")

@@ -491,14 +491,6 @@ def _keys(group: np.ndarray, value: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _arc_support(leaf: LeafGeometry, U: np.ndarray, tol: float) -> np.ndarray:
-    """Certified values by arc lookup of one leaf (2-d); NaN in a piece certified only within more than tol.
-
-    `support_batch` hands those directions to the pivot.
-    """
-    return _arc_lookup([leaf], [U], tol)
-
-
 # ---------------------------------------------------------------------------
 # every dimension: the KKT subset table
 # ---------------------------------------------------------------------------
@@ -721,7 +713,7 @@ def support_batch(leaf: LeafGeometry, dirs: np.ndarray, tol: float = DEFAULT_TOL
         return _point_support(leaf, U, tol)
 
     if leaf.arcs is not None:
-        values = _arc_support(leaf, U, tol)
+        values = _arc_lookup([leaf], [U], tol)  # NaN where the pivot takes over
     elif leaf.subsets is not None:
         values = _enumerate_support(leaf, U, tol)
     else:

@@ -12,8 +12,8 @@ solver guarantees each value within the oracle tolerance.  `sweep` is the
 one tree walk: one pass per list of bodies on one direction array.  Within
 the pass each node's transformed directions are computed once per direction
 array and motion, so bodies that share a motion share its products, and the
-2-d leaves with an arc table share one lookup.  `SupportEval.batch` and
-`on_net` are its one-body case.  The Hausdorff
+2-d leaves with an arc table share one lookup.  `SupportEval` is a
+body's memo of its sweeps per net.  The Hausdorff
 distance of two bodies equals the sup-norm distance of their support
 functions on the unit sphere; evaluating on a finite net gives a value
 together with a rigorous error bound, `net_error_bound`.  That bound is
@@ -169,11 +169,10 @@ def _transformed(memo: dict, dirs: np.ndarray, g) -> tuple:
 
 @dataclass(eq=False)
 class SupportEval:
-    """Evaluable support oracle with a certified per-value tolerance.
+    """A body's support oracle at a certified per-value tolerance, with a memo of its sweeps per net.
 
-    Its dimension, norm bound and curvature interval are the body's, set
-    when the body was built; the oracle adds the tolerance and a memo of
-    sweeps per net.
+    Every value it gives comes from `sweep`.  The body's dimension, norm
+    bound and curvature interval were set when the body was built.
     """
 
     body: BallBodyExpr
@@ -186,27 +185,13 @@ class SupportEval:
         self._net_cache: dict[SphereNet, np.ndarray] = {}
 
     @property
-    def norm_bound(self) -> float:
-        """A bound on |h(u)| over the sphere, set by the body at construction."""
-        return self.body.norm_bound
-
-    @property
-    def curvature(self) -> tuple[float, float]:
-        """An interval for h + h'' along every great circle, set by the body at construction."""
-        return self.body.curvature
-
-    @property
     def dim(self) -> int:
         return self.body.dim
 
     def __call__(self, u) -> float:
         """Support value for a single unit direction (normalized within 1e-6)."""
         u = normalize_direction(u, self.dim)
-        return float(self.batch(u[None, :])[0])
-
-    def batch(self, dirs: np.ndarray) -> np.ndarray:
-        """Support values for unit direction rows (assumed normalized)."""
-        return sweep([self.body], dirs, self.tol)[0]
+        return float(sweep([self.body], u[None, :], self.tol)[0, 0])
 
     def on_net(self, net: SphereNet) -> np.ndarray:
         """Support sweep over a net, memoized per net object (pure, transparent).
@@ -217,14 +202,8 @@ class SupportEval:
         if net not in self._net_cache:
             if net.dim != self.dim:
                 raise DimensionMismatchError(f"net dimension {net.dim} does not match the body's {self.dim}")
-            self._net_cache[net] = self.batch(net.directions)
+            self._net_cache[net] = sweep([self.body], net.directions, self.tol)[0]
         return self._net_cache[net]
-
-
-def support_value(eval_or_body, u, tol: float = DEFAULT_TOL) -> float:
-    """Support value h(u); accepts a SupportEval or a bare body expression."""
-    ev = eval_or_body if isinstance(eval_or_body, SupportEval) else SupportEval(eval_or_body, tol)
-    return ev(u)
 
 
 def as_eval(body, tol: float = DEFAULT_TOL) -> SupportEval:
@@ -322,7 +301,7 @@ def hausdorff(K, T, net: SphereNet, tol: float = DEFAULT_TOL) -> HausdorffResult
     """
     ek, et = as_eval(K, tol), as_eval(T, tol)
     value = float(np.max(np.abs(ek.on_net(net) - et.on_net(net))))
-    result = net_distance(value, *sizes((ek, et)).T, net.mesh, (ek.tol, et.tol))
+    result = net_distance(value, *sizes((ek.body, et.body)).T, net.mesh, (ek.tol, et.tol))
     return result._replace(error_bound=float(result.error_bound))
 
 
@@ -376,15 +355,6 @@ def contains_point(K, y, net: SphereNet, tol: float = DEFAULT_TOL) -> ContainsRe
 # ---------------------------------------------------------------------------
 # farthest-point distance and reconstruction from point distances
 # ---------------------------------------------------------------------------
-
-
-def farthest_distance(K, x, net: SphereNet, tol: float = DEFAULT_TOL) -> float:
-    """A certified upper bound on max over the body of |y - x|, the Hausdorff distance of {x} to it.
-
-    `farthest_distance_batch` with one probe.
-    """
-    ev = as_eval(K, tol)
-    return float(farthest_distance_batch(ev, as_vector(x, ev.dim)[None, :], net, tol)[0])
 
 
 def farthest_distance_batch(K, xs: np.ndarray, net: SphereNet, tol: float = DEFAULT_TOL) -> np.ndarray:

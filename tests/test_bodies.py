@@ -17,12 +17,12 @@ from ballbodies.bodies import (
     combine,
     parse_body,
     point_body,
-    push_motion,
 )
 from ballbodies.corpus import body_corpus, random_generators, random_motion
 from ballbodies.errors import DimensionMismatchError, DocumentError, EmptyBodyError
 from ballbodies.geometry import RigidMotion, make_sphere_net
-from ballbodies.support import SupportEval, default_mesh, reconstruct
+from ballbodies.solver import DEFAULT_TOL
+from ballbodies.support import SupportEval, default_mesh, reconstruct, sizes, sweep
 
 
 def test_generators_accepts_fitting_centers():
@@ -137,7 +137,7 @@ def test_norm_bound_matches_a_recursive_walk(dim):
     bodies = body_corpus(7, dim, 40) + [general, mixed_chain(rng, dim, 16)]
     for body in bodies:
         assert body.norm_bound == reference_norm_bound(body)
-        assert SupportEval(body).norm_bound == body.norm_bound
+        assert sizes([body])[0, 0] == body.norm_bound  # as net distances take it
 
 
 def test_curvature_interval_rule_of_each_node_kind():
@@ -175,7 +175,7 @@ def test_curvature_matches_a_recursive_walk(dim):
     bodies = body_corpus(8, dim, 40) + [mixed_chain(rng, dim, 16)]
     for body in bodies:
         assert body.curvature == reference_curvature(body)
-        assert SupportEval(body).curvature == body.curvature
+        assert tuple(sizes([body])[1:, 0]) == body.curvature  # as net distances take it
 
 
 def test_curvature_interval_bounds_h_plus_h_second_derivative():
@@ -186,7 +186,7 @@ def test_curvature_interval_bounds_h_plus_h_second_derivative():
     dirs = [np.column_stack([np.cos(phi + s), np.sin(phi + s)]) for s in (-step, 0.0, step)]
     slack = 4e-6 / step**2 + 0.01
     for body in body_corpus(9, 2, 40):
-        below, at, above = (SupportEval(body).batch(d) for d in dirs)
+        below, at, above = (sweep([body], d, DEFAULT_TOL)[0] for d in dirs)
         curvature = at + (below + above - 2.0 * at) / step**2
         lo, hi = body.curvature
         assert lo - slack <= curvature.min() and curvature.max() <= hi + slack
@@ -209,15 +209,6 @@ def test_dim_and_depth_of_a_mixed_deep_tree():
     side = mixed_chain(rng, 2, 4)
     tree = combine(0.4, side, c_dual(ball_body([0.1, 0.0])))
     assert (tree.dim, tree.depth, tree.b.depth) == (2, 5, 2)
-
-
-def test_push_motion_matches_motion_node():
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    g = RigidMotion(q, np.array([0.4, -0.2]))
-    gen = Generators(rng.uniform(-0.4, 0.4, (3, 2)))
-    pushed = push_motion(g, gen)
-    np.testing.assert_allclose(pushed.centers, g.apply(gen.centers))
 
 
 def test_document_round_trip():

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import ballbodies
+import ballbodies.cli as cli_module
 from ballbodies.solver import DEFAULT_TOL
 from ballbodies.support import SupportEval
 from ballbodies.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_PREMISE, EXIT_RESOLUTION, main
@@ -139,10 +140,18 @@ def test_rounding_at_a_far_target_is_no_distortion(target):
     assert res["verdict"] == "surjective-evidence" and res["hypothesis_flags"] == []
 
 
+def test_a_smooth_map_is_not_called_discontinuous_at_a_far_target():
+    # the continuity probe's separations are absolute, not fractions of the probe radius
+    doc = {"map": "planar_perturbed", "amplitude": 0.1, "seed": 3}
+    res = report("surjectivity", json.dumps(doc), "--target", "[1e12, 3]")
+    assert res["notes"] == [] and "continuity" not in res["hypothesis_flags"]
+    assert res["verdict"] == "surjective-evidence"
+
+
 def test_a_radial_hole_keeps_its_distortion_and_continuity_flag():
     res = report("surjectivity", '{"map": "planar_radial_hole"}', "--target", "[0.5, 0]")
     assert "continuity" in res["hypothesis_flags"] and res["verdict"] == "violation"
-    assert res["notes"][0].startswith("distance distortion 2.000 persists")
+    assert res["notes"][0] == "distance distortion 2.000 persists at separations down to 2.0e-08; the map cannot be continuous"
     assert f"{res['epsilon_hat']:.3f}" == "2.000"
 
 
@@ -234,6 +243,37 @@ def test_malformed_json_exits_parse():
     result = run_cli("support", "{not json", "--direction", "[1, 0]")
     assert result.exit_code == EXIT_PARSE == 2
     assert json.loads(result.stderr)["error"]["type"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize(
+    "operand, error",
+    [("x" * 300, "OSError"), (".", "IsADirectoryError"), ("absent.json", "FileNotFoundError")],
+    ids=["not-json-and-too-long-a-name", "directory", "missing"],
+)
+def test_an_operand_that_cannot_be_opened_exits_parse(operand, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("support", operand, "--direction", "[1, 0]")
+    assert result.exit_code == EXIT_PARSE and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == error
+
+
+def test_an_unreadable_operand_exits_parse(monkeypatch):
+    # chmod cannot hide a file from a superuser, so the refusal is injected
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli_module, "open", refused, raising=False)
+    result = run_cli("support", "body.json", "--direction", "[1, 0]")
+    assert result.exit_code == EXIT_PARSE and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "PermissionError"
+
+
+def test_a_file_that_is_not_utf8_exits_parse(tmp_path):
+    path = tmp_path / "body.json"
+    path.write_bytes(b'{"type": "generators", "centers": [[0.0, 0.0]], "note": "\xff"}')
+    result = run_cli("support", str(path), "--direction", "[1, 0]")
+    assert result.exit_code == EXIT_PARSE and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "UnicodeDecodeError"
 
 
 PLANAR_RIGID = json.dumps({"map": "planar_rigid", "rotation": [[1, 0], [0, 1]], "translation": [0, 0]})

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ballbodies"
-SETTABLE_VALUES_BUDGET = 40
+SETTABLE_VALUES_BUDGET = 34
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -140,6 +140,34 @@ def test_support_walks_body_trees_in_one_function():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and len(_node_types_checked(node)) >= 2
     ]
     assert walkers == ["_queue"], f"functions of support.py that dispatch on body node types: {walkers}"
+
+
+LEAF_SOLVERS = {"support_batch", "arc_support_batch"}
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {
+        getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(node) if isinstance(n, ast.Call)
+    }
+
+
+def test_every_support_sweep_goes_through_sweep():
+    # ROADMAP aim 2: one evaluator.  Only `support.sweep` hands leaves to the
+    # solver, and `SupportEval` is a memo whose two ways in call `sweep`
+    callers = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _called_names(node) & LEAF_SOLVERS
+    ]
+    assert callers == ["support.py: sweep"], f"functions that call the leaf solvers: {callers}"
+    tree = ast.parse((SOURCE / "support.py").read_text(encoding="utf-8"))
+    (oracle,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SupportEval"]
+    methods = {node.name: _called_names(node) for node in oracle.body if isinstance(node, ast.FunctionDef)}
+    evaluating = {name for name, called in methods.items() if "sweep" in called or called & LEAF_SOLVERS}
+    for _ in methods:  # and every method that evaluates through one of those
+        evaluating |= {name for name, called in methods.items() if called & evaluating}
+    assert sorted(evaluating) == ["__call__", "on_net"], f"methods of SupportEval that evaluate supports: {evaluating}"
 
 
 def _raised_names(tree: ast.AST) -> set[str]:

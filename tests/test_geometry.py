@@ -22,7 +22,7 @@ from ballbodies.geometry import (
     minimal_enclosing_ball,
     procrustes_fit,
 )
-from ballbodies.support import SupportEval, default_mesh
+from ballbodies.support import SupportEval, default_mesh, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +113,15 @@ def test_net_motion_and_ball_arrays_are_read_only_copies():
     q, t, c = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.5, 0.2]), np.array([0.1, 0.3])
     net, g, ball = SphereNet(dirs, 0.3), RigidMotion(q, t), Ball(c, 1.0)
     ev = SupportEval(ball_body([0.3, 0.1]))
-    sweep = ev.on_net(net).copy()
+    swept = ev.on_net(net).copy()
     for array in (net.directions, g.rotation, g.translation, ball.center):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = -array
     for array in (dirs, q, t, c):
         assert array.flags.writeable
         array[:] = -array  # the caller's arrays stay its own
-    np.testing.assert_array_equal(ev.on_net(net), sweep)
-    np.testing.assert_array_equal(ev.batch(net.directions), sweep)
+    np.testing.assert_array_equal(ev.on_net(net), swept)
+    np.testing.assert_array_equal(sweep([ev.body], net.directions, ev.tol)[0], swept)
 
 
 def test_net_deterministic():

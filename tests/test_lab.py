@@ -53,7 +53,7 @@ from ballbodies.support import (
     as_eval,
     circumball,
     default_mesh,
-    farthest_distance,
+    farthest_distance_batch,
     hausdorff,
     net_error_bound,
 )
@@ -735,9 +735,9 @@ def test_geodesic_check_sweeps_each_leaf_once(monkeypatch, net2, no_lp):
     radii = []  # half the largest width, and the farthest distance from the fitted center
     for k in (k0, k1, k2):
         ev = SupportEval(k)
-        widths = ev.on_net(net2) + ev.batch(-net2.directions)
+        widths = ev.on_net(net2) + support_module.sweep([k], -net2.directions, 1e-6)[0]
         center = _ball_fits(ev.on_net(net2)[None, :], net2, 1e-6)[0][0]
-        radii.append((max(np.max(widths) / 2 - 1e-6, 0.0), farthest_distance(k, center, net2)))
+        radii.append((max(np.max(widths) / 2 - 1e-6, 0.0), farthest_distance_batch(k, center[None, :], net2)[0]))
     leaves = solved_leaves(monkeypatch)
     check = geodesic_midpoint_check(k0, k1, k2, net2)
     assert len(leaves) == 4  # k0's leaf and k2's, each for itself and for k1

@@ -26,6 +26,7 @@ from ballbodies.raster import (
     rasterize,
 )
 from ballbodies.selftest import SelftestContext
+from ballbodies.solver import DEFAULT_TOL
 from ballbodies.support import hausdorff
 
 
@@ -179,7 +180,7 @@ def test_oracle_rasters_leave_two_empty_cells_at_every_window_edge():
     # the quick selftest's criterion 11 bodies and c-duals: the window spans
     # the norm bound, or a c-dual's unit ball, plus two cells
     rng = np.random.default_rng(1101)
-    ctx = SelftestContext(scale=0.1)
+    ctx = SelftestContext(seed=0, tol=DEFAULT_TOL, mesh=None, scale=0.1)
     bodies = [random_body(rng, 2) for _ in range(ctx.count(30))]
     for body in bodies + [c_dual(b) for b in bodies[::3]]:
         mask = rasterize(body, ORACLE_CELL).mask

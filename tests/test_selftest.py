@@ -5,12 +5,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ballbodies import selftest
+from ballbodies import cli, selftest
 from ballbodies.bodies import CDual
 from ballbodies.cli import main
 from ballbodies.errors import EmptyRasterError
 from ballbodies.selftest import SelftestContext, criterion_1, run_selftest
-from ballbodies.support import SupportEval, default_mesh
+from ballbodies.solver import DEFAULT_TOL
+from ballbodies.support import default_mesh, sweep
 
 
 @pytest.fixture
@@ -60,9 +61,9 @@ def test_classifier_criterion_is_not_vacuous_at_a_coarse_mesh():
 
 
 def test_selftest_nets_are_the_shipped_nets():
-    net = SelftestContext().net(3)
+    net = SelftestContext(seed=0, tol=DEFAULT_TOL, mesh=None, scale=1.0).net(3)
     assert net.mesh == default_mesh(3) and len(net) == 384
-    coarse = SelftestContext(mesh=0.08)  # one mesh in every dimension
+    coarse = SelftestContext(seed=0, tol=DEFAULT_TOL, mesh=0.08, scale=1.0)  # one mesh in every dimension
     assert coarse.net(2).mesh == coarse.net(3).mesh == 0.08
 
 
@@ -70,7 +71,7 @@ def test_duality_gates_are_twice_the_run_tolerance(monkeypatch):
     # each of the two compared sweeps is within tol of the truth, so the gate
     # is 2 tol: a shift of 1e-7 hides under a fixed 2e-6, not under 2e-9
     ball = '{"type": "generators", "centers": [[0.1, 0.2]]}'
-    ctx = SelftestContext(tol=1e-9, scale=0.03)
+    ctx = SelftestContext(seed=0, tol=1e-9, mesh=None, scale=0.03)
 
     def cdual_check():
         result = CliRunner().invoke(main, ["--tol", "1e-9", "cdual-check", ball])
@@ -78,11 +79,12 @@ def test_duality_gates_are_twice_the_run_tolerance(monkeypatch):
         return json.loads(result.output)["result"]["passed"]
 
     assert criterion_1(ctx)[0] == "pass" and cdual_check() is True
-    sweep = SupportEval.on_net
 
-    def shifted(self, net):  # moves the sweep of every double c-dual
-        h = sweep(self, net)
-        return h + 1e-7 if isinstance(self.body, CDual) and isinstance(self.body.of, CDual) else h
+    def shifted(bodies, dirs, tol):  # moves the sweep of every double c-dual
+        rows = sweep(bodies, dirs, tol)
+        rows[[isinstance(body, CDual) and isinstance(body.of, CDual) for body in bodies]] += 1e-7
+        return rows
 
-    monkeypatch.setattr(SupportEval, "on_net", shifted)
+    for module in (selftest, cli):
+        monkeypatch.setattr(module, "sweep", shifted)
     assert criterion_1(ctx)[0] == "fail" and cdual_check() is False

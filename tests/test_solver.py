@@ -14,7 +14,7 @@ from ballbodies.solver import (
     DEFAULT_TOL,
     FEAS_PAD,
     LAMBDA_PAD,
-    _arc_support,
+    _arc_lookup,
     _dual_upper,
     _enumerate_support,
     _feasible_lower,
@@ -564,7 +564,7 @@ def assert_table_is_kkt_data(leaf):
 
 def table_support(leaf, U, tol):
     """Values of the leaf's direction-free table path: arc lookup in 2-d, enumeration in 3-d."""
-    return (_arc_support if leaf.dim == 2 else _enumerate_support)(leaf, U, tol)
+    return _arc_lookup([leaf], [U], tol) if leaf.dim == 2 else _enumerate_support(leaf, U, tol)
 
 
 def assert_matches_reference(leaf, U, tol=1e-8, same_mask=True, atol=1e-12):
@@ -763,7 +763,7 @@ def test_plane_leaves_certify_without_the_active_set_loop(case, monkeypatch):
 
 
 def piece_of(leaf, U):
-    """Each direction's arc-table piece, looked up as `_arc_support` does."""
+    """Each direction's arc-table piece, looked up as `_arc_lookup` does for one leaf."""
     arcs = leaf.arcs
     b0 = arcs.breaks[0]
     phi = b0 + np.mod(np.arctan2(U[:, 1], U[:, 0]) - b0, 2 * math.pi)

@@ -28,13 +28,11 @@ from ballbodies.support import (
     SupportEval,
     circumball,
     contains_point,
-    farthest_distance,
     farthest_distance_batch,
     default_mesh,
     hausdorff,
     net_error_bound,
     reconstruct,
-    support_value,
     sweep,
 )
 
@@ -81,7 +79,7 @@ def test_support_module_is_not_shadowed_by_a_package_export():
     import ballbodies.support as m
 
     assert isinstance(m, types.ModuleType)
-    assert m.support_value(ball_body([0.0, 0.0]), [1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+    assert m.SupportEval(ball_body([0.0, 0.0]))([1.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_ball_support():
@@ -112,16 +110,14 @@ def test_support_normalizes_near_unit_directions():
     with pytest.raises(ValueError):
         ev([1.1, 0.0])
     with pytest.raises(ValueError):
-        support_value(ball_body([0.0, 0.0]), [0.0, 0.0])
+        SupportEval(ball_body([0.0, 0.0]))([0.0, 0.0])
 
 
 def test_support_identity_on_net(net2):
     rng = np.random.default_rng(2)
     body = random_body(rng)
-    ev = SupportEval(body)
-    dual = SupportEval(c_dual(body))
-    h = ev.on_net(net2)
-    g = dual.batch(-net2.directions)
+    h = SupportEval(body).on_net(net2)
+    (g,) = sweep([c_dual(body)], -net2.directions, TOL)
     np.testing.assert_allclose(h + g, 1.0, atol=2e-6)
 
 
@@ -137,16 +133,15 @@ def test_involution_on_net(net2):
 def test_norm_bound_bounds_support(net2):
     rng = np.random.default_rng(4)
     for _ in range(5):
-        ev = SupportEval(random_body(rng))
-        h = ev.on_net(net2)
-        assert np.all(h <= ev.norm_bound + 1e-9)
-        assert np.all(h >= -ev.norm_bound - 1e-9)
+        body = random_body(rng)
+        h = SupportEval(body).on_net(net2)
+        assert np.all(h <= body.norm_bound + 1e-9)
+        assert np.all(h >= -body.norm_bound - 1e-9)
 
 
 def test_sampled_sublinearity_of_tree_support():
     rng = np.random.default_rng(5)
     body = random_body(rng)
-    ev = SupportEval(body)
     for _ in range(40):
         u = rng.standard_normal(2)
         v = rng.standard_normal(2)
@@ -156,8 +151,8 @@ def test_sampled_sublinearity_of_tree_support():
         nw = np.linalg.norm(w)
         if nw < 1e-6:
             continue
-        vals = ev.batch(np.array([u, v, w / nw]))
-        assert nw * vals[2] <= vals[0] + vals[1] + 4 * ev.tol
+        (vals,) = sweep([body], np.array([u, v, w / nw]), TOL)
+        assert nw * vals[2] <= vals[0] + vals[1] + 4 * TOL
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +301,8 @@ def test_motion_node_matches_pushed_generators(net2):
     gen = Generators(rng.uniform(-0.5, 0.5, (3, 2)))
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     g = RigidMotion(q, np.array([0.2, 0.6]))
-    from ballbodies.bodies import push_motion
-
-    a = SupportEval(apply_motion(g, gen))
-    b = SupportEval(push_motion(g, gen))
+    a = SupportEval(Motion(g, gen))
+    b = SupportEval(Generators(g.apply(gen.centers)))
     np.testing.assert_allclose(a.on_net(net2), b.on_net(net2), atol=2e-6)
 
 
@@ -467,7 +460,7 @@ def test_farthest_distance_matches_closed_form(dim):
         x, c = rng.uniform(-2.0, 2.0, dim), rng.uniform(-0.5, 0.5, dim)
         far = float(np.linalg.norm(x - c))
         for body, R in ((ball_body(c), far + 1.0), (point_body(c), far)):
-            got = farthest_distance(body, x, net, TOL)
+            (got,) = farthest_distance_batch(body, x[None, :], net, TOL)
             assert R <= got <= (R + TOL) / shrink + 1e-12
 
 
@@ -485,7 +478,7 @@ def _dense_farthest(ev, x, count=20000):
 
     def phi(theta):
         u = np.column_stack([np.cos(theta), np.sin(theta)])
-        return ev.batch(u) - u @ x
+        return sweep([ev.body], u, ev.tol)[0] - u @ x
 
     theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     vals = phi(theta)
@@ -509,7 +502,7 @@ def test_farthest_distance_batch_matches_dense_sweep(mesh):
         dense = np.array([_dense_farthest(ev, x) for x in xs])
         assert np.all(dense <= got)
         assert np.all(got <= (dense + 2 * ev.tol) / (1.0 - mesh**2 / 2.0))
-        assert farthest_distance(ev, xs[0], net) == got[0]
+        assert farthest_distance_batch(ev, xs[:1], net)[0] == got[0]  # one probe alone
 
 
 def test_net_sweep_cache_is_transparent(net2):
