@@ -27,6 +27,8 @@ JSON document format (one object per node; other keys are ignored) is::
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,8 @@ class BallBodyExpr:
     def _derive(self, dim: int, depth: int, norm_bound: float, curvature: tuple[float, float]) -> None:
         if depth > MAX_TREE_DEPTH:
             raise ValueError(f"expression depth exceeds {MAX_TREE_DEPTH}")
+        if not math.isfinite(norm_bound * norm_bound):  # net error bounds square it
+            raise ValueError(f"norm bound {norm_bound:.3g} is too large: its square is not finite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "norm_bound", norm_bound)
@@ -74,7 +78,8 @@ class Generators(BallBodyExpr):
         if self.radii is not None:
             object.__setattr__(self, "radii", leaf.radii)
         object.__setattr__(self, "_leaf", leaf)
-        norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
+        with np.errstate(over="ignore"):  # a norm beyond float range comes out inf, which _derive rejects
+            norm_bound = float(np.min(np.linalg.norm(leaf.centers, axis=1) + leaf.radii))
         r = float(leaf.radii.max())
         self._derive(leaf.dim, 1, norm_bound, (r, r) if leaf.m == 1 else (0.0, r))
 
@@ -160,38 +165,48 @@ def apply_motion(g: RigidMotion, body: BallBodyExpr) -> Motion:
 # ---------------------------------------------------------------------------
 
 
+def read_node(doc, key: str, readers: dict, what: str, depth: int, *context):
+    """The one reading rule for a body or map document node.
+
+    The node must be an object at most MAX_TREE_DEPTH levels down, and its
+    `key` field must name one of `readers`; the reader is called as
+    ``reader(doc, depth + 1, *context)`` and reads its children at that
+    depth.  A missing field or a value that does not convert (KeyError,
+    TypeError, ValueError, OverflowError) becomes DocumentError.
+    """
+    if depth > MAX_TREE_DEPTH:
+        raise DocumentError(f"{what} document nests deeper than {MAX_TREE_DEPTH}")
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} node must be an object, got {type(doc).__name__}")
+    kind = doc.get(key)
+    if not isinstance(kind, str) or kind not in readers:
+        raise DocumentError(f"unknown {what} node type {reprlib.repr(kind)}")  # reprlib: bounded depth
+    try:
+        return readers[kind](doc, depth + 1, *context)
+    except KeyError as exc:
+        raise DocumentError(f"{what} node of type {kind!r} lacks field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"malformed {what} node of type {kind!r}: {exc}") from exc
+
+
+def read_motion(doc) -> RigidMotion:
+    """The rigid motion of a node's "rotation" and "translation" fields."""
+    return RigidMotion(doc["rotation"], doc["translation"])
+
+
+_BODY_READERS = {  # children go through the module name `parse_body`, which perfbench's tracer rebinds
+    "generators": lambda doc, depth: Generators(doc["centers"]),
+    "cdual": lambda doc, depth: CDual(parse_body(doc["of"], depth)),
+    "combine": lambda doc, depth: Combine(
+        float(doc["lambda"]), parse_body(doc["a"], depth), parse_body(doc["b"], depth)
+    ),
+    "motion": lambda doc, depth: Motion(read_motion(doc), parse_body(doc["of"], depth)),
+}
+
+
 def parse_body(doc, _depth: int = 0) -> BallBodyExpr:
     """Build an expression tree from a parsed JSON document."""
-    if _depth > MAX_TREE_DEPTH:
-        raise DocumentError(f"body document nests deeper than {MAX_TREE_DEPTH}")
-    if not isinstance(doc, dict):
-        raise DocumentError(f"body node must be an object, got {type(doc).__name__}")
-    kind = doc.get("type")
-    try:
-        if kind == "generators":
-            centers = doc["centers"]
-            if not isinstance(centers, list) or not centers:
-                raise DocumentError("generators.centers must be a nonempty list")
-            return Generators(np.asarray(centers, dtype=float))
-        if kind == "cdual":
-            return CDual(parse_body(doc["of"], _depth + 1))
-        if kind == "combine":
-            return Combine(
-                float(doc["lambda"]),
-                parse_body(doc["a"], _depth + 1),
-                parse_body(doc["b"], _depth + 1),
-            )
-        if kind == "motion":
-            g = RigidMotion(
-                np.asarray(doc["rotation"], dtype=float),
-                np.asarray(doc["translation"], dtype=float),
-            )
-            return Motion(g, parse_body(doc["of"], _depth + 1))
-    except KeyError as exc:
-        raise DocumentError(f"body node of type {kind!r} lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed body node of type {kind!r}: {exc}") from exc
-    raise DocumentError(f"unknown body node type {kind!r}")
+    return read_node(doc, "type", _BODY_READERS, "body", _depth)
 
 
 def body_to_doc(body: BallBodyExpr) -> dict:

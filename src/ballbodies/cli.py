@@ -2,11 +2,14 @@
 
 Bodies and maps arrive as JSON documents (a file path, ``-`` for stdin, or
 an inline JSON string); every invocation emits one deterministic JSON
-report embedding the configuration and tool version.  Exit codes: 0 ok,
-1 a selftest criterion failed, 2 a document that cannot be read or parsed
-(any OSError of opening it, a file that is not UTF-8, malformed JSON or
-body) or an --out path that cannot be written, 3 invariant violation,
-4 classification-premise failure, 5 adaptive resolution or memory exhausted.
+report embedding the configuration and tool version, as strict JSON (no
+NaN or Infinity).  Exit codes: 0 ok, 1 a selftest criterion failed, 2 a
+document that cannot be read or parsed (any OSError of opening it, a file
+that is not UTF-8, malformed JSON, JSON nested too deep to parse, a body or
+map node that is malformed or whose values do not convert to finite floats)
+or an --out path that cannot be written, 3 invariant violation (among them
+a -u or --target value that is not a finite real vector), 4 classification-
+premise failure, 5 adaptive resolution or memory exhausted.
 SciPy, ``lab``, ``maps`` and ``planar`` are imported only by the commands that use them.
 """
 
@@ -35,7 +38,7 @@ from .errors import (
     NotIsometryError,
     ResolutionExhaustedError,
 )
-from .geometry import make_sphere_net
+from .geometry import as_vector, make_sphere_net
 from .solver import DEFAULT_TOL
 from .support import SupportEval, circumball, default_mesh, hausdorff, reconstruct_from_grid, sweep
 
@@ -109,6 +112,20 @@ def parse_map(doc, dim: int):
     return parse_map(doc, dim)
 
 
+def _read_json(text: str):
+    """The one JSON reader: documents and option vectors alike.
+
+    JSON nested too deep for the parser, or an integer too long to convert,
+    is a DocumentError; malformed JSON stays a JSONDecodeError.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise DocumentError(f"JSON text cannot be read: {exc}") from exc
+
+
 def _load_document(source: str):
     """Read a JSON document from a path, stdin ('-'), or an inline string."""
     text = None
@@ -119,18 +136,17 @@ def _load_document(source: str):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return _read_json(text)
+
+
+def _report_text(command: str, **fields) -> str:
+    """A report or error under the {tool, version, command} envelope, as strict JSON."""
+    doc = {"tool": "ballbodies", "version": __version__, "command": command, **fields}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(config: RunConfig, command: str, result: dict) -> None:
-    report = {
-        "tool": "ballbodies",
-        "version": __version__,
-        "command": command,
-        "config": config.to_doc(),
-        "result": result,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _report_text(command, config=config.to_doc(), result=result)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -141,13 +157,8 @@ def _emit(config: RunConfig, command: str, result: dict) -> None:
 def _fail(command: str, exc: Exception) -> None:
     for types, code in _ERROR_EXITS:
         if isinstance(exc, types):
-            payload = {
-                "tool": "ballbodies",
-                "version": __version__,
-                "command": command,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            click.echo(json.dumps(payload, sort_keys=True, indent=2), err=True)
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            click.echo(_report_text(command, error=error), err=True, nl=False)
             sys.exit(code)
     raise exc
 
@@ -224,7 +235,7 @@ def dist(config: RunConfig, body_a, body_b):
 def support(config: RunConfig, body, direction):
     """Support-function value of a body in one direction."""
     (expr,), _ = _bodies(config, body)
-    u = np.asarray(json.loads(direction), dtype=float)
+    u = as_vector(_read_json(direction))
     ev = SupportEval(expr, config.support_tol)
     return {"direction": u.tolist(), "value": ev(u), "tolerance": ev.tol}
 
@@ -316,7 +327,7 @@ def surjectivity(config: RunConfig, map_doc, target):
     from .planar import surjectivity_probe_planar
 
     T = parse_map(_load_document(map_doc), config.resolve_dim(2))
-    return surjectivity_probe_planar(T, json.loads(target), seed=config.seed).to_doc()
+    return surjectivity_probe_planar(T, _read_json(target), seed=config.seed).to_doc()
 
 
 @main.command()

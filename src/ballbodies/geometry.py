@@ -24,9 +24,17 @@ MAX_LP_PIVOTS = 1000  # circumball LP rounds; Bland's rule ends every tie, so on
 DIRECTION_SLACK = 1e-6  # largest distance of a query direction from the unit sphere
 
 
+def _real_array(x) -> np.ndarray:
+    """x as a float64 array; a value NumPy cannot read as real numbers raises ValueError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, OverflowError) as exc:  # an object in the list, an integer beyond float range
+        raise ValueError(f"expected real numbers: {exc}") from exc
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite float64 vector, optionally checking its dimension."""
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -38,7 +46,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def as_points(points) -> np.ndarray:
     """Coerce a sequence of vectors to an (m, n) float64 array."""
-    pts = np.asarray(points, dtype=float)
+    pts = _real_array(points)
     if pts.ndim == 1 and pts.size > 0:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:

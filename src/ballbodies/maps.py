@@ -15,7 +15,8 @@ Planar point maps (consumed by the surjectivity verifier)::
     {"map": "planar_radial_hole"}
 
 Maps are deterministic functions; the perturbed-rigid family derives its
-rotation, translation, frequencies and phases from the seed.
+rotation, translation, frequencies and phases from the seed.  A map
+document, like a body document, nests at most `bodies.MAX_TREE_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .bodies import (
     apply_motion,
     c_dual,
     parse_body,
+    read_motion,
+    read_node,
 )
 from .errors import DimensionMismatchError, DocumentError
 from .geometry import RigidMotion
@@ -157,44 +160,30 @@ def planar_radial_hole_map() -> BlackBoxMap:
 # ---------------------------------------------------------------------------
 
 
+def _read_compose(doc, depth: int, dim: int) -> BlackBoxMap:
+    parts = doc["of"]
+    if not isinstance(parts, list) or not parts:
+        raise DocumentError("compose.of must be a nonempty list")
+    return compose_maps([read_node(part, "map", _MAP_READERS, "map", depth, dim) for part in parts])
+
+
+_MAP_READERS = {
+    "motion": lambda doc, depth, dim: motion_map(read_motion(doc)),
+    "cdual": lambda doc, depth, dim: cdual_map(dim),
+    "compose": _read_compose,
+    "constant": lambda doc, depth, dim: constant_map(parse_body(doc["body"])),
+    "scale_centers": lambda doc, depth, dim: scale_centers_map(dim, float(doc["factor"])),
+    "planar_rigid": lambda doc, depth, dim: planar_rigid_map(read_motion(doc)),
+    "planar_perturbed": lambda doc, depth, dim: planar_perturbed_map(
+        float(doc["amplitude"]), int(doc.get("seed", 0))
+    ),
+    "planar_radial_hole": lambda doc, depth, dim: planar_radial_hole_map(),
+}
+
+
 def parse_map(doc, dim: int) -> BlackBoxMap:
-    """Build a black-box map from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"map node must be an object, got {type(doc).__name__}")
-    kind = doc.get("map")
-    try:
-        if kind == "motion":
-            g = RigidMotion(
-                np.asarray(doc["rotation"], dtype=float),
-                np.asarray(doc["translation"], dtype=float),
-            )
-            return motion_map(g)
-        if kind == "cdual":
-            return cdual_map(dim)
-        if kind == "compose":
-            parts = doc["of"]
-            if not isinstance(parts, list) or not parts:
-                raise DocumentError("compose.of must be a nonempty list")
-            return compose_maps([parse_map(p, dim) for p in parts])
-        if kind == "constant":
-            return constant_map(parse_body(doc["body"]))
-        if kind == "scale_centers":
-            return scale_centers_map(dim, float(doc["factor"]))
-        if kind == "planar_rigid":
-            g = RigidMotion(
-                np.asarray(doc["rotation"], dtype=float),
-                np.asarray(doc["translation"], dtype=float),
-            )
-            return planar_rigid_map(g)
-        if kind == "planar_perturbed":
-            return planar_perturbed_map(float(doc["amplitude"]), int(doc.get("seed", 0)))
-        if kind == "planar_radial_hole":
-            return planar_radial_hole_map()
-    except KeyError as exc:
-        raise DocumentError(f"map node of type {kind!r} lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed map node of type {kind!r}: {exc}") from exc
-    raise DocumentError(f"unknown map type {kind!r}")
+    """Build a black-box map from a parsed JSON document; `bodies.read_node` reads each node."""
+    return read_node(doc, "map", _MAP_READERS, "map", 0, dim)
 
 
 def map_dimension(doc) -> int | None:

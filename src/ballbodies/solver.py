@@ -46,7 +46,7 @@ no caller can change it after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -161,8 +161,8 @@ class LeafGeometry:
     radii: np.ndarray  # (m,)
     interior: np.ndarray  # the maximum-slack point
     slack: float  # min_i (r_i - |interior - x_i|), clamped at 0
-    subsets: SubsetTable | None = None
-    arcs: ArcTable | None = None
+    subsets: SubsetTable | None
+    arcs: ArcTable | None
 
     @property
     def m(self) -> int:
@@ -210,15 +210,16 @@ def prepare_leaf(centers, radii=None) -> LeafGeometry:
             f"the m={m} balls in dimension n={n} have empty intersection: "
             f"their maximum-slack point has slack {slack:.3e}"
         )
-    leaf = LeafGeometry(X, r, z, max(slack, 0.0))
-    if m >= 2 and not leaf.point_like:
+    slack = max(slack, 0.0)
+    subsets = arcs = None
+    if m >= 2 and slack > POINT_SLACK:  # not point-like
         if n == 2:
-            leaf = replace(leaf, arcs=_build_arcs(X, r, z, leaf.slack))
+            arcs = _build_arcs(X, r, z, slack)
         elif m <= ENUM_MAX_CENTERS:
-            leaf = replace(leaf, subsets=_build_subsets(X, r))
-    for array in (X, r, z, *(leaf.arcs or ())):
+            subsets = _build_subsets(X, r)
+    for array in (X, r, z, *(arcs or ())):
         array.flags.writeable = False
-    return leaf
+    return LeafGeometry(X, r, z, slack, subsets, arcs)
 
 
 # ---------------------------------------------------------------------------

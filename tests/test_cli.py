@@ -351,6 +351,82 @@ def test_non_finite_map_parameters_exit_parse(args, message):
     assert message in error["message"]
 
 
+BIG = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("dist", '{"type": "generators", "centers": [[%s, 0]]}' % BIG, ball_doc([0, 0])), EXIT_PARSE),
+        (("classify", '{"map": "scale_centers", "factor": %s}' % BIG), EXIT_PARSE),
+        (("classify", '{"map": "motion", "rotation": [[1, 0], [0, 1]], "translation": [%s, 0]}' % BIG), EXIT_PARSE),
+        (
+            ("surjectivity", '{"map": "planar_perturbed", "amplitude": 0.1, "seed": 1e400}', "--target", "[0.5, 0]"),
+            EXIT_PARSE,
+        ),
+        (("support", ball_doc([0, 0]), "-u", "[" * 5000), EXIT_PARSE),
+        (("support", ball_doc([0, 0]), "-u", "[%s, 1]" % ("1" * 5000)), EXIT_PARSE),
+        (("support", ball_doc([0, 0]), "-u", "[{}, 1]"), EXIT_INVARIANT),
+        (("support", ball_doc([0, 0]), "-u", "[%s, 1]" % BIG), EXIT_INVARIANT),
+        (("surjectivity", PLANAR_RIGID, "--target", "[{}, 1]"), EXIT_INVARIANT),
+        (("surjectivity", PLANAR_RIGID, "--target", "[%s, 1]" % BIG), EXIT_INVARIANT),
+    ],
+    ids=[
+        "dist-big-coordinate",
+        "classify-big-factor",
+        "classify-big-translation",
+        "surjectivity-infinite-seed",
+        "support-direction-nested-too-deep",
+        "support-direction-too-many-digits",
+        "support-direction-object",
+        "support-direction-big",
+        "surjectivity-target-object",
+        "surjectivity-target-big",
+    ],
+)
+def test_operand_values_that_do_not_convert_exit_with_the_json_error(args, code):
+    # document values exit 2 (DocumentError), option vectors 3 (ValueError)
+    result = run_cli(*args)
+    assert result.exit_code == code, (result.output, result.exception)
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == ("DocumentError" if code == EXIT_PARSE else "ValueError")
+
+
+def test_a_body_file_nested_too_deep_exits_parse(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = run_cli("circ", str(path))
+    assert result.exit_code == EXIT_PARSE and result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "DocumentError" and "recursion" in error["message"]
+
+
+def test_a_body_whose_norm_bound_squared_overflows_exits_parse():
+    # its Hausdorff error bound would be inf, which strict JSON cannot carry
+    result = run_cli("dist", ball_doc([0.0, 0.0]), ball_doc([1e308, 0.0]))
+    assert result.exit_code == EXIT_PARSE and result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "DocumentError" and "norm bound inf is too large" in error["message"]
+
+
+def test_a_map_whose_image_overflows_is_no_isometry():
+    result = run_cli("classify", '{"map": "scale_centers", "factor": 1e300}')
+    assert result.exit_code == EXIT_PREMISE, (result.output, result.exception)
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "NotIsometryError" and "norm bound inf" in error["message"]
+
+
+def test_a_map_document_nested_too_deep_exits_parse():
+    doc = {"map": "cdual"}
+    for _ in range(17):
+        doc = {"map": "compose", "of": [doc]}
+    result = run_cli("classify", json.dumps(doc))
+    assert result.exit_code == EXIT_PARSE, (result.output, result.exception)
+    error = json.loads(result.stderr)["error"]
+    assert (error["type"], error["message"]) == ("DocumentError", "map document nests deeper than 16")
+
+
 @pytest.mark.parametrize(
     "args",
     [

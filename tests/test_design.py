@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ballbodies"
-SETTABLE_VALUES_BUDGET = 34
+SETTABLE_VALUES_BUDGET = 32
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -194,3 +194,38 @@ def test_every_library_error_is_raised_and_mapped():
     assert classes
     assert [name for name in classes if name not in raised] == [], "error types that nothing raises"
     assert [name for name in classes if getattr(errors, name) not in mapped] == [], "error types with no exit"
+
+
+def _owners(tree: ast.AST, wanted) -> set[str]:
+    """The innermost function, lambda or module around each node for which `wanted` is true."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "lambda")
+        if wanted(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_documents_are_read_by_one_node_rule_and_one_json_reader():
+    # ROADMAP aim 2: the document boundary is stated once.  Only
+    # `bodies.read_node` turns a body or map node's failures into
+    # DocumentError, and one function of `cli` parses JSON text
+    handlers = {
+        f"{name}: {owner}"
+        for name in ("bodies.py", "maps.py")
+        for owner in _owners(
+            ast.parse((SOURCE / name).read_text(encoding="utf-8")), lambda n: isinstance(n, ast.ExceptHandler)
+        )
+    }
+    assert handlers == {"bodies.py: read_node"}, f"functions of bodies.py and maps.py that catch: {handlers}"
+    readers = _owners(
+        ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8")),
+        lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) == "json.loads",
+    )
+    assert len(readers) == 1, f"functions of cli.py that call json.loads: {readers}"
